@@ -8,8 +8,10 @@ that is exact for the derivative span of F*F, there is a matrix Q with
 
 and D = P^{-1} Q then differentiates every member of F exactly while
 mimicking integration by parts discretely.  The symmetric part of Q is
-fixed to B/2; the antisymmetric part is the minimum-norm solution of the
-exactness equations, so the construction is deterministic.
+fixed to B/2; the antisymmetric part is the minimum-norm least-squares
+solution of the exactness equations, written in closed form through the
+thin SVD of the Vandermonde matrix F, so the construction is
+deterministic.
 
 Operators serialize to a plain JSON file with every real printed at 17
 significant digits; readers reject files that fail verification.
@@ -69,7 +71,6 @@ TOL_COHERENCE = 1e-13
 
 # infinity-norm gate on the least-squares residual of the exactness system
 _BUILD_RESIDUAL_TOL = 1e-10
-_LSTSQ_RCOND = 1e-12
 
 
 class OperatorError(RuntimeError):
@@ -126,12 +127,14 @@ def _boundary_matrix(n: int) -> np.ndarray:
 def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Build the operator for a space from a positive exact rule.
 
-    The antisymmetric part of Q is assembled from the exactness equations
-    over its strictly lower triangle and solved in the least-squares
-    sense; among all solutions the one with the smallest Euclidean norm
-    is taken.  Raises :class:`OperatorError` if the rule fails exactness
-    or positivity, the grid does not determine the space uniquely, or the
-    residual of the solved system exceeds the gate.
+    The antisymmetric part Q_A of Q minimises ``|Q_A F - (P F_x - B F / 2)|``
+    in the Frobenius norm, and among all minimisers it has the smallest
+    norm.  With ``F = U diag(s) W^T`` this is closed form: a 2x2 problem
+    per pair of singular directions, plus the part of the right-hand side
+    outside the range of U divided by ``s``.  Raises
+    :class:`OperatorError` if the rule fails exactness or positivity, the
+    grid does not determine the space uniquely, or the largest entry of
+    the residual exceeds the gate.
     """
     report = verify_exactness(rule, space)
     if not report.positive:
@@ -159,27 +162,22 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     B = _boundary_matrix(n)
     R = p[:, None] * Fx - 0.5 * (B @ F)
 
-    # unknowns: strictly lower triangle of the antisymmetric part, row-major
-    ii, jj = np.tril_indices(n, -1)
-    n_unknowns = ii.size
-    A = np.zeros((n * K, n_unknowns))
-    cols = np.arange(n_unknowns)
-    for k in range(K):
-        A[ii * K + k, cols] = F[jj, k]
-        A[jj * K + k, cols] -= F[ii, k]
-    y = R.reshape(-1)
-
-    q, *_ = np.linalg.lstsq(A, y, rcond=_LSTSQ_RCOND)
-    residual = float(np.max(np.abs(A @ q - y)))
+    # X: block of QA on range(U); Y: range(U) into its complement; the
+    # block on the complement is zero for the minimum norm
+    U, s, Wt = np.linalg.svd(F, full_matrices=False)
+    RW = R @ Wt.T
+    Z = U.T @ RW
+    X = (Z * s - s[:, None] * Z.T) / (s[:, None] ** 2 + s**2)
+    Y = (RW - U @ Z) / s
+    M = U @ X @ U.T + Y @ U.T - U @ Y.T
+    QA = 0.5 * (M - M.T)
+    residual = float(np.max(np.abs(QA @ F - R)))
     if residual > _BUILD_RESIDUAL_TOL:
         raise OperatorError(
             f"exactness system for {space.kind!r} on {n} nodes is "
             f"inconsistent: residual {residual:.3e}"
         )
 
-    QA = np.zeros((n, n))
-    QA[ii, jj] = q
-    QA -= QA.T
     Q = QA + 0.5 * B
     D = Q / p[:, None]
     return FsbpOperator(space=space, nodes=x, p=p, Q=Q, D=D)

@@ -243,6 +243,21 @@ def _default_start(space: FunctionSpace) -> int:
     return space.dim + 1
 
 
+def _candidates(space: FunctionSpace, n: int):
+    # built on demand, so a passing closed form skips the least-squares rule
+    kind = space.kind.split(":", 1)[0]
+    if kind == "trig":
+        yield trapezoid_rule(n, space.interval)
+    elif kind == "poly":
+        yield gauss_lobatto_rule(n, space.interval)
+    if n >= space.dim:
+        try:
+            rule = least_squares_rule(space, n)
+        except QuadratureError:
+            return
+        yield rule
+
+
 def find_positive_rule(
     space: FunctionSpace,
     n_start: int | None = None,
@@ -252,8 +267,9 @@ def find_positive_rule(
 
     For each node count, family-specific candidates come first (trapezoid
     for trigonometric kinds, Gauss-Lobatto for polynomial kinds), then the
-    least-squares construction.  The first candidate passing both the
-    exactness and positivity checks is returned, tagged with the space.
+    least-squares construction, each built only when the ones before it
+    fail.  The first candidate passing both the exactness and positivity
+    checks is returned, tagged with the space.
     """
     if n_start is None:
         n_start = _default_start(space)
@@ -264,19 +280,8 @@ def find_positive_rule(
         n_max = n_start + 24
     n_max = int(n_max)
 
-    kind = space.kind.split(":", 1)[0]
     for n in range(n_start, n_max + 1):
-        candidates = []
-        if kind == "trig":
-            candidates.append(trapezoid_rule(n, space.interval))
-        elif kind == "poly":
-            candidates.append(gauss_lobatto_rule(n, space.interval))
-        if n >= space.dim:
-            try:
-                candidates.append(least_squares_rule(space, n))
-            except QuadratureError:
-                pass
-        for rule in candidates:
+        for rule in _candidates(space, n):
             report = verify_exactness(rule, space)
             if report.ok:
                 return replace(

@@ -187,7 +187,8 @@ def ssprk33_step(
     """One step of the three-stage third-order SSP Runge-Kutta scheme.
 
     Stages evaluate the right-hand side at times t, t + dt and t + dt/2;
-    every stage is checked for finite values.
+    every stage is checked for finite values, and a failure names the
+    time of the stage that produced it.
     """
     t, u0 = state.t, state.blocks
 
@@ -200,14 +201,14 @@ def ssprk33_step(
     u2 = [
         0.75 * u + 0.25 * (v + dt * du) for u, v, du in zip(u0, s1.blocks, k)
     ]
-    _check_finite(u2, t)
+    _check_finite(u2, t + dt)
     s2 = replace(state, blocks=tuple(u2), t=t + 0.5 * dt)
 
     k = rhs_fn(s2, t + 0.5 * dt)
     u3 = [
         (u + 2.0 * (v + dt * du)) / 3.0 for u, v, du in zip(u0, s2.blocks, k)
     ]
-    _check_finite(u3, t)
+    _check_finite(u3, t + 0.5 * dt)
     return replace(state, blocks=tuple(u3), t=t + dt)
 
 

@@ -436,15 +436,11 @@ def boundary_product_moment(space: FunctionSpace, k: int, l: int) -> float:
     return float(fk[1] * fl[1] - fk[0] * fl[0])
 
 
-def _pairs(K: int):
-    for k in range(K):
-        for l in range(k, K):
-            yield k, l
-
-
 def pair_moments(space: FunctionSpace) -> np.ndarray:
-    """Boundary product moments for all pairs ``k <= l``, stacked."""
-    return np.array([boundary_product_moment(space, k, l) for k, l in _pairs(space.dim)])
+    """Boundary product moments for all pairs ``k <= l``, stacked row-major."""
+    V = vandermonde(space, [space.interval.left, space.interval.right])
+    k, l = np.triu_indices(space.dim)
+    return V[1, k] * V[1, l] - V[0, k] * V[0, l]
 
 
 def pair_derivative_rows(space: FunctionSpace, grid) -> np.ndarray:
@@ -455,10 +451,8 @@ def pair_derivative_rows(space: FunctionSpace, grid) -> np.ndarray:
     """
     V = vandermonde(space, grid)
     Vx = vandermonde_derivative(space, grid)
-    rows = [
-        Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l] for k, l in _pairs(space.dim)
-    ]
-    return np.array(rows)
+    k, l = np.triu_indices(space.dim)
+    return (Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l]).T
 
 
 def unisolvency_rank(space: FunctionSpace, grid) -> int:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+import sbpkit.quadrature
 from sbpkit.operators import (
     FsbpOperator,
     OperatorError,
@@ -305,3 +308,69 @@ def test_rule_of_reproduces_the_quadrature():
     rule = rule_of(op)
     assert verify_exactness(rule, space).ok
     np.testing.assert_allclose(rule.weights, op.p)
+
+
+def _dense_reference(space, rule):
+    """Q and the largest residual of the dense exactness system.
+
+    The unknowns are the strictly lower triangle of the antisymmetric part
+    of Q, row-major; ``lstsq`` returns the minimum-norm solution.  This is
+    the construction the closed form in :func:`build_operator` replaced.
+    """
+    x, p = rule.nodes, rule.weights
+    n, K = x.size, space.dim
+    F = vandermonde(space, x)
+    Fx = vandermonde_derivative(space, x)
+    B = np.zeros((n, n))
+    B[0, 0], B[-1, -1] = -1.0, 1.0
+    y = (p[:, None] * Fx - 0.5 * (B @ F)).reshape(-1)
+    ii, jj = np.tril_indices(n, -1)
+    A = np.zeros((n * K, ii.size))
+    cols = np.arange(ii.size)
+    for k in range(K):
+        A[ii * K + k, cols] = F[jj, k]
+        A[jj * K + k, cols] -= F[ii, k]
+    q, *_ = np.linalg.lstsq(A, y, rcond=1e-12)
+    QA = np.zeros((n, n))
+    QA[ii, jj] = q
+    return QA - QA.T + 0.5 * B, float(np.max(np.abs(A @ q - y)))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "trig:d=3",  # trapezoid rule
+        "poly:d=6",  # Gauss-Lobatto rule
+        "exp:d=3",  # least-squares rule
+        "exp:d=5",
+        "rbf-cubic:centers=0,0.25,0.5,0.75,1",
+    ],
+)
+def test_closed_form_build_matches_dense_least_squares(kind):
+    op = find_operator(make_space(kind, UNIT))
+    Q_ref, _ = _dense_reference(op.space, rule_of(op))
+    np.testing.assert_allclose(op.Q, Q_ref, rtol=0.0, atol=1e-10)
+
+
+def test_closed_form_build_gate_residual_matches_dense_least_squares():
+    space = exponential_space(6, UNIT)
+    rule = find_positive_rule(space, 32, 32)
+    with pytest.raises(OperatorError, match="inconsistent") as exc:
+        build_operator(space, rule)
+    residual = float(re.search(r"residual (\S+)$", str(exc.value)).group(1))
+    _, residual_ref = _dense_reference(space, rule)
+    assert residual == pytest.approx(residual_ref, rel=0.01)
+
+
+def test_closed_form_rules_skip_the_least_squares_rule(monkeypatch):
+    calls = []
+    original = sbpkit.quadrature.least_squares_rule
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sbpkit.quadrature, "least_squares_rule", counting)
+    find_positive_rule(trigonometric_space(3, UNIT))
+    find_operator(polynomial_space(6, UNIT))
+    assert calls == []

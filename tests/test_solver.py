@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,21 @@ def test_ssprk33_flags_nonfinite_states():
     blowup = lambda s, t: [np.full_like(u, np.inf) for u in s.blocks]
     with pytest.raises(InstabilityError):
         ssprk33_step(blowup, state, 0.1)
+
+
+def test_ssprk33_failure_names_the_stage_time():
+    # only the second stage, evaluated at t + dt, produces non-finite values
+    state = replace(_linear_state([1.0, 1.0]), t=1.0)
+    calls = []
+
+    def rhs(s, t):
+        calls.append(t)
+        value = np.inf if len(calls) == 2 else 0.0
+        return [np.full_like(u, value) for u in s.blocks]
+
+    with pytest.raises(InstabilityError, match=r"near t=1\.25$"):
+        ssprk33_step(rhs, state, 0.25)
+    assert calls == [1.0, 1.25]
 
 
 def test_run_validates_arguments():

@@ -234,6 +234,21 @@ def test_pair_rows_match_product_rule():
         np.testing.assert_allclose(row, fd, atol=1e-4)
 
 
+@pytest.mark.parametrize(
+    "kind", ["poly:d=6", "trig:d=3", "exp:d=4", "rbf-cubic:centers=0,0.3,0.6,1"]
+)
+def test_pair_helpers_equal_the_per_pair_loop(kind):
+    space = make_space(kind, Interval(0.0, 1.0))
+    x = np.linspace(0.0, 1.0, 17)
+    V = vandermonde(space, x)
+    Vx = vandermonde_derivative(space, x)
+    pairs = [(k, l) for k in range(space.dim) for l in range(k, space.dim)]
+    rows = [Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l] for k, l in pairs]
+    moments = [boundary_product_moment(space, k, l) for k, l in pairs]
+    assert np.array_equal(pair_derivative_rows(space, x), np.array(rows))
+    assert np.array_equal(pair_moments(space), np.array(moments))
+
+
 def test_affine_map_preserves_values_and_scales_derivatives():
     src = trigonometric_space(1, Interval(0.0, 1.0))
     mapped = affine_map(src, Interval(2.0, 4.0))
