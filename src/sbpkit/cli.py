@@ -298,15 +298,16 @@ def _cmd_run(args) -> int:
     )
 
     ref = reference_solution(spec, tfinal)
-    rows = []
-    for u, op in zip(result.state.blocks, result.state.operators):
-        uref = (
-            np.asarray(ref(op.nodes), dtype=float)
-            if ref is not None
-            else np.full(op.n_nodes, np.nan)
-        )
-        for x, v, vr in zip(op.nodes, u, uref):
-            rows.append([x, v, vr, abs(v - vr)])
+    nodes = result.state.nodes.ravel()
+    uref = (
+        np.asarray(ref(nodes), dtype=float)
+        if ref is not None
+        else np.full(nodes.size, np.nan)
+    )
+    rows = [
+        [x, v, vr, abs(v - vr)]
+        for x, v, vr in zip(nodes, result.state.u.ravel(), uref)
+    ]
     _write_csv(outdir / "solution.csv", ["x", "u", "u_ref", "abs_err"], rows)
 
     if ref is not None:

@@ -1,6 +1,6 @@
 """References, error norms and convergence studies.
 
-Error norms weight the pointwise error with the block norm matrices, so
+Error norms weight the pointwise error with the block norm weights, so
 they approximate the continuous L2 norm of the error.  Reference
 solutions follow characteristics: shifted (and, with a source, scaled)
 initial data for advection, and an implicit characteristic equation
@@ -66,13 +66,17 @@ class ConvergenceRow:
 
 
 def mass(state: BlockState) -> float:
-    """Discrete integral of the solution over all blocks."""
-    return float(sum(op.p @ u for u, op in zip(state.blocks, state.operators)))
+    """Discrete integral of the solution over all blocks.
+
+    Block i contributes ``s_i p @ u_i``, summed as ``s @ (u @ p)``.
+    """
+    return float(state.s @ (state.u @ state.operator.p))
 
 
 def energy(state: BlockState) -> float:
     """Discrete squared L2 norm of the solution over all blocks."""
-    return float(sum(op.p @ (u * u) for u, op in zip(state.blocks, state.operators)))
+    u = state.u
+    return float(state.s @ ((u * u) @ state.operator.p))
 
 
 def _wrap(x: np.ndarray, domain) -> np.ndarray:
@@ -216,21 +220,18 @@ def reference_solution(
 def error_report(
     state: BlockState, reference: Callable[[np.ndarray], np.ndarray]
 ) -> ErrorReport:
-    """Error norms of a state against a reference function of x."""
-    sq_p = 0.0
-    sq_2 = 0.0
-    emax = 0.0
-    n_total = 0
-    for u, op in zip(state.blocks, state.operators):
-        e = u - np.asarray(reference(op.nodes), dtype=float)
-        sq_p += float(op.p @ (e * e))
-        sq_2 += float(e @ e)
-        emax = max(emax, float(np.max(np.abs(e))))
-        n_total += e.size
+    """Error norms of a state against a reference function of x.
+
+    The reference is evaluated once on the flattened block nodes.
+    """
+    nodes = state.nodes
+    ref = np.asarray(reference(nodes.ravel()), dtype=float)
+    e = state.u - ref.reshape(nodes.shape)
+    sq = e * e
     return ErrorReport(
-        err_p=math.sqrt(sq_p),
-        err_2=math.sqrt(sq_2 / n_total),
-        err_max=emax,
+        err_p=math.sqrt(float(state.s @ (sq @ state.operator.p))),
+        err_2=math.sqrt(float(np.sum(sq)) / e.size),
+        err_max=float(np.max(np.abs(e))),
     )
 
 

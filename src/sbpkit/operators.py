@@ -124,7 +124,9 @@ def _boundary_matrix(n: int) -> np.ndarray:
     return B
 
 
-def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
+def build_operator(
+    space: FunctionSpace, rule: QuadratureRule, *, _rule_checked: bool = False
+) -> FsbpOperator:
     """Build the operator for a space from a positive exact rule.
 
     The antisymmetric part Q_A of Q minimises ``|Q_A F - (P F_x - B F / 2)|``
@@ -135,17 +137,22 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     :class:`OperatorError` if the rule fails exactness or positivity, the
     grid does not determine the space uniquely, or the largest entry of
     the residual exceeds the gate.
+
+    ``_rule_checked`` is internal: :func:`find_operator` sets it for the
+    rule :func:`find_positive_rule` has just verified against the same
+    space, so each rung checks its rule once.
     """
-    report = verify_exactness(rule, space)
-    if not report.positive:
-        raise OperatorError(
-            f"rule has non-positive weights (min {np.min(rule.weights):.3e})"
-        )
-    if not report.exact:
-        raise OperatorError(
-            f"rule is not exact for {space.kind!r}: "
-            f"residual {report.max_scaled_residual:.3e}"
-        )
+    if not _rule_checked:
+        report = verify_exactness(rule, space)
+        if not report.positive:
+            raise OperatorError(
+                f"rule has non-positive weights (min {np.min(rule.weights):.3e})"
+            )
+        if not report.exact:
+            raise OperatorError(
+                f"rule is not exact for {space.kind!r}: "
+                f"residual {report.max_scaled_residual:.3e}"
+            )
 
     x = rule.nodes
     p = rule.weights
@@ -201,7 +208,7 @@ def find_operator(
     """
     if n_nodes is not None:
         rule = find_positive_rule(space, int(n_nodes), int(n_nodes))
-        return _verified(build_operator(space, rule))
+        return _verified(build_operator(space, rule, _rule_checked=True))
     n_start = _default_start(space)
     if n_max is None:
         n_max = n_start + 24
@@ -209,7 +216,7 @@ def find_operator(
     for n in range(n_start, int(n_max) + 1):
         try:
             rule = find_positive_rule(space, n, n)
-            return _verified(build_operator(space, rule))
+            return _verified(build_operator(space, rule, _rule_checked=True))
         except (QuadratureError, OperatorError) as exc:
             last_error = exc
     raise OperatorError(

@@ -2,7 +2,9 @@
 
 Three model problems are supported on a partition of the domain into
 contiguous blocks, each carrying an affinely mapped copy of one reference
-operator:
+operator.  The state stacks the blocks into one ``(n_blocks, n)`` array
+next to that reference operator, so every block is handled by the same
+array operations:
 
 * linear advection ``u_t + a u_x = 0``,
 * advection with a linear source ``u_t + a u_x = c u``,
@@ -16,8 +18,8 @@ three-stage third-order strong-stability-preserving Runge-Kutta scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -82,105 +84,139 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class BlockState:
-    """Solution values per block, the block operators and the time."""
+    """Stacked solution values on copies of one reference operator.
 
-    blocks: tuple[np.ndarray, ...]
-    operators: tuple[FsbpOperator, ...]
+    Row ``i`` of ``u`` holds the nodal values of block ``i``, which spans
+    ``[edges[i], edges[i + 1]]`` and carries the reference operator
+    mapped affinely onto it: with the width ratio ``s_i`` of the block to
+    the operator's interval, its nodes map affinely, ``P_i = s_i P`` and
+    ``D_i = D / s_i``.  The width ratios ``s`` are derived from the
+    edges, and all arrays are frozen after construction.
+    """
+
+    u: np.ndarray
+    operator: FsbpOperator
+    edges: np.ndarray
     t: float
+    s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.blocks) != len(self.operators):
-            raise ValueError("one operator per block is required")
-        frozen = []
-        for u, op in zip(self.blocks, self.operators):
-            arr = np.asarray(u, dtype=float)
-            if arr.shape != (op.n_nodes,):
-                raise ValueError("block values do not match operator nodes")
+        iv = self.operator.space.interval
+        edges = np.array(self.edges, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        if edges.ndim != 1 or u.shape != (edges.size - 1, self.operator.n_nodes):
+            raise ValueError(
+                f"values of shape {u.shape} do not match {edges.size - 1} "
+                f"blocks of {self.operator.n_nodes} nodes"
+            )
+        s = (edges[1:] - edges[:-1]) / iv.width
+        if not s.min() > 0.0:
+            raise ValueError("block edges must be strictly increasing")
+        for arr in (u, edges, s):
             arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "s", s)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.u.shape[0]
 
     @property
     def total_nodes(self) -> int:
-        return sum(u.size for u in self.blocks)
+        return self.u.size
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Block nodes, shape ``(n_blocks, n)``, block ends set exactly."""
+        ref = self.operator
+        offsets = ref.nodes - ref.space.interval.left
+        x = self.edges[:-1, None] + offsets * self.s[:, None]
+        x[:, 0] = self.edges[:-1]
+        x[:, -1] = self.edges[1:]
+        return x
+
+    @property
+    def operators(self) -> tuple[FsbpOperator, ...]:
+        """The mapped operator of each block, built on demand.
+
+        A view for inspection only; the solver works on the stacked
+        arrays and never builds these.
+        """
+        return tuple(
+            affine_block_operator(self.operator, Interval(float(a), float(b)))
+            for a, b in zip(self.edges[:-1], self.edges[1:])
+        )
 
 
-def _left_values(state: BlockState, t: float, spec: ProblemSpec) -> list[float]:
+def _boundary_data(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     """Weak boundary datum for each block's first node.
 
     Interior blocks receive the rightmost value of their left neighbour;
     the first block receives either the inflow data or, when periodic,
-    the rightmost value of the last block.  All values are read from the
-    given state snapshot.
+    the rightmost value of the last block.
     """
-    gs = []
-    for i in range(state.n_blocks):
-        if i > 0:
-            gs.append(float(state.blocks[i - 1][-1]))
-        elif spec.periodic:
-            gs.append(float(state.blocks[-1][-1]))
-        else:
-            gs.append(float(spec.inflow(t)))
-    return gs
+    u = state.u
+    g = np.empty(u.shape[0])
+    g[1:] = u[:-1, -1]
+    g[0] = u[-1, -1] if spec.periodic else spec.inflow(t)
+    return g
 
 
-def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> list[np.ndarray]:
+def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     """Semidiscrete right-hand side for the advection kinds.
 
-    Each block computes ``-a D u`` (plus ``c u`` for the source kind) and
-    adds the boundary penalty ``-sigma a (u_1 - g) / p_1`` at its first
-    node.
+    Each block computes ``-a D_i u_i`` (plus ``c u_i`` for the source
+    kind) and adds the boundary penalty ``-sigma a (u_1 - g) / p_1`` at
+    its first node.  Returns an array shaped like ``state.u``.
     """
     a = spec.wave_speed
     sigma = spec.effective_sigma
-    c = spec.source_coefficient if spec.kind == "advection_source" else 0.0
-    gs = _left_values(state, t, spec)
-    out = []
-    for u, op, g in zip(state.blocks, state.operators, gs):
-        du = -a * (op.D @ u)
-        if c:
-            du = du + c * u
-        du[0] -= sigma * a * (u[0] - g) / op.p[0]
-        out.append(du)
-    return out
+    u, s, op = state.u, state.s, state.operator
+    du = (-a * (u @ op.D.T)) / s[:, None]
+    if spec.kind == "advection_source":
+        du += spec.source_coefficient * u
+    g = _boundary_data(state, t, spec)
+    du[:, 0] -= sigma * a * (u[:, 0] - g) / (s * op.p[0])
+    return du
 
 
-def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> list[np.ndarray]:
+def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     """Split-form Burgers right-hand side with a nonlinear inflow penalty.
 
-    Each block computes ``-(D(u^2) + u D u) / 3`` plus the penalty
+    Each block computes ``-(D_i(u^2) + u D_i u) / 3`` plus the penalty
     ``-(sigma/3) u_1 (u_1 - g) / p_1`` at its first node, which makes the
-    discrete energy rate depend on boundary values only.
+    discrete energy rate depend on boundary values only.  Returns an
+    array shaped like ``state.u``.
     """
     sigma = spec.effective_sigma
-    gs = _left_values(state, t, spec)
-    out = []
-    for u, op, g in zip(state.blocks, state.operators, gs):
-        du = -(op.D @ (u * u) + u * (op.D @ u)) / 3.0
-        du[0] -= (sigma / 3.0) * u[0] * (u[0] - g) / op.p[0]
-        out.append(du)
-    return out
+    u, s, op = state.u, state.s, state.operator
+    DT = op.D.T
+    du = -((u * u) @ DT + u * (u @ DT)) / (3.0 * s[:, None])
+    g = _boundary_data(state, t, spec)
+    du[:, 0] -= (sigma / 3.0) * u[:, 0] * (u[:, 0] - g) / (s * op.p[0])
+    return du
 
 
-def rhs_for(spec: ProblemSpec) -> Callable[[BlockState, float], list[np.ndarray]]:
+def rhs_for(spec: ProblemSpec) -> Callable[[BlockState, float], np.ndarray]:
     """Bind a problem to its right-hand-side function of (state, t)."""
     if spec.kind == "burgers":
         return lambda state, t: rhs_burgers(state, t, spec)
     return lambda state, t: rhs_advection(state, t, spec)
 
 
-def _check_finite(blocks: Sequence[np.ndarray], t: float) -> None:
-    for u in blocks:
-        if not np.all(np.isfinite(u)):
-            raise InstabilityError(f"non-finite solution values near t={t:.6g}")
+def _check_finite(u: np.ndarray, t: float) -> None:
+    if np.isfinite(u).all():
+        return
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+    more = f" (and {bad.size - 1} more)" if bad.size > 1 else ""
+    raise InstabilityError(
+        f"non-finite solution values in block {bad[0]}{more} near t={t:.6g}"
+    )
 
 
 def ssprk33_step(
-    rhs_fn: Callable[[BlockState, float], list[np.ndarray]],
+    rhs_fn: Callable[[BlockState, float], np.ndarray],
     state: BlockState,
     dt: float,
 ) -> BlockState:
@@ -188,28 +224,22 @@ def ssprk33_step(
 
     Stages evaluate the right-hand side at times t, t + dt and t + dt/2;
     every stage is checked for finite values, and a failure names the
-    time of the stage that produced it.
+    first block that went non-finite and the time of the stage that
+    produced it.
     """
-    t, u0 = state.t, state.blocks
+    t, u0 = state.t, state.u
 
-    k = rhs_fn(state, t)
-    u1 = [u + dt * du for u, du in zip(u0, k)]
+    u1 = u0 + dt * rhs_fn(state, t)
     _check_finite(u1, t)
-    s1 = replace(state, blocks=tuple(u1), t=t + dt)
 
-    k = rhs_fn(s1, t + dt)
-    u2 = [
-        0.75 * u + 0.25 * (v + dt * du) for u, v, du in zip(u0, s1.blocks, k)
-    ]
+    k = rhs_fn(replace(state, u=u1, t=t + dt), t + dt)
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * k)
     _check_finite(u2, t + dt)
-    s2 = replace(state, blocks=tuple(u2), t=t + 0.5 * dt)
 
-    k = rhs_fn(s2, t + 0.5 * dt)
-    u3 = [
-        (u + 2.0 * (v + dt * du)) / 3.0 for u, v, du in zip(u0, s2.blocks, k)
-    ]
+    k = rhs_fn(replace(state, u=u2, t=t + 0.5 * dt), t + 0.5 * dt)
+    u3 = (u0 + 2.0 * (u2 + dt * k)) / 3.0
     _check_finite(u3, t + 0.5 * dt)
-    return replace(state, blocks=tuple(u3), t=t + dt)
+    return replace(state, u=u3, t=t + dt)
 
 
 @dataclass(frozen=True)
@@ -221,10 +251,9 @@ class RunResult:
     steps: int
 
 
-def _max_wave_speed(spec: ProblemSpec, blocks: Sequence[np.ndarray]) -> float:
+def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
     if spec.kind == "burgers":
-        peak = max(float(np.max(np.abs(u))) for u in blocks)
-        return max(1.0, peak)
+        return max(1.0, float(np.max(np.abs(u))))
     return spec.wave_speed
 
 
@@ -239,11 +268,13 @@ def run(
     """Integrate a model problem on a uniform multi-block grid.
 
     A reference operator is built once on [0, 1] (``space`` may be a
-    textual kind or a prebuilt reference space) and transplanted to the
-    blocks.  The step size is ``cfl`` times the smallest node spacing
-    over the largest wave speed, refreshed every step for Burgers, and
-    the final step is shortened to land on ``t_final`` exactly.  Mass and
-    energy are recorded after every step.
+    textual kind or a prebuilt reference space) and every block uses it
+    through its width ratio; no per-block operator is built.  The
+    initial condition is evaluated once on the flattened block nodes.
+    The step size is ``cfl`` times the smallest node spacing over the
+    largest wave speed, refreshed every step for Burgers, and the final
+    step is shortened to land on ``t_final`` exactly.  Mass and energy
+    are recorded after every step.
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
@@ -261,35 +292,32 @@ def run(
     ref_op = find_operator(ref_space, n_nodes)
 
     edges = np.linspace(spec.domain.left, spec.domain.right, n_blocks + 1)
-    ops = tuple(
-        affine_block_operator(ref_op, Interval(float(a), float(b)))
-        for a, b in zip(edges[:-1], edges[1:])
+    state = BlockState(
+        u=np.zeros((n_blocks, ref_op.n_nodes)), operator=ref_op, edges=edges, t=0.0
     )
-    blocks = tuple(
-        np.asarray(spec.initial_condition(op.nodes), dtype=float) for op in ops
-    )
-    for u, op in zip(blocks, ops):
-        if u.shape != op.nodes.shape:
-            raise ValueError("initial condition must return one value per node")
+    nodes = state.nodes
+    u = np.asarray(spec.initial_condition(nodes.ravel()), dtype=float)
+    if u.shape != (nodes.size,):
+        raise ValueError("initial condition must return one value per node")
 
     if spec.kind == "burgers":
-        if min(float(np.min(u)) for u in blocks) < -1e-12:
+        if float(np.min(u)) < -1e-12:
             raise ValueError("Burgers runs require nonnegative initial data")
         if not spec.periodic:
             ts = np.linspace(0.0, t_final, 65)
             if min(float(spec.inflow(t)) for t in ts) < -1e-12:
                 raise ValueError("Burgers runs require nonnegative inflow data")
 
-    state = BlockState(blocks=blocks, operators=ops, t=0.0)
-    _check_finite(state.blocks, 0.0)
+    state = replace(state, u=u.reshape(nodes.shape))
+    _check_finite(state.u, 0.0)
     rhs_fn = rhs_for(spec)
-    spacing = float(np.min(np.diff(ops[0].nodes)))
+    spacing = float(np.min(np.diff(nodes, axis=1)))
 
     history = [DiagnosticsRecord(t=0.0, mass=mass(state), energy=energy(state))]
     steps = 0
     tiny = 1e-12 * max(1.0, t_final)
     while state.t < t_final - tiny:
-        dt = cfl * spacing / _max_wave_speed(spec, state.blocks)
+        dt = cfl * spacing / _max_wave_speed(spec, state.u)
         last = state.t + dt >= t_final - tiny
         if last:
             dt = t_final - state.t

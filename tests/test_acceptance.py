@@ -273,7 +273,7 @@ def test_criterion_4_semidiscrete_identities():
         op = ops[i % len(ops)]
         u = rng.normal(size=op.n_nodes)
         g = float(rng.normal())
-        state = BlockState(blocks=(u,), operators=(op,), t=0.0)
+        state = BlockState(u=u[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
 
         du = rhs_advection(state, 0.0, spec_advection(g, 1.0))[0]
         rate = float(np.dot(op.p, du))
@@ -333,13 +333,15 @@ def test_criterion_5_discrete_conservation():
 
 def test_criterion_6_time_integrator_order():
     op = find_operator(polynomial_space(1, UNIT))
-    decay = lambda s, t: [-u for u in s.blocks]
+    decay = lambda s, t: -s.u
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        state = BlockState(blocks=(np.ones(2),), operators=(op,), t=0.0)
+        state = BlockState(
+            u=np.ones((1, 2)), operator=op, edges=(0.0, 1.0), t=0.0
+        )
         for _ in range(round(1.0 / dt)):
             state = ssprk33_step(decay, state, dt)
-        errors.append(abs(float(state.blocks[0][0]) - np.exp(-1.0)))
+        errors.append(abs(float(state.u[0, 0]) - np.exp(-1.0)))
     orders = [
         np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     ]

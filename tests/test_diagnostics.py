@@ -25,7 +25,8 @@ UNIT = Interval(0.0, 1.0)
 
 def _state_with(space_text: str, u) -> BlockState:
     op = find_operator(make_space(space_text, UNIT))
-    return BlockState(blocks=(np.asarray(u, dtype=float),), operators=(op,), t=0.0)
+    u = np.asarray(u, dtype=float)[None, :]
+    return BlockState(u=u, operator=op, edges=(0.0, 1.0), t=0.0)
 
 
 def test_mass_and_energy_hand_sums():
@@ -36,7 +37,8 @@ def test_mass_and_energy_hand_sums():
 
 def test_mass_of_constant_equals_interval_width():
     op = find_operator(make_space("exp:d=2", UNIT))
-    state = BlockState(blocks=(np.ones(op.n_nodes),), operators=(op,), t=0.0)
+    u = np.ones((1, op.n_nodes))
+    state = BlockState(u=u, operator=op, edges=(0.0, 1.0), t=0.0)
     assert mass(state) == pytest.approx(1.0, abs=1e-12)
     assert energy(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -118,7 +120,7 @@ def test_reference_solution_missing_for_burgers_inflow():
 
 def test_error_report_zero_error():
     op = find_operator(make_space("poly:d=1", UNIT))
-    state = BlockState(blocks=(op.nodes.copy(),), operators=(op,), t=0.0)
+    state = BlockState(u=op.nodes[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
     report = error_report(state, lambda x: np.asarray(x, dtype=float))
     assert report.err_p == 0.0
     assert report.err_2 == 0.0
@@ -131,7 +133,7 @@ def test_error_report_single_node_defect():
     delta = 0.125
     j = 1
     u[j] = delta
-    state = BlockState(blocks=(u,), operators=(op,), t=0.0)
+    state = BlockState(u=u[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
     report = error_report(state, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     assert report.err_p == pytest.approx(math.sqrt(op.p[j]) * delta, rel=1e-12)
     assert report.err_2 == pytest.approx(delta / math.sqrt(op.n_nodes), rel=1e-12)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import sbpkit.operators
 import sbpkit.quadrature
 from sbpkit.operators import (
     FsbpOperator,
@@ -374,3 +375,37 @@ def test_closed_form_rules_skip_the_least_squares_rule(monkeypatch):
     find_positive_rule(trigonometric_space(3, UNIT))
     find_operator(polynomial_space(6, UNIT))
     assert calls == []
+
+
+def test_find_operator_checks_each_rule_once(monkeypatch):
+    # find_positive_rule verifies every candidate it builds; the build on
+    # the rule it returns must not verify that rule again
+    counts = {"verify": 0, "candidates": 0, "builds": 0}
+    verify = sbpkit.quadrature.verify_exactness
+
+    def counting_verify(*args, **kwargs):
+        counts["verify"] += 1
+        return verify(*args, **kwargs)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[name] += 1
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(sbpkit.quadrature, "verify_exactness", counting_verify)
+    monkeypatch.setattr(sbpkit.operators, "verify_exactness", counting_verify)
+    for builder in ("trapezoid_rule", "gauss_lobatto_rule", "least_squares_rule"):
+        fn = getattr(sbpkit.quadrature, builder)
+        monkeypatch.setattr(sbpkit.quadrature, builder, counting("candidates", fn))
+    monkeypatch.setattr(
+        sbpkit.operators,
+        "build_operator",
+        counting("builds", sbpkit.operators.build_operator),
+    )
+    op = find_operator(exponential_space(5, UNIT))
+    assert verify_sbp(op).passed
+    assert counts["builds"] >= 2
+    assert counts["verify"] == counts["candidates"]

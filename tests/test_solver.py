@@ -7,6 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sbpkit.operators
+import sbpkit.solver
+import sbpkit.spaces
 from sbpkit.operators import affine_block_operator, find_operator
 from sbpkit.solver import (
     BlockState,
@@ -25,7 +28,8 @@ UNIT = Interval(0.0, 1.0)
 
 def _single_block_state(space_text: str, u: np.ndarray) -> BlockState:
     op = find_operator(make_space(space_text, UNIT))
-    return BlockState(blocks=(np.asarray(u, dtype=float),), operators=(op,), t=0.0)
+    u = np.asarray(u, dtype=float)[None, :]
+    return BlockState(u=u, operator=op, edges=(0.0, 1.0), t=0.0)
 
 
 def _linear_state(u) -> BlockState:
@@ -53,6 +57,21 @@ def test_problem_spec_validation():
         ).effective_sigma
         == 0.6
     )
+
+
+def test_block_state_validates_its_grid():
+    op = find_operator(make_space("trig:d=1", UNIT))
+    u = np.zeros((2, op.n_nodes))
+    with pytest.raises(ValueError):
+        BlockState(u=u, operator=op, edges=(0.0, 1.0), t=0.0)
+    with pytest.raises(ValueError):
+        BlockState(u=u[:, :-1], operator=op, edges=(0.0, 0.5, 1.0), t=0.0)
+    with pytest.raises(ValueError):
+        BlockState(u=u, operator=op, edges=(0.0, 0.5, 0.5), t=0.0)
+    state = BlockState(u=u, operator=op, edges=(0.0, 0.25, 1.0), t=0.0)
+    np.testing.assert_array_equal(state.s, [0.25, 0.75])
+    for nodes, mapped in zip(state.nodes, state.operators):
+        np.testing.assert_array_equal(nodes, mapped.nodes)
 
 
 def test_advection_rhs_two_node_example():
@@ -89,7 +108,7 @@ def test_burgers_rhs_two_node_example():
     np.testing.assert_allclose(du[0], [-4.0 / 3.0, -5.0 / 3.0], atol=1e-12)
     # the induced energy rate matches the boundary flux expression
     op = state.operators[0]
-    rate = 2.0 * float(np.dot(state.blocks[0] * op.p, du[0]))
+    rate = 2.0 * float(np.dot(state.u[0] * op.p, du[0]))
     assert rate == pytest.approx(-14.0 / 3.0, abs=1e-12)
 
 
@@ -122,7 +141,7 @@ def test_advection_mass_rate_identity():
                 inflow=lambda t, g=g: g,
                 wave_speed=1.5,
             )
-            state = BlockState(blocks=(u,), operators=(op,), t=0.0)
+            state = BlockState(u=u[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
             du = rhs_advection(state, 0.0, spec)[0]
             a = spec.wave_speed
             rate = float(np.dot(op.p, du))
@@ -145,7 +164,7 @@ def test_advection_energy_rate_identity():
                 inflow=lambda t, g=g: g,
                 sigma=sigma,
             )
-            state = BlockState(blocks=(u,), operators=(op,), t=0.0)
+            state = BlockState(u=u[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
             du = rhs_advection(state, 0.0, spec)[0]
             rate = 2.0 * float(np.dot(u * op.p, du))
             expected = (
@@ -172,7 +191,7 @@ def test_advection_energy_bound():
                 inflow=lambda t, g=g: g,
                 sigma=sigma,
             )
-            state = BlockState(blocks=(u,), operators=(op,), t=0.0)
+            state = BlockState(u=u[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
             du = rhs_advection(state, 0.0, spec)[0]
             rate = 2.0 * float(np.dot(u * op.p, du))
             bound = g**2 * sigma**2 / (2 * sigma - 1.0)
@@ -194,7 +213,7 @@ def test_burgers_energy_rate_identity():
                 inflow=lambda t, g=g: g,
                 sigma=sigma,
             )
-            state = BlockState(blocks=(u,), operators=(op,), t=0.0)
+            state = BlockState(u=u[None, :], operator=op, edges=(0.0, 1.0), t=0.0)
             du = rhs_burgers(state, 0.0, spec)[0]
             rate = 2.0 * float(np.dot(u * op.p, du))
             expected = (2.0 / 3.0) * (
@@ -215,39 +234,97 @@ def test_multi_block_mass_rates_telescope():
     )
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
     for _ in range(20):
-        blocks = tuple(rng.normal(size=op.n_nodes) for op in ops)
-        state = BlockState(blocks=blocks, operators=ops, t=0.0)
+        blocks = rng.normal(size=(len(ops), ref.n_nodes))
+        state = BlockState(u=blocks, operator=ref, edges=edges, t=0.0)
         dus = rhs_advection(state, 0.0, spec)
         total = sum(float(np.dot(op.p, du)) for op, du in zip(ops, dus))
         scale = 1.0 + max(np.max(np.abs(u)) for u in blocks)
         assert abs(total) <= 1e-12 * scale
 
 
+def _per_block_rhs(state: BlockState, t: float, spec: ProblemSpec) -> list:
+    """The right-hand side as a loop over mapped block operators.
+
+    Each block applies its own ``affine_block_operator`` copy and takes
+    its boundary datum from the left neighbour, the inflow data or, when
+    periodic, the last block.
+    """
+    sigma = spec.effective_sigma
+    a = spec.wave_speed
+    c = spec.source_coefficient if spec.kind == "advection_source" else 0.0
+    out = []
+    for i, (u, op) in enumerate(zip(state.u, state.operators)):
+        if i > 0:
+            g = state.u[i - 1][-1]
+        elif spec.periodic:
+            g = state.u[-1][-1]
+        else:
+            g = spec.inflow(t)
+        if spec.kind == "burgers":
+            du = -(op.D @ (u * u) + u * (op.D @ u)) / 3.0
+            du[0] -= (sigma / 3.0) * u[0] * (u[0] - g) / op.p[0]
+        else:
+            du = -a * (op.D @ u) + c * u
+            du[0] -= sigma * a * (u[0] - g) / op.p[0]
+        out.append(du)
+    return out
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 64])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("kind", ["advection", "advection_source", "burgers"])
+def test_stacked_rhs_matches_per_block_loop(kind, periodic, n_blocks):
+    rng = np.random.default_rng(57)
+    ref = find_operator(make_space("exp:d=2", UNIT))
+    domain = Interval(-0.5, 1.5)
+    spec = ProblemSpec(
+        kind=kind,
+        domain=domain,
+        initial_condition=np.sin,
+        periodic=periodic,
+        inflow=None if periodic else (lambda t: 1.0 + 0.5 * np.sin(3.0 * t)),
+        wave_speed=1.3,
+        source_coefficient=0.7,
+        sigma=1.5,
+    )
+    edges = np.linspace(domain.left, domain.right, n_blocks + 1)
+    u = 1.0 + rng.random((n_blocks, ref.n_nodes))
+    state = BlockState(u=u, operator=ref, edges=edges, t=0.3)
+    rhs = rhs_burgers if kind == "burgers" else rhs_advection
+    got = rhs(state, 0.3, spec)
+    want = np.array(_per_block_rhs(state, 0.3, spec))
+    assert got.shape == want.shape
+    # the stacked form divides by the width ratio after the product, the
+    # loop before it; with a source, -a D u and c u can nearly cancel, so
+    # the rounding bound is relative to the scale of the whole right side
+    np.testing.assert_allclose(
+        got, want, rtol=1e-13, atol=1e-13 * float(np.max(np.abs(want)))
+    )
+
+
 def test_ssprk33_linear_amplification():
     # one step applied to u' = -u multiplies by the cubic Taylor section
     state = _linear_state([1.0, -2.0])
-    decay = lambda s, t: [-u for u in s.blocks]
+    decay = lambda s, t: -s.u
     dt = 0.1
     z = -dt
     factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0
     out = ssprk33_step(decay, state, dt)
-    np.testing.assert_allclose(out.blocks[0], factor * state.blocks[0], rtol=1e-14)
+    np.testing.assert_allclose(out.u[0], factor * state.u[0], rtol=1e-14)
     assert out.t == pytest.approx(dt)
 
 
 def test_ssprk33_exact_cases():
     state = _linear_state([0.7, 1.3])
-    frozen = ssprk33_step(lambda s, t: [np.zeros_like(u) for u in s.blocks], state, 0.2)
-    np.testing.assert_allclose(frozen.blocks[0], state.blocks[0], rtol=1e-15)
-    shifted = ssprk33_step(
-        lambda s, t: [np.ones_like(u) for u in s.blocks], state, 0.2
-    )
-    np.testing.assert_allclose(shifted.blocks[0], state.blocks[0] + 0.2, rtol=1e-15)
+    frozen = ssprk33_step(lambda s, t: np.zeros_like(s.u), state, 0.2)
+    np.testing.assert_allclose(frozen.u[0], state.u[0], rtol=1e-15)
+    shifted = ssprk33_step(lambda s, t: np.ones_like(s.u), state, 0.2)
+    np.testing.assert_allclose(shifted.u[0], state.u[0] + 0.2, rtol=1e-15)
 
 
 def test_ssprk33_flags_nonfinite_states():
     state = _linear_state([1.0, 1.0])
-    blowup = lambda s, t: [np.full_like(u, np.inf) for u in s.blocks]
+    blowup = lambda s, t: np.full_like(s.u, np.inf)
     with pytest.raises(InstabilityError):
         ssprk33_step(blowup, state, 0.1)
 
@@ -260,11 +337,48 @@ def test_ssprk33_failure_names_the_stage_time():
     def rhs(s, t):
         calls.append(t)
         value = np.inf if len(calls) == 2 else 0.0
-        return [np.full_like(u, value) for u in s.blocks]
+        return np.full_like(s.u, value)
 
     with pytest.raises(InstabilityError, match=r"near t=1\.25$"):
         ssprk33_step(rhs, state, 0.25)
     assert calls == [1.0, 1.25]
+
+
+def test_ssprk33_failure_names_the_block():
+    ref = find_operator(make_space("trig:d=1", UNIT))
+    edges = np.linspace(0.0, 1.0, 65)
+    u = np.ones((64, ref.n_nodes))
+    state = BlockState(u=u, operator=ref, edges=edges, t=1.0)
+    calls = []
+
+    def rhs(s, t):
+        calls.append(t)
+        du = np.zeros_like(s.u)
+        if len(calls) == 2:
+            du[37, 2] = np.inf
+        return du
+
+    with pytest.raises(
+        InstabilityError,
+        match=r"^non-finite solution values in block 37 near t=1\.25$",
+    ):
+        ssprk33_step(rhs, state, 0.25)
+
+
+def test_run_builds_no_per_block_operators(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-block operator built on the hot path")
+
+    for module in (sbpkit.solver, sbpkit.operators):
+        monkeypatch.setattr(module, "affine_block_operator", forbidden)
+    for module in (sbpkit.spaces, sbpkit.operators):
+        monkeypatch.setattr(module, "affine_map", forbidden)
+    ic = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
+    for kind in ("advection", "burgers"):
+        spec = ProblemSpec(kind=kind, domain=UNIT, initial_condition=ic)
+        result = run(spec, "trig:d=1", n_blocks=8, t_final=0.05)
+        assert result.state.u.shape == (8, 4)
+        assert result.steps > 0
 
 
 def test_run_validates_arguments():
@@ -286,7 +400,7 @@ def test_run_zero_time_returns_initial_data():
     assert result.steps == 0
     assert len(result.history) == 1
     op = result.state.operators[0]
-    np.testing.assert_array_equal(result.state.blocks[0], ic(op.nodes))
+    np.testing.assert_array_equal(result.state.u[0], ic(op.nodes))
 
 
 def test_run_lands_exactly_on_final_time():
