@@ -7,7 +7,6 @@ multi-block grids with provably bounded energy.
 """
 
 from .spaces import (
-    BasisElement,
     FunctionSpace,
     Interval,
     UNIT_INTERVAL,

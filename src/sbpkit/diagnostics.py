@@ -246,10 +246,14 @@ def convergence_table(
     """Run each space over a ladder of block counts and tabulate errors.
 
     Observed orders compare consecutive levels of the same space using
-    the norm-weighted error and the block-count ratio.
+    the norm-weighted error and the block-count ratio.  A problem without
+    a reference solution is rejected before any run.
     """
     from .solver import run
 
+    ref = reference_solution(spec, t_final)
+    if ref is None:
+        raise ValueError(f"no reference solution for problem kind {spec.kind!r}")
     rows: list[ConvergenceRow] = []
     for space in space_specs:
         prev: ConvergenceRow | None = None
@@ -262,11 +266,6 @@ def convergence_table(
                 t_final=t_final,
                 cfl=cfl,
             )
-            ref = reference_solution(spec, t_final)
-            if ref is None:
-                raise ValueError(
-                    f"no reference solution for problem kind {spec.kind!r}"
-                )
             err = error_report(result.state, ref)
             if prev is None or not (err.err_p > 0.0 and prev.err_p > 0.0):
                 order = math.nan

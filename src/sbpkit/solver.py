@@ -280,8 +280,8 @@ def run(
 
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     if n_blocks < 1:
         raise ValueError(f"need at least one block, got {n_blocks}")
 

@@ -1,8 +1,10 @@
 """Finite-dimensional function spaces with exact derivatives.
 
-A space is an ordered tuple of basis elements on an interval, where each
-element carries a vectorized value callable and its analytic derivative.
-Four families are built in:
+A space is an interval plus two matrix-valued callables: ``values(x)``
+returns the ``(len(x), dim)`` matrix of basis function values at the
+points ``x`` and ``derivatives(x)`` the matching analytic derivatives.
+Any span can be supplied this way through :class:`FunctionSpace`; four
+families are built in:
 
 * ``poly``: polynomials up to a degree, represented in the interval-mapped
   Legendre basis (monomials lose numerical rank already around degree 20,
@@ -21,7 +23,7 @@ product moments, stacked pair-derivative rows and a numerical rank check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +32,6 @@ from numpy.polynomial import legendre as _legendre
 __all__ = [
     "Interval",
     "UNIT_INTERVAL",
-    "BasisElement",
     "FunctionSpace",
     "polynomial_space",
     "trigonometric_space",
@@ -89,22 +90,14 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class BasisElement:
-    """One basis function: value, analytic derivative and a short label.
-
-    Both callables must accept numpy arrays and return arrays of the same
-    shape.  Consistency of ``derivative`` with ``value`` is checked by
-    central finite differences when a space is constructed.
-    """
-
-    value: ArrayFn
-    derivative: ArrayFn
-    label: str
-
-
-@dataclass(frozen=True)
 class FunctionSpace:
-    """Ordered basis of a function space on an interval.
+    """A function space on an interval, given by two matrix-valued callables.
+
+    ``values(x)`` and ``derivatives(x)`` map a 1-D array of points to
+    ``(len(x), dim)`` arrays of basis values and analytic derivatives;
+    ``dim`` is read off ``values`` at the interval ends.  Construction
+    raises ``ValueError`` on a shape mismatch, on derivatives that disagree
+    with central differences, or on numerically dependent columns.
 
     ``kind`` is the textual form understood by :func:`make_space` for the
     built-in families; affinely mapped spaces get a non-parseable
@@ -114,58 +107,55 @@ class FunctionSpace:
     """
 
     interval: Interval
-    elements: tuple[BasisElement, ...]
+    values: ArrayFn
+    derivatives: ArrayFn
     kind: str
     contains_constants: bool = True
+    dim: int = field(init=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-
-def _constant_element() -> BasisElement:
-    return BasisElement(
-        value=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        label="1",
-    )
+    def __post_init__(self) -> None:
+        iv = self.interval
+        shape = np.shape(self.values(np.array([iv.left, iv.right])))
+        if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
+            raise ValueError(
+                f"space {self.kind!r}: values gave shape {shape} at the two "
+                f"interval ends, expected (2, dim)"
+            )
+        object.__setattr__(self, "dim", shape[1])
+        _check_derivatives(self)
+        grid = np.linspace(iv.left, iv.right, max(257, 4 * self.dim + 1))
+        rank = unisolvency_rank(self, grid)
+        if rank != self.dim:
+            raise ValueError(
+                f"basis of kind {self.kind!r} is numerically linearly dependent "
+                f"(rank {rank} < {self.dim})"
+            )
 
 
 def _check_derivatives(space: FunctionSpace) -> None:
     # Exactness of the whole construction leans on the analytic derivatives,
-    # so every element is cross-checked against central differences.
+    # so every column is cross-checked against central differences.
     iv = space.interval
     h = _FD_STEP_FACTOR * iv.width
     margin = 0.02 * iv.width
     x = np.linspace(iv.left + margin, iv.right - margin, _FD_SAMPLES)
-    for el in space.elements:
-        exact = np.asarray(el.derivative(x), dtype=float)
-        approx = (el.value(x + h) - el.value(x - h)) / (2.0 * h)
-        tol = _FD_RTOL * (1.0 + np.abs(exact))
-        bad = np.abs(approx - exact) > tol
-        if np.any(bad):
-            i = int(np.argmax(np.abs(approx - exact) - tol))
-            raise ValueError(
-                f"element {el.label!r}: analytic derivative disagrees with "
-                f"finite differences near x={x[i]:.6g}"
-            )
-
-
-def _check_independence(space: FunctionSpace) -> None:
-    n = max(257, 4 * space.dim + 1)
-    grid = np.linspace(space.interval.left, space.interval.right, n)
-    r = unisolvency_rank(space, grid)
-    if r != space.dim:
+    exact = space.derivatives(x)
+    if np.shape(exact) != (x.size, space.dim):
         raise ValueError(
-            f"basis of kind {space.kind!r} is numerically linearly dependent "
-            f"(rank {r} < {space.dim})"
+            f"space {space.kind!r}: derivatives gave shape {np.shape(exact)} "
+            f"for {x.size} points, values have {space.dim} columns"
         )
-
-
-def _finalize(space: FunctionSpace) -> FunctionSpace:
-    _check_derivatives(space)
-    _check_independence(space)
-    return space
+    # divide by the step actually taken: x +- h rounds when |x| >> width
+    xp, xm = x + h, x - h
+    plus, minus = np.split(space.values(np.concatenate([xp, xm])), 2)
+    approx = (plus - minus) / (xp - xm)[:, None]
+    excess = np.abs(approx - exact) - _FD_RTOL * (1.0 + np.abs(exact))
+    if not np.all(excess <= 0.0):
+        i, k = np.unravel_index(np.argmax(excess), excess.shape)
+        raise ValueError(
+            f"space {space.kind!r}: analytic derivative of column {k} disagrees "
+            f"with finite differences near x={x[i]:.6g}"
+        )
 
 
 def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
@@ -181,59 +171,50 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
     a, b = interval.left, interval.right
     scale = 2.0 / (b - a)
+    coefs = [np.eye(k + 1)[k] for k in range(degree + 1)]
+    dcoefs = [_legendre.legder(c) for c in coefs]
 
     def _to_ref(x):
         return (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
 
-    elements = []
-    for k in range(degree + 1):
-        coef = np.zeros(k + 1)
-        coef[k] = 1.0
-        dcoef = _legendre.legder(coef)
+    def values(x):
+        t = _to_ref(x)
+        return np.column_stack([_legendre.legval(t, c) for c in coefs])
 
-        def value(x, coef=coef):
-            return _legendre.legval(_to_ref(x), coef)
+    def derivatives(x):
+        t = _to_ref(x)
+        return np.column_stack([scale * _legendre.legval(t, c) for c in dcoefs])
 
-        def derivative(x, dcoef=dcoef, scale=scale):
-            return scale * _legendre.legval(_to_ref(x), dcoef)
-
-        elements.append(BasisElement(value, derivative, f"P{k}"))
-    return _finalize(
-        FunctionSpace(interval, tuple(elements), kind=f"poly:d={degree}")
-    )
+    return FunctionSpace(interval, values, derivatives, kind=f"poly:d={degree}")
 
 
 def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
     """Constants plus sin/cos pairs up to frequency ``degree``.
 
     The base angular frequency is ``2*pi / width``, which makes the whole
-    basis periodic over the interval.  Dimension is ``2*degree + 1``.
+    basis periodic over the interval.  Dimension is ``2*degree + 1``; the
+    columns are ``1, sin1, cos1, sin2, cos2, ...``.
     """
     degree = int(degree)
     if degree < 1:
         raise ValueError(f"trigonometric degree must be >= 1, got {degree}")
-    omega = 2.0 * np.pi / interval.width
-    elements = [_constant_element()]
-    for k in range(1, degree + 1):
-        wk = k * omega
+    w = (2.0 * np.pi / interval.width) * np.arange(1, degree + 1)
 
-        def sin_val(x, wk=wk):
-            return np.sin(wk * np.asarray(x, dtype=float))
+    def values(x):
+        xw = np.asarray(x, dtype=float)[:, None] * w
+        out = np.ones((xw.shape[0], 2 * degree + 1))
+        out[:, 1::2] = np.sin(xw)
+        out[:, 2::2] = np.cos(xw)
+        return out
 
-        def sin_der(x, wk=wk):
-            return wk * np.cos(wk * np.asarray(x, dtype=float))
+    def derivatives(x):
+        xw = np.asarray(x, dtype=float)[:, None] * w
+        out = np.zeros((xw.shape[0], 2 * degree + 1))
+        out[:, 1::2] = w * np.cos(xw)
+        out[:, 2::2] = -w * np.sin(xw)
+        return out
 
-        def cos_val(x, wk=wk):
-            return np.cos(wk * np.asarray(x, dtype=float))
-
-        def cos_der(x, wk=wk):
-            return -wk * np.sin(wk * np.asarray(x, dtype=float))
-
-        elements.append(BasisElement(sin_val, sin_der, f"sin{k}"))
-        elements.append(BasisElement(cos_val, cos_der, f"cos{k}"))
-    return _finalize(
-        FunctionSpace(interval, tuple(elements), kind=f"trig:d={degree}")
-    )
+    return FunctionSpace(interval, values, derivatives, kind=f"trig:d={degree}")
 
 
 def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
@@ -241,31 +222,22 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
 
     Dimension is ``degree + 1``.  Meant for small degrees; the monomial
     part is kept literal so that the exponential stays the distinguished
-    last element.
+    last column.
     """
     degree = int(degree)
     if degree < 1:
         raise ValueError(f"exponential-space degree must be >= 1, got {degree}")
-    elements = [_constant_element()]
-    for k in range(1, degree):
 
-        def value(x, k=k):
-            return np.asarray(x, dtype=float) ** k
+    def values(x):
+        x = np.asarray(x, dtype=float)
+        return np.column_stack([x**k for k in range(degree)] + [np.exp(x)])
 
-        def derivative(x, k=k):
-            return k * np.asarray(x, dtype=float) ** (k - 1)
+    def derivatives(x):
+        x = np.asarray(x, dtype=float)
+        powers = [k * x ** (k - 1) for k in range(1, degree)]
+        return np.column_stack([np.zeros_like(x)] + powers + [np.exp(x)])
 
-        elements.append(BasisElement(value, derivative, f"x^{k}" if k > 1 else "x"))
-    elements.append(
-        BasisElement(
-            value=lambda x: np.exp(np.asarray(x, dtype=float)),
-            derivative=lambda x: np.exp(np.asarray(x, dtype=float)),
-            label="exp",
-        )
-    )
-    return _finalize(
-        FunctionSpace(interval, tuple(elements), kind=f"exp:d={degree}")
-    )
+    return FunctionSpace(interval, values, derivatives, kind=f"exp:d={degree}")
 
 
 def rbf_cubic_space(
@@ -300,26 +272,23 @@ def rbf_cubic_space(
         coef = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular radial interpolation system: {exc}") from exc
-    alpha = coef[:m, :]
+    # One matrix-vector product per cardinal function, batched: this rounds
+    # exactly like evaluating each column on its own, while a plain matrix
+    # product rounds differently, enough to move marginal operator searches.
+    alpha = coef[:m, :].T[:, :, None]
     beta = coef[m, :]
 
-    elements = []
-    for i in range(m):
+    def values(x):
+        s = np.asarray(x, dtype=float)[:, None] - c
+        return (np.abs(s) ** 3 @ alpha)[..., 0].T + beta
 
-        def value(x, a=alpha[:, i], b=beta[i], c=c):
-            s = np.asarray(x, dtype=float)[..., None] - c
-            return np.abs(s) ** 3 @ a + b
+    def derivatives(x):
+        s = np.asarray(x, dtype=float)[:, None] - c
+        return ((3.0 * s * np.abs(s)) @ alpha)[..., 0].T
 
-        def derivative(x, a=alpha[:, i], c=c):
-            s = np.asarray(x, dtype=float)[..., None] - c
-            return (3.0 * s * np.abs(s)) @ a
-
-        elements.append(BasisElement(value, derivative, f"c{i + 1}"))
     centers_txt = ",".join(format(v, "g") for v in c)
-    return _finalize(
-        FunctionSpace(
-            interval, tuple(elements), kind=f"rbf-cubic:centers={centers_txt}"
-        )
+    return FunctionSpace(
+        interval, values, derivatives, kind=f"rbf-cubic:centers={centers_txt}"
     )
 
 
@@ -370,28 +339,21 @@ def make_space(spec: str, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
 def affine_map(space: FunctionSpace, interval: Interval) -> FunctionSpace:
     """Pull the basis back onto another interval through the affine chart.
 
-    The mapped element is ``f(xi(x))`` with ``xi`` the increasing affine
-    bijection from ``interval`` onto ``space.interval``; derivatives pick
-    up the chain-rule factor.  Spans, and therefore operators, transform
-    covariantly under this map.
+    Each mapped basis function is ``f(xi(x))`` with ``xi`` the increasing
+    affine bijection from ``interval`` onto ``space.interval``; derivatives
+    pick up the chain-rule factor.  Spans, and therefore operators,
+    transform covariantly under this map.
     """
     src = space.interval
     s = interval.width / src.width
 
-    def _pull(el: BasisElement) -> BasisElement:
-        def value(x, f=el.value):
-            xi = src.left + (np.asarray(x, dtype=float) - interval.left) / s
-            return f(xi)
-
-        def derivative(x, fp=el.derivative):
-            xi = src.left + (np.asarray(x, dtype=float) - interval.left) / s
-            return fp(xi) / s
-
-        return BasisElement(value, derivative, el.label)
+    def chart(x):
+        return src.left + (np.asarray(x, dtype=float) - interval.left) / s
 
     return FunctionSpace(
         interval,
-        tuple(_pull(el) for el in space.elements),
+        lambda x: space.values(chart(x)),
+        lambda x: space.derivatives(chart(x)) / s,
         kind=f"mapped({space.kind})",
         contains_constants=space.contains_constants,
     )
@@ -410,30 +372,26 @@ def _validated_grid(space: FunctionSpace, grid) -> np.ndarray:
 
 def vandermonde(space: FunctionSpace, grid) -> np.ndarray:
     """Value matrix with entry ``(n, k) = f_k(x_n)``."""
-    g = _validated_grid(space, grid)
-    return np.column_stack([el.value(g) for el in space.elements])
+    return space.values(_validated_grid(space, grid))
 
 
 def vandermonde_derivative(space: FunctionSpace, grid) -> np.ndarray:
     """Derivative matrix with entry ``(n, k) = f_k'(x_n)``."""
-    g = _validated_grid(space, grid)
-    return np.column_stack([el.derivative(g) for el in space.elements])
+    return space.derivatives(_validated_grid(space, grid))
 
 
 def boundary_product_moment(space: FunctionSpace, k: int, l: int) -> float:
     """Boundary term ``f_k(x_R) f_l(x_R) - f_k(x_L) f_l(x_L)``.
 
     This equals the exact integral of ``(f_k f_l)'`` over the interval and
-    is symmetric in ``k`` and ``l``.  Indices are zero-based positions in
-    ``space.elements``.
+    is symmetric in ``k`` and ``l``.  Indices are zero-based column
+    positions of ``space.values``.
     """
     K = space.dim
     if not (0 <= k < K and 0 <= l < K):
-        raise ValueError(f"element indices out of range: ({k}, {l}) for dim {K}")
-    ends = np.array([space.interval.left, space.interval.right])
-    fk = np.asarray(space.elements[k].value(ends), dtype=float)
-    fl = np.asarray(space.elements[l].value(ends), dtype=float)
-    return float(fk[1] * fl[1] - fk[0] * fl[0])
+        raise ValueError(f"column indices out of range: ({k}, {l}) for dim {K}")
+    V = space.values(np.array([space.interval.left, space.interval.right]))
+    return float(V[1, k] * V[1, l] - V[0, k] * V[0, l])
 
 
 def pair_moments(space: FunctionSpace) -> np.ndarray:
@@ -462,8 +420,7 @@ def unisolvency_rank(space: FunctionSpace, grid) -> int:
     zero.  The grid is not required to lie inside the interval.
     """
     g = np.atleast_1d(np.asarray(grid, dtype=float))
-    V = np.column_stack([el.value(g) for el in space.elements])
-    s = np.linalg.svd(V, compute_uv=False)
+    s = np.linalg.svd(space.values(g), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))

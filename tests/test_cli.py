@@ -146,6 +146,17 @@ def test_run_rejects_negative_burgers_inflow(tmp_path, capsys):
     assert "nonneg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tfinal", ["nan", "inf"])
+def test_run_rejects_non_finite_final_time(tmp_path, capsys, tfinal):
+    rc = main(
+        ["run", "--problem", "advection", "--space", "trig:d=1",
+         "--tfinal", tfinal, "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     argv = ["run", "--problem", "advection", "--space", "exp:d=2",
             "--blocks", "2", "--tfinal", "0.2", "--cfl", "0.4"]

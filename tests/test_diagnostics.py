@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import sbpkit.solver
 from sbpkit.diagnostics import (
     burgers_reference,
     convergence_table,
@@ -162,6 +163,23 @@ def test_convergence_table_orders_and_shape():
     assert math.isnan(rows[0].order)
     assert rows[1].err_p < rows[0].err_p
     assert rows[1].order > 2.0
+
+
+def test_convergence_table_rejects_a_missing_reference_before_running(monkeypatch):
+    spec = ProblemSpec(
+        kind="burgers",
+        domain=UNIT,
+        initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        periodic=False,
+        inflow=lambda t: 1.0,
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run() called for a problem without a reference")
+
+    monkeypatch.setattr(sbpkit.solver, "run", forbidden)
+    with pytest.raises(ValueError, match="no reference solution"):
+        convergence_table(spec, ["poly:d=2"], [2, 4], t_final=0.1)
 
 
 def test_convergence_table_resets_between_spaces():

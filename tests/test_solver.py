@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -391,6 +392,13 @@ def test_run_validates_arguments():
         run(spec, "trig:d=1", t_final=-1.0)
     with pytest.raises(ValueError):
         run(spec, "trig:d=1", n_blocks=0)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf])
+def test_run_rejects_non_finite_final_time(t_final):
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
+    with pytest.raises(ValueError, match="finite"):
+        run(spec, "trig:d=1", t_final=t_final)
 
 
 def test_run_zero_time_returns_initial_data():

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
+from sbpkit.operators import apply, find_operator, verify_sbp
 from sbpkit.spaces import (
+    FunctionSpace,
     Interval,
     affine_map,
     boundary_product_moment,
@@ -266,4 +269,142 @@ def test_affine_map_preserves_values_and_scales_derivatives():
         vandermonde_derivative(mapped, x),
         vandermonde_derivative(src, xi) / 2.0,
         atol=1e-14,
+    )
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix evaluation against the per-column formulas
+
+
+def _poly_columns(degree, iv, x):
+    a, b = iv.left, iv.right
+    t = (2.0 * x - (a + b)) / (b - a)
+    vals, ders = [], []
+    for k in range(degree + 1):
+        coef = np.zeros(k + 1)
+        coef[k] = 1.0
+        vals.append(legendre.legval(t, coef))
+        ders.append(2.0 / (b - a) * legendre.legval(t, legendre.legder(coef)))
+    return np.column_stack(vals), np.column_stack(ders)
+
+
+def _trig_columns(degree, iv, x):
+    omega = 2.0 * np.pi / iv.width
+    vals, ders = [np.ones_like(x)], [np.zeros_like(x)]
+    for k in range(1, degree + 1):
+        wk = k * omega
+        vals += [np.sin(wk * x), np.cos(wk * x)]
+        ders += [wk * np.cos(wk * x), -wk * np.sin(wk * x)]
+    return np.column_stack(vals), np.column_stack(ders)
+
+
+def _exp_columns(degree, iv, x):
+    vals, ders = [np.ones_like(x)], [np.zeros_like(x)]
+    for k in range(1, degree):
+        vals.append(x**k)
+        ders.append(k * x ** (k - 1))
+    return np.column_stack(vals + [np.exp(x)]), np.column_stack(ders + [np.exp(x)])
+
+
+def _rbf_columns(centers, iv, x):
+    c = np.asarray(centers, dtype=float)
+    m = c.size
+    A = np.zeros((m + 1, m + 1))
+    A[:m, :m] = np.abs(c[:, None] - c[None, :]) ** 3
+    A[:m, m] = 1.0
+    A[m, :m] = 1.0
+    coef = np.linalg.solve(A, np.vstack([np.eye(m), np.zeros((1, m))]))
+    s = x[:, None] - c
+    vals = [np.abs(s) ** 3 @ coef[:m, i] + coef[m, i] for i in range(m)]
+    ders = [(3.0 * s * np.abs(s)) @ coef[:m, i] for i in range(m)]
+    return np.column_stack(vals), np.column_stack(ders)
+
+
+@pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 2.0)])
+@pytest.mark.parametrize(
+    "family, arg",
+    [("poly", 0), ("poly", 7), ("trig", 1), ("trig", 4), ("exp", 1), ("exp", 4),
+     ("rbf", 3), ("rbf", 6)],
+)
+def test_vandermonde_equals_the_per_column_formulas(family, arg, iv):
+    x = np.concatenate([[iv.left, iv.right], np.linspace(iv.left, iv.right, 33)])
+    if family == "rbf":
+        centers = np.linspace(iv.left, iv.right, arg)
+        space = rbf_cubic_space(centers, iv)
+        V, Vx = _rbf_columns(centers, iv, x)
+    else:
+        builder, columns = {
+            "poly": (polynomial_space, _poly_columns),
+            "trig": (trigonometric_space, _trig_columns),
+            "exp": (exponential_space, _exp_columns),
+        }[family]
+        space = builder(arg, iv)
+        V, Vx = columns(arg, iv, x)
+    assert space.dim == V.shape[1]
+    if family == "rbf":
+        np.testing.assert_allclose(vandermonde(space, x), V, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            vandermonde_derivative(space, x), Vx, rtol=0, atol=1e-12
+        )
+    else:
+        assert np.array_equal(vandermonde(space, x), V)
+        assert np.array_equal(vandermonde_derivative(space, x), Vx)
+
+
+# ---------------------------------------------------------------------------
+# user-defined spaces
+
+
+def _sine_values(x):
+    return np.column_stack([np.ones_like(x), x, np.sin(np.pi * x)])
+
+
+def _sine_derivatives(x):
+    return np.column_stack(
+        [np.zeros_like(x), np.ones_like(x), np.pi * np.cos(np.pi * x)]
+    )
+
+
+def test_user_space_yields_a_verified_operator():
+    iv = Interval(0.0, 1.0)
+    space = FunctionSpace(iv, _sine_values, _sine_derivatives, kind="span{1,x,sin}")
+    assert space.dim == 3
+    op = find_operator(space)
+    assert verify_sbp(op).passed
+    x = op.nodes
+    np.testing.assert_allclose(
+        apply(op, np.sin(np.pi * x)), np.pi * np.cos(np.pi * x), atol=1e-8
+    )
+
+
+def test_user_space_shape_mismatch_raises():
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(ValueError, match="derivatives gave shape"):
+        FunctionSpace(iv, _sine_values, lambda x: _sine_derivatives(x)[:, :2], "bad")
+    with pytest.raises(ValueError, match="values gave shape"):
+        FunctionSpace(iv, lambda x: np.sin(x), lambda x: np.cos(x), "flat")
+    with pytest.raises(TypeError):
+        FunctionSpace(iv, _sine_values, _sine_derivatives, "span", dim=3)
+
+
+def test_user_space_wrong_derivative_names_column_and_kind():
+    def wrong(x):
+        return np.column_stack([np.zeros_like(x), np.ones_like(x), np.cos(np.pi * x)])
+
+    with pytest.raises(ValueError, match=r"'span\{1,x,sin\}'.*column 2"):
+        FunctionSpace(Interval(0.0, 1.0), _sine_values, wrong, "span{1,x,sin}")
+
+
+def test_derivative_check_far_from_the_origin():
+    # at |x| = 1e5 the points x +- h round, so the central difference must
+    # divide by the step actually taken, not by 2h
+    far = Interval(1e5, 1e5 + 1.0)
+    assert polynomial_space(5, far).dim == 6
+    src = trigonometric_space(4, Interval(0.0, 1.0))
+    mapped = affine_map(src, far)
+    x = np.linspace(far.left, far.right, 9)
+    np.testing.assert_allclose(
+        vandermonde_derivative(mapped, x),
+        vandermonde_derivative(src, x - far.left),
+        atol=1e-9,
     )
