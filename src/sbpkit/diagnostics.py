@@ -3,8 +3,10 @@
 Error norms weight the pointwise error with the block norm weights, so
 they approximate the continuous L2 norm of the error.  Reference
 solutions follow characteristics: shifted (and, with a source, scaled)
-initial data for advection, and an implicit characteristic equation
-solved pointwise for pre-shock Burgers flow.
+initial data for advection, and, for pre-shock Burgers flow, an
+implicit characteristic equation solved for all evaluation points at
+once by one array-wide safeguarded Newton iteration, after a crossing
+guard that samples each point's own bracket.
 """
 
 from __future__ import annotations
@@ -103,52 +105,9 @@ def exact_advection(
     return np.asarray(u0(xi), dtype=float)
 
 
-def _trace_burgers_point(u0: Callable, x: float, t: float) -> float:
-    if t == 0.0:
-        return float(u0(x))
-
-    def char(xi):
-        return xi + t * float(u0(xi)) - x
-
-    # expand a bracket around x until the root is enclosed
-    r = max(1.0, abs(t) * (1.0 + abs(float(u0(x)))))
-    lo, hi = x - r, x + r
-    for _ in range(60):
-        if char(lo) <= 0.0 <= char(hi):
-            break
-        r *= 2.0
-        lo, hi = x - r, x + r
-    else:
-        raise ValueError("could not bracket the characteristic foot")
-
-    # conservative pre-shock guard along the bracket
-    xs = np.linspace(lo, hi, 64)
-    h = 1e-6 * max(1.0, hi - lo)
-    slopes = (np.asarray(u0(xs + h)) - np.asarray(u0(xs - h))) / (2.0 * h)
-    if t * float(np.max(np.abs(slopes))) >= 1.0:
-        raise ValueError(
-            f"characteristics cross before t={t:.6g}; no smooth reference exists"
-        )
-
-    xi = x
-    f = char(xi)
-    for _ in range(200):
-        if abs(f) <= 1e-12:
-            return float(u0(xi))
-        fp = (char(xi + h) - char(xi - h)) / (2.0 * h)
-        step_ok = fp != 0.0
-        if step_ok:
-            cand = xi - f / fp
-            step_ok = lo < cand < hi
-        if not step_ok:
-            cand = 0.5 * (lo + hi)
-        fc = char(cand)
-        if char(lo) * fc <= 0.0:
-            hi = cand
-        else:
-            lo = cand
-        xi, f = cand, fc
-    raise ValueError("characteristic solve did not reach the residual target")
+#: points per slice of the pre-shock guard, which samples 64 points of
+#: each bracket; slicing keeps its temporaries to a few thousand values
+_GUARD_SLICE = 64
 
 
 def burgers_reference(
@@ -156,13 +115,84 @@ def burgers_reference(
 ) -> np.ndarray:
     """Pre-shock Burgers solution by characteristic tracing.
 
-    Solves ``xi + t u0(xi) = x`` for each evaluation point with a
-    safeguarded Newton iteration (bisection fallback) to a residual of
-    1e-12 and returns ``u0(xi)``.  ``u0`` must be defined wherever the
-    feet land; raises once characteristics cross.
+    Solves ``xi + t u0(xi) = x`` for all evaluation points at once, as
+    numpy arrays, and returns ``u0(xi)``.  Each point doubles a bracket
+    around ``x`` until it encloses the foot (at most 60 times).  A
+    conservative guard then samples the slope of ``u0`` at 64 points of
+    each point's own bracket and raises once ``t max|u0'| >= 1``, when
+    characteristics may cross.  A safeguarded Newton iteration runs on
+    the points not yet converged: a Newton step is taken only strictly
+    inside the point's bracket, bisection otherwise, until the residual
+    is at most 1e-12 (at most 200 steps).  ``u0`` must accept arrays and
+    be defined wherever the feet land.  If any point fails, this raises
+    ``ValueError`` and returns no partial result.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_trace_burgers_point(u0, float(v), t) for v in xs])
+    if t == 0.0:
+        out = np.asarray(u0(xs), dtype=float)
+        return out if np.ndim(x) else float(out[0])
+
+    def char(xi, x):
+        return xi + t * u0(xi) - x
+
+    # expand each bracket around x until the root is enclosed; fmax, like
+    # Python's max, falls back to 1 where u0(x) is NaN
+    r = np.fmax(1.0, abs(t) * (1.0 + np.abs(u0(xs))))
+    open_ = np.arange(xs.size)
+    for _ in range(60):
+        xo, ro = xs[open_], r[open_]
+        enclosed = (char(xo - ro, xo) <= 0.0) & (0.0 <= char(xo + ro, xo))
+        open_ = open_[~enclosed]
+        if open_.size == 0:
+            break
+        r[open_] *= 2.0
+    else:
+        raise ValueError("could not bracket the characteristic foot")
+    lo, hi = xs - r, xs + r
+
+    # conservative pre-shock guard along each point's own bracket
+    h = 1e-6 * np.maximum(1.0, hi - lo)
+    for s in range(0, xs.size, _GUARD_SLICE):
+        part = slice(s, s + _GUARD_SLICE)
+        hs = h[part, None]
+        grid = np.linspace(lo[part], hi[part], 64, axis=-1)
+        up = u0((grid + hs).ravel()).reshape(grid.shape)
+        um = u0((grid - hs).ravel()).reshape(grid.shape)
+        steepest = np.max(np.abs((up - um) / (2.0 * hs)), axis=1)
+        if np.any(t * steepest >= 1.0):
+            raise ValueError(
+                f"characteristics cross before t={t:.6g}; "
+                "no smooth reference exists"
+            )
+
+    # safeguarded Newton on the points not yet converged; idx maps them
+    # back into xs, and f_lo caches the residual at each bracket's left end
+    idx, xa, h_a, xi = np.arange(xs.size), xs, h, xs
+    f, f_lo = char(xs, xs), char(lo, xs)
+    feet = np.empty_like(xs)
+    for _ in range(200):
+        done = np.abs(f) <= 1e-12
+        feet[idx[done]] = xi[done]
+        if done.all():
+            break
+        keep = ~done
+        idx, xa, lo, hi, h_a, xi, f, f_lo = (
+            v[keep] for v in (idx, xa, lo, hi, h_a, xi, f, f_lo)
+        )
+        fp = (char(xi + h_a, xa) - char(xi - h_a, xa)) / (2.0 * h_a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = xi - f / fp
+        step_ok = (fp != 0.0) & (lo < cand) & (cand < hi)
+        cand = np.where(step_ok, cand, 0.5 * (lo + hi))
+        fc = char(cand, xa)
+        left = f_lo * fc <= 0.0
+        hi = np.where(left, cand, hi)
+        lo = np.where(left, lo, cand)
+        f_lo = np.where(left, f_lo, fc)
+        xi, f = cand, fc
+    else:
+        raise ValueError("characteristic solve did not reach the residual target")
+    out = np.asarray(u0(feet), dtype=float)
     return out if np.ndim(x) else float(out[0])
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import sbpkit.diagnostics
 from sbpkit.cli import main
 
 TRIG1_D = np.array(
@@ -168,6 +169,26 @@ def test_run_outputs_are_deterministic(tmp_path):
     row_a = _read_csv(a / "summary.csv")[1][0]
     row_b = _read_csv(b / "summary.csv")[1][0]
     assert row_a[:4] == row_b[:4]  # everything except the wallclock column
+
+
+def test_run_evaluates_the_burgers_reference_once(tmp_path, monkeypatch):
+    calls = []
+    traced = sbpkit.diagnostics.burgers_reference
+
+    def counting(u0, x, t):
+        calls.append(np.size(x))
+        return traced(u0, x, t)
+
+    monkeypatch.setattr(sbpkit.diagnostics, "burgers_reference", counting)
+    rc = main(["run", "--problem", "burgers", "--space", "exp:d=2",
+               "--blocks", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    _, solution = _read_csv(tmp_path / "solution.csv")
+    assert calls == [len(solution)]
+    # the error norms come from the same reference values as the CSV
+    _, summary = _read_csv(tmp_path / "summary.csv")
+    err_max = max(float(row[3]) for row in solution)
+    assert float(summary[0][2]) == err_max
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sbpkit.solver
+from sbpkit.cli import _bumpy
 from sbpkit.diagnostics import (
     burgers_reference,
     convergence_table,
@@ -83,6 +84,154 @@ def test_burgers_reference_detects_crossing_characteristics():
     steep = lambda x: -10.0 * np.asarray(x, dtype=float)
     with pytest.raises(ValueError):
         burgers_reference(steep, 0.5, 0.5)
+
+
+def _trace_burgers_point(u0, x: float, t: float) -> float:
+    """The former per-point solver, kept as the reference for the
+    array-wide ``burgers_reference``."""
+    if t == 0.0:
+        return float(u0(x))
+
+    def char(xi):
+        return xi + t * float(u0(xi)) - x
+
+    r = max(1.0, abs(t) * (1.0 + abs(float(u0(x)))))
+    lo, hi = x - r, x + r
+    for _ in range(60):
+        if char(lo) <= 0.0 <= char(hi):
+            break
+        r *= 2.0
+        lo, hi = x - r, x + r
+    else:
+        raise ValueError("could not bracket the characteristic foot")
+
+    xs = np.linspace(lo, hi, 64)
+    h = 1e-6 * max(1.0, hi - lo)
+    slopes = (np.asarray(u0(xs + h)) - np.asarray(u0(xs - h))) / (2.0 * h)
+    if t * float(np.max(np.abs(slopes))) >= 1.0:
+        raise ValueError(
+            f"characteristics cross before t={t:.6g}; no smooth reference exists"
+        )
+
+    xi = x
+    f = char(xi)
+    for _ in range(200):
+        if abs(f) <= 1e-12:
+            return float(u0(xi))
+        fp = (char(xi + h) - char(xi - h)) / (2.0 * h)
+        step_ok = fp != 0.0
+        if step_ok:
+            cand = xi - f / fp
+            step_ok = lo < cand < hi
+        if not step_ok:
+            cand = 0.5 * (lo + hi)
+        fc = char(cand)
+        if char(lo) * fc <= 0.0:
+            hi = cand
+        else:
+            lo = cand
+        xi, f = cand, fc
+    raise ValueError("characteristic solve did not reach the residual target")
+
+
+def _bumpy_periodic(xi):
+    xi = np.asarray(xi, dtype=float)
+    return _bumpy(UNIT.left + np.mod(xi - UNIT.left, UNIT.width))
+
+
+def _smooth(x):
+    return 1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(x, dtype=float))
+
+
+def _block_nodes(space_text: str, blocks: int) -> np.ndarray:
+    op = find_operator(make_space(space_text, UNIT))
+    state = BlockState(
+        u=np.zeros((blocks, op.n_nodes)),
+        operator=op,
+        edges=np.linspace(0.0, 1.0, blocks + 1),
+        t=0.0,
+    )
+    return state.nodes.ravel()
+
+
+_RNG_POINTS = np.random.default_rng(20261018).uniform(-1.0, 2.0, 500)
+
+
+@pytest.mark.parametrize(
+    "u0, x, t",
+    [
+        (_bumpy_periodic, np.linspace(0.0, 1.0, 257), 0.01),
+        (_bumpy_periodic, np.linspace(0.0, 1.0, 257), 0.05),
+        *[
+            (_bumpy_periodic, _block_nodes(space, blocks), 0.01)
+            for space in ("exp:d=2", "poly:d=2")
+            for blocks in (10, 40, 160)
+        ],
+        (_bumpy_periodic, _RNG_POINTS, 0.03),
+        (_smooth, _RNG_POINTS, 0.05),
+    ],
+)
+def test_burgers_reference_matches_the_per_point_solver(u0, x, t):
+    expected = np.array([_trace_burgers_point(u0, float(v), t) for v in x])
+    got = burgers_reference(u0, x, t)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05])
+def test_burgers_reference_empty_input(t):
+    got = burgers_reference(_smooth, np.array([]), t)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.float64 and got.shape == (0,)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05])
+def test_burgers_reference_scalar_in_float_out(t):
+    got = burgers_reference(_smooth, 0.3, t)
+    assert type(got) is float
+    assert got == pytest.approx(_trace_burgers_point(_smooth, 0.3, t), abs=1e-13)
+
+
+def test_burgers_reference_at_time_zero_is_the_initial_data():
+    x = np.linspace(-0.5, 1.5, 41)
+    np.testing.assert_array_equal(burgers_reference(_smooth, x, 0.0), _smooth(x))
+
+
+def test_burgers_reference_crossing_message():
+    # slope pi at t = 0.5: characteristics cross, but every foot brackets
+    with pytest.raises(ValueError, match="characteristics cross before t=0.5"):
+        burgers_reference(_smooth, np.linspace(0.0, 1.0, 5), 0.5)
+    with pytest.raises(ValueError, match="characteristics cross"):
+        _trace_burgers_point(_smooth, 0.5, 0.5)
+
+
+def test_burgers_reference_bracket_failure_message():
+    # -10 x at t = 0.5 makes xi + t u0(xi) - x decreasing: no sign change
+    steep = lambda x: -10.0 * np.asarray(x, dtype=float)
+    with pytest.raises(ValueError, match="could not bracket"):
+        burgers_reference(steep, np.array([0.5, 0.7]), 0.5)
+    with pytest.raises(ValueError, match="could not bracket"):
+        _trace_burgers_point(steep, 0.5, 0.5)
+
+
+def test_burgers_reference_one_failing_point_fails_the_array():
+    # defined only left of x = 5: the foot of x = 20 cannot be bracketed
+    partial = lambda x: np.where(np.asarray(x) < 5.0, _smooth(x), np.nan)
+    with pytest.raises(ValueError, match="could not bracket"):
+        burgers_reference(partial, np.array([0.1, 0.5, 20.0, 0.9]), 0.05)
+    # a front at x = 20.5, where u0' is -pi - 5, lies only in the bracket
+    # of x = 20.5; elsewhere t |u0'| <= 0.25 pi
+    front = lambda x: _smooth(x) + 0.5 * np.tanh(-10.0 * (np.asarray(x) - 20.5))
+    x = np.array([0.1, 0.5, 20.5, 0.9])
+    with pytest.raises(ValueError, match="characteristics cross"):
+        burgers_reference(front, x, 0.25)
+    # without the failing point the same data solves
+    np.testing.assert_allclose(
+        burgers_reference(front, x[[0, 1, 3]], 0.25),
+        [_trace_burgers_point(front, v, 0.25) for v in x[[0, 1, 3]]],
+        rtol=0.0,
+        atol=1e-13,
+    )
 
 
 def test_reference_solution_periodic_advection():
