@@ -46,12 +46,12 @@ def _ones(x):
 
 
 def _bumpy(x):
-    x = np.asarray(x, dtype=float)
-    return (
-        1.0
-        + 0.5 * np.sin(4.0 * np.pi * x) ** 3
-        + 0.25 * np.cos(4.0 * np.pi * x) ** 5
-    )
+    # 1 + sin(w)^3 / 2 + cos(w)^5 / 4 with w = 4 pi x; the odd powers are
+    # products, which numpy evaluates far faster than ``**``
+    w = 4.0 * np.pi * np.asarray(x, dtype=float)
+    sin, cos = np.sin(w), np.cos(w)
+    cos2 = cos * cos
+    return 1.0 + 0.5 * (sin * sin * sin) + 0.25 * (cos2 * cos2 * cos)
 
 
 #: per-problem defaults: initial data, boundary handling, t_final

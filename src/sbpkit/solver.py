@@ -18,7 +18,7 @@ three-stage third-order strong-stability-preserving Runge-Kutta scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -99,6 +99,9 @@ class BlockState:
     edges: np.ndarray
     t: float
     s: np.ndarray = field(init=False, repr=False, compare=False)
+    # s[:, None] and s * p[0], the per-block constants of the right sides
+    _s_col: np.ndarray = field(init=False, repr=False, compare=False)
+    _s_p0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         iv = self.operator.space.interval
@@ -112,11 +115,33 @@ class BlockState:
         s = (edges[1:] - edges[:-1]) / iv.width
         if not s.min() > 0.0:
             raise ValueError("block edges must be strictly increasing")
-        for arr in (u, edges, s):
+        s_p0 = s * self.operator.p[0]
+        for arr in (u, edges, s, s_p0):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_s_col", s[:, None])
+        object.__setattr__(self, "_s_p0", s_p0)
+
+    def _on_same_grid(self, u: np.ndarray, t: float) -> BlockState:
+        """This state's grid with new values ``u`` at time ``t``.
+
+        The grid was validated when this state was built, so the new state
+        shares its operator, edges and derived constants unchecked and
+        only freezes ``u``.  Values of another type, shape or dtype go
+        through the validating constructor instead.
+        """
+        if (
+            type(u) is not np.ndarray
+            or u.shape != self.u.shape
+            or u.dtype != self.u.dtype
+        ):
+            return BlockState(u=u, operator=self.operator, edges=self.edges, t=t)
+        u.setflags(write=False)
+        new = object.__new__(BlockState)
+        new.__dict__.update(self.__dict__, u=u, t=t)
+        return new
 
     @property
     def n_blocks(self) -> int:
@@ -172,12 +197,12 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     """
     a = spec.wave_speed
     sigma = spec.effective_sigma
-    u, s, op = state.u, state.s, state.operator
-    du = (-a * (u @ op.D.T)) / s[:, None]
+    u = state.u
+    du = (-a * (u @ state.operator.D.T)) / state._s_col
     if spec.kind == "advection_source":
         du += spec.source_coefficient * u
     g = _boundary_data(state, t, spec)
-    du[:, 0] -= sigma * a * (u[:, 0] - g) / (s * op.p[0])
+    du[:, 0] -= sigma * a * (u[:, 0] - g) / state._s_p0
     return du
 
 
@@ -190,11 +215,11 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     array shaped like ``state.u``.
     """
     sigma = spec.effective_sigma
-    u, s, op = state.u, state.s, state.operator
-    DT = op.D.T
-    du = -((u * u) @ DT + u * (u @ DT)) / (3.0 * s[:, None])
+    u = state.u
+    DT = state.operator.D.T
+    du = -((u * u) @ DT + u * (u @ DT)) / (3.0 * state._s_col)
     g = _boundary_data(state, t, spec)
-    du[:, 0] -= (sigma / 3.0) * u[:, 0] * (u[:, 0] - g) / (s * op.p[0])
+    du[:, 0] -= (sigma / 3.0) * u[:, 0] * (u[:, 0] - g) / state._s_p0
     return du
 
 
@@ -226,20 +251,26 @@ def ssprk33_step(
     every stage is checked for finite values, and a failure names the
     first block that went non-finite and the time of the stage that
     produced it.
+
+    The grid is validated once, when ``state`` is built: the stage states
+    and the returned state share its operator, edges and width ratios and
+    only swap in new values and times.  A stage whose values come out with
+    another shape or dtype (say, a ``rhs_fn`` returning a wrongly shaped
+    array) is validated in full and raises ``ValueError``.
     """
     t, u0 = state.t, state.u
 
     u1 = u0 + dt * rhs_fn(state, t)
     _check_finite(u1, t)
 
-    k = rhs_fn(replace(state, u=u1, t=t + dt), t + dt)
+    k = rhs_fn(state._on_same_grid(u1, t + dt), t + dt)
     u2 = 0.75 * u0 + 0.25 * (u1 + dt * k)
     _check_finite(u2, t + dt)
 
-    k = rhs_fn(replace(state, u=u2, t=t + 0.5 * dt), t + 0.5 * dt)
+    k = rhs_fn(state._on_same_grid(u2, t + 0.5 * dt), t + 0.5 * dt)
     u3 = (u0 + 2.0 * (u2 + dt * k)) / 3.0
     _check_finite(u3, t + 0.5 * dt)
-    return replace(state, u=u3, t=t + dt)
+    return state._on_same_grid(u3, t + dt)
 
 
 @dataclass(frozen=True)
@@ -308,7 +339,7 @@ def run(
             if min(float(spec.inflow(t)) for t in ts) < -1e-12:
                 raise ValueError("Burgers runs require nonnegative inflow data")
 
-    state = replace(state, u=u.reshape(nodes.shape))
+    state = state._on_same_grid(u.reshape(nodes.shape), 0.0)
     _check_finite(state.u, 0.0)
     rhs_fn = rhs_for(spec)
     spacing = float(np.min(np.diff(nodes, axis=1)))
@@ -323,7 +354,7 @@ def run(
             dt = t_final - state.t
         state = ssprk33_step(rhs_fn, state, dt)
         if last:
-            state = replace(state, t=t_final)
+            state = state._on_same_grid(state.u, t_final)
         steps += 1
         history.append(
             DiagnosticsRecord(t=state.t, mass=mass(state), energy=energy(state))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sbpkit.diagnostics
-from sbpkit.cli import main
+from sbpkit.cli import _bumpy, main
 
 TRIG1_D = np.array(
     [
@@ -189,6 +189,17 @@ def test_run_evaluates_the_burgers_reference_once(tmp_path, monkeypatch):
     _, summary = _read_csv(tmp_path / "summary.csv")
     err_max = max(float(row[3]) for row in solution)
     assert float(summary[0][2]) == err_max
+
+
+def test_bumpy_matches_the_power_form():
+    # the Burgers initial data writes its odd powers as products
+    x = np.random.default_rng(3).uniform(-2.0, 3.0, 8192)
+    powers = (
+        1.0
+        + 0.5 * np.sin(4.0 * np.pi * x) ** 3
+        + 0.25 * np.cos(4.0 * np.pi * x) ** 5
+    )
+    np.testing.assert_allclose(_bumpy(x), powers, rtol=0.0, atol=1e-15)
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -82,7 +82,7 @@ def test_burgers_reference_satisfies_characteristic_equation():
 
 def test_burgers_reference_detects_crossing_characteristics():
     steep = lambda x: -10.0 * np.asarray(x, dtype=float)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="could not bracket the characteristic foot"):
         burgers_reference(steep, 0.5, 0.5)
 
 

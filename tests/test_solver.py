@@ -366,6 +366,133 @@ def test_ssprk33_failure_names_the_block():
         ssprk33_step(rhs, state, 0.25)
 
 
+def _replace_ssprk33_step(rhs_fn, state, dt):
+    """The former SSP-RK3 step, which built every stage state through
+    ``dataclasses.replace`` and so re-validated the grid three times;
+    kept as the reference for the shared-grid stage states."""
+    t, u0 = state.t, state.u
+    u1 = u0 + dt * rhs_fn(state, t)
+    k = rhs_fn(replace(state, u=u1, t=t + dt), t + dt)
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * k)
+    k = rhs_fn(replace(state, u=u2, t=t + 0.5 * dt), t + 0.5 * dt)
+    u3 = (u0 + 2.0 * (u2 + dt * k)) / 3.0
+    return replace(state, u=u3, t=t + dt)
+
+
+def _recomputing_rhs_for(spec):
+    """The right-hand sides as they were before the state carried its
+    per-block constants: ``s[:, None]`` and ``s * p[0]`` on every call."""
+    sigma = spec.effective_sigma
+    a = spec.wave_speed
+
+    def rhs(state, t):
+        u, s, op = state.u, state.s, state.operator
+        g = np.empty(u.shape[0])
+        g[1:] = u[:-1, -1]
+        g[0] = u[-1, -1] if spec.periodic else spec.inflow(t)
+        if spec.kind == "burgers":
+            DT = op.D.T
+            du = -((u * u) @ DT + u * (u @ DT)) / (3.0 * s[:, None])
+            du[:, 0] -= (sigma / 3.0) * u[:, 0] * (u[:, 0] - g) / (s * op.p[0])
+            return du
+        du = (-a * (u @ op.D.T)) / s[:, None]
+        if spec.kind == "advection_source":
+            du += spec.source_coefficient * u
+        du[:, 0] -= sigma * a * (u[:, 0] - g) / (s * op.p[0])
+        return du
+
+    return rhs
+
+
+def _stepping_spec(kind: str, periodic: bool) -> ProblemSpec:
+    return ProblemSpec(
+        kind=kind,
+        domain=UNIT,
+        initial_condition=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x),
+        periodic=periodic,
+        inflow=None if periodic else (lambda t: 1.0 + 0.3 * np.sin(5.0 * t)),
+    )
+
+
+@pytest.mark.parametrize("n_blocks", [1, 10, 64])
+@pytest.mark.parametrize(
+    "kind, periodic",
+    [
+        ("advection", True),
+        ("advection_source", False),
+        ("burgers", True),
+        ("burgers", False),
+    ],
+)
+def test_run_matches_the_replace_based_step(monkeypatch, kind, periodic, n_blocks):
+    spec = _stepping_spec(kind, periodic)
+    got = run(spec, "exp:d=2", n_blocks=n_blocks, t_final=0.1)
+    with monkeypatch.context() as m:
+        m.setattr(sbpkit.solver, "ssprk33_step", _replace_ssprk33_step)
+        m.setattr(sbpkit.solver, "rhs_for", _recomputing_rhs_for)
+        want = run(spec, "exp:d=2", n_blocks=n_blocks, t_final=0.1)
+    assert got.steps == want.steps > 0
+    np.testing.assert_array_equal(got.state.u, want.state.u)
+    assert got.state.t == want.state.t == 0.1
+    assert [(r.t, r.mass, r.energy) for r in got.history] == [
+        (r.t, r.mass, r.energy) for r in want.history
+    ]
+
+
+def test_run_validates_the_grid_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    validate = BlockState.__post_init__
+
+    def counting(self):
+        calls.append(self.t)
+        validate(self)
+
+    monkeypatch.setattr(BlockState, "__post_init__", counting)
+    spec = _stepping_spec("advection", True)
+    per_run = []
+    for t_final in (0.02, 0.2):
+        calls.clear()
+        result = run(spec, "trig:d=1", n_blocks=8, t_final=t_final)
+        per_run.append((result.steps, len(calls)))
+    (few, few_calls), (many, many_calls) = per_run
+    assert many > few
+    assert many_calls == few_calls
+
+
+def test_ssprk33_revalidates_a_stage_of_another_shape():
+    ref = find_operator(make_space("trig:d=1", UNIT))
+    state = BlockState(
+        u=np.ones((3, ref.n_nodes)), operator=ref, edges=(0.0, 0.2, 0.5, 1.0), t=0.0
+    )
+    misshapen = lambda s, t: np.zeros((s.n_blocks, 1, s.u.shape[1]))
+    with pytest.raises(ValueError, match="do not match"):
+        ssprk33_step(misshapen, state, 0.1)
+
+
+def test_ssprk33_stage_states_share_the_grid():
+    ref = find_operator(make_space("trig:d=1", UNIT))
+    state = BlockState(
+        u=np.ones((3, ref.n_nodes)), operator=ref, edges=(0.0, 0.2, 0.5, 1.0), t=0.0
+    )
+    seen = []
+
+    def rhs(s, t):
+        seen.append(s)
+        return -s.u
+
+    out = ssprk33_step(rhs, state, 0.1)
+    assert len(seen) == 3 and seen[0] is state
+    for stage in (*seen[1:], out):
+        assert stage.operator is state.operator
+        assert stage.edges is state.edges
+        assert stage.s is state.s
+        assert not stage.u.flags.writeable
+        with pytest.raises(ValueError):
+            stage.u[0, 0] = 0.0
+    assert [s.t for s in seen] == [0.0, 0.1, 0.05]
+    assert out.t == 0.1
+
+
 def test_run_builds_no_per_block_operators(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-block operator built on the hot path")
