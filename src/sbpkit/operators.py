@@ -28,16 +28,16 @@ import numpy as np
 from .quadrature import (
     QuadratureError,
     QuadratureRule,
-    _default_start,
+    _ladder,
     find_positive_rule,
     verify_exactness,
 )
 from .spaces import (
+    RANK_RTOL,
     FunctionSpace,
     Interval,
     affine_map,
     make_space,
-    unisolvency_rank,
     vandermonde,
     vandermonde_derivative,
 )
@@ -158,20 +158,21 @@ def build_operator(
     p = rule.weights
     n = x.size
     K = space.dim
-    if unisolvency_rank(space, x) != K:
+    F = vandermonde(space, x)
+    U, s, Wt = np.linalg.svd(F, full_matrices=False)
+    # full rank: every singular value above RANK_RTOL times the largest
+    if s.size < K or not s[-1] > RANK_RTOL * s[0]:
         raise OperatorError(
             f"grid does not determine {space.kind!r} uniquely "
             f"(rank below {K}); refine the grid"
         )
 
-    F = vandermonde(space, x)
     Fx = vandermonde_derivative(space, x)
     B = _boundary_matrix(n)
     R = p[:, None] * Fx - 0.5 * (B @ F)
 
     # X: block of QA on range(U); Y: range(U) into its complement; the
     # block on the complement is zero for the minimum norm
-    U, s, Wt = np.linalg.svd(F, full_matrices=False)
     RW = R @ Wt.T
     Z = U.T @ RW
     X = (Z * s - s[:, None] * Z.T) / (s[:, None] ** 2 + s**2)
@@ -197,42 +198,38 @@ def find_operator(
 ) -> FsbpOperator:
     """Operator on the smallest workable grid from the rule ladder.
 
-    With ``n_nodes`` given, both the rule search and the build are pinned
-    to that node count and any failure propagates.  Otherwise node counts
-    are tried in increasing order and the first one whose positive exact
-    rule yields an operator passing :func:`verify_sbp` wins.  The second
-    chance matters: a rule can sit just inside the quadrature residual
-    gate while the operator it induces misses a verification tolerance,
-    and such node counts must be skipped rather than reported as
-    failures.
+    Each rung (the ladder of :func:`find_positive_rule`) takes the positive
+    exact rule with that node count, builds the operator and checks it
+    with :func:`verify_sbp`; the first rung to pass all three wins.  A rule
+    can sit just inside the quadrature residual gate while its operator
+    misses a verification tolerance, so a failed rung moves the search on.
+    A pinned ``n_nodes`` is a one-rung ladder whose failure propagates;
+    an exhausted ladder raises :class:`OperatorError` with the last reason.
     """
-    if n_nodes is not None:
-        rule = find_positive_rule(space, int(n_nodes), int(n_nodes))
-        return _verified(build_operator(space, rule, _rule_checked=True))
-    n_start = _default_start(space)
-    if n_max is None:
-        n_max = n_start + 24
+    pinned = n_nodes is not None
+    rungs = _ladder(space, n_nodes, n_nodes if pinned else n_max)
     last_error: Exception | None = None
-    for n in range(n_start, int(n_max) + 1):
+    for n in rungs:
         try:
             rule = find_positive_rule(space, n, n)
-            return _verified(build_operator(space, rule, _rule_checked=True))
+            op = build_operator(space, rule, _rule_checked=True)
+            report = verify_sbp(op)
+            if not report.passed:
+                raise OperatorError(
+                    f"operator for {space.kind!r} on {n} nodes fails "
+                    f"verification: exactness {report.exactness_residual:.3e}, "
+                    f"constant residual {report.d_one_residual:.3e}"
+                )
+            return op
         except (QuadratureError, OperatorError) as exc:
+            if pinned:
+                raise
             last_error = exc
+    reason = "" if last_error is None else f"; last: {last_error}"
     raise OperatorError(
-        f"no workable operator for {space.kind!r} with up to {n_max} nodes"
+        f"no workable operator for {space.kind!r} with up to "
+        f"{rungs.stop - 1} nodes{reason}"
     ) from last_error
-
-
-def _verified(op: FsbpOperator) -> FsbpOperator:
-    report = verify_sbp(op)
-    if not report.passed:
-        raise OperatorError(
-            f"operator for {op.space.kind!r} on {op.n_nodes} nodes fails "
-            f"verification: exactness {report.exactness_residual:.3e}, "
-            f"constant residual {report.d_one_residual:.3e}"
-        )
-    return op
 
 
 def verify_sbp(op: FsbpOperator) -> SbpReport:
@@ -300,7 +297,7 @@ def affine_block_operator(op: FsbpOperator, interval: Interval) -> FsbpOperator:
 
 def rule_of(op: FsbpOperator) -> QuadratureRule:
     """The quadrature rule an operator carries in its norm weights."""
-    return QuadratureRule(op.nodes.copy(), op.p.copy(), op.space.kind)
+    return QuadratureRule(op.nodes.copy(), op.p.copy())
 
 
 # ---------------------------------------------------------------------------

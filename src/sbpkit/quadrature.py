@@ -12,8 +12,7 @@ nodes that works for any space.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
@@ -46,18 +45,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on an interval, tagged with their target space.
-
-    ``space_label`` names the space the rule was built or verified for
-    (empty for space-agnostic constructions until they are verified) and
-    ``exactness_residual`` records the largest constraint violation seen
-    at build time (NaN when nothing was recorded).
-    """
+    """Nodes and weights on an interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    space_label: str = ""
-    exactness_residual: float = math.nan
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -212,8 +203,7 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
             f"{n} equidistant nodes cannot integrate the derivative span of "
             f"{space.kind!r}: residual {worst:.3e}"
         )
-    raw = float(np.max(np.abs(resid))) if resid.size else 0.0
-    return QuadratureRule(nodes, w, space.kind, raw)
+    return QuadratureRule(nodes, w)
 
 
 def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
@@ -236,11 +226,16 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
     )
 
 
-def _default_start(space: FunctionSpace) -> int:
-    if space.kind.startswith("poly"):
+def _ladder(space: FunctionSpace, n_start: int | None, n_max: int | None) -> range:
+    """Node counts of a rule ladder: family start, window of 24, at least 2."""
+    if n_start is None:
         # Gauss-Lobatto with dim nodes already integrates the product span
-        return max(space.dim, 2)
-    return space.dim + 1
+        n_start = max(space.dim, 2) if space.kind.startswith("poly") else space.dim + 1
+    n_start = int(n_start)
+    if n_start < 2:
+        raise ValueError(f"node ladder must start at 2 or above, got {n_start}")
+    n_max = n_start + 24 if n_max is None else int(n_max)
+    return range(n_start, n_max + 1)
 
 
 def _candidates(space: FunctionSpace, n: int):
@@ -265,31 +260,20 @@ def find_positive_rule(
 ) -> QuadratureRule:
     """Smallest positive exact rule found in a node-count ladder.
 
-    For each node count, family-specific candidates come first (trapezoid
-    for trigonometric kinds, Gauss-Lobatto for polynomial kinds), then the
-    least-squares construction, each built only when the ones before it
-    fail.  The first candidate passing both the exactness and positivity
-    checks is returned, tagged with the space.
+    The ladder runs from ``n_start`` (by default ``dim`` nodes for
+    polynomial kinds, ``dim + 1`` otherwise) to ``n_max`` (by default 24
+    more).  For each node count, family-specific candidates come first
+    (trapezoid for trigonometric kinds, Gauss-Lobatto for polynomial
+    kinds), then the least-squares construction, each built only when the
+    ones before it fail.  The first candidate passing both the exactness
+    and positivity checks is returned as built.
     """
-    if n_start is None:
-        n_start = _default_start(space)
-    n_start = int(n_start)
-    if n_start < 2:
-        raise ValueError(f"node ladder must start at 2 or above, got {n_start}")
-    if n_max is None:
-        n_max = n_start + 24
-    n_max = int(n_max)
-
-    for n in range(n_start, n_max + 1):
+    rungs = _ladder(space, n_start, n_max)
+    for n in rungs:
         for rule in _candidates(space, n):
-            report = verify_exactness(rule, space)
-            if report.ok:
-                return replace(
-                    rule,
-                    space_label=space.kind,
-                    exactness_residual=report.max_residual,
-                )
+            if verify_exactness(rule, space).ok:
+                return rule
     raise QuadratureError(
         f"no positive exact rule for {space.kind!r} with "
-        f"{n_start}..{n_max} nodes"
+        f"{rungs.start}..{rungs.stop - 1} nodes"
     )

@@ -46,6 +46,13 @@ class InstabilityError(RuntimeError):
     """The time integration produced non-finite values."""
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as floats, refusing complex values the cast would truncate."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.asarray(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Model problem: equation kind, domain, data and penalty strength.
@@ -106,7 +113,7 @@ class BlockState:
     def __post_init__(self) -> None:
         iv = self.operator.space.interval
         edges = np.array(self.edges, dtype=float)
-        u = np.asarray(self.u, dtype=float)
+        u = _real_array(self.u, "block state values")
         if edges.ndim != 1 or u.shape != (edges.size - 1, self.operator.n_nodes):
             raise ValueError(
                 f"values of shape {u.shape} do not match {edges.size - 1} "
@@ -327,7 +334,7 @@ def run(
         u=np.zeros((n_blocks, ref_op.n_nodes)), operator=ref_op, edges=edges, t=0.0
     )
     nodes = state.nodes
-    u = np.asarray(spec.initial_condition(nodes.ravel()), dtype=float)
+    u = _real_array(spec.initial_condition(nodes.ravel()), "initial condition values")
     if u.shape != (nodes.size,):
         raise ValueError("initial condition must return one value per node")
 

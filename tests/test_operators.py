@@ -28,6 +28,7 @@ from sbpkit.quadrature import (
     trapezoid_rule,
 )
 from sbpkit.spaces import (
+    FunctionSpace,
     Interval,
     exponential_space,
     make_space,
@@ -35,6 +36,7 @@ from sbpkit.spaces import (
     polynomial_space,
     rbf_cubic_space,
     trigonometric_space,
+    unisolvency_rank,
     vandermonde,
     vandermonde_derivative,
 )
@@ -409,3 +411,125 @@ def test_find_operator_checks_each_rule_once(monkeypatch):
     assert verify_sbp(op).passed
     assert counts["builds"] >= 2
     assert counts["verify"] == counts["candidates"]
+
+
+def _two_branch_find_operator(space, n_nodes=None, n_max=None):
+    """The search that the one-loop :func:`find_operator` replaced.
+
+    A pinned count and the ladder are separate branches, the ladder keeps
+    its own start and window, and the rank check runs on its own SVD
+    before the build.
+    """
+
+    def verified_build(n):
+        rule = find_positive_rule(space, n, n)
+        if unisolvency_rank(space, rule.nodes) != space.dim:
+            raise OperatorError(
+                f"grid does not determine {space.kind!r} uniquely "
+                f"(rank below {space.dim}); refine the grid"
+            )
+        op = build_operator(space, rule, _rule_checked=True)
+        report = verify_sbp(op)
+        if not report.passed:
+            raise OperatorError(
+                f"operator for {space.kind!r} on {op.n_nodes} nodes fails "
+                f"verification: exactness {report.exactness_residual:.3e}, "
+                f"constant residual {report.d_one_residual:.3e}"
+            )
+        return op
+
+    if n_nodes is not None:
+        return verified_build(int(n_nodes))
+    poly = space.kind.startswith("poly")
+    n_start = max(space.dim, 2) if poly else space.dim + 1
+    if n_max is None:
+        n_max = n_start + 24
+    last_error = None
+    for n in range(n_start, int(n_max) + 1):
+        try:
+            return verified_build(n)
+        except (QuadratureError, OperatorError) as exc:
+            last_error = exc
+    raise OperatorError(
+        f"no workable operator for {space.kind!r} with up to {n_max} nodes"
+    ) from last_error
+
+
+SWEEP = [
+    ("poly:d=3", UNIT),
+    ("poly:d=12", Interval(-1.0, 1.0)),
+    ("trig:d=2", UNIT),
+    ("trig:d=6", Interval(0.0, np.pi)),
+    ("exp:d=2", UNIT),
+    ("exp:d=4", UNIT),
+    ("exp:d=4", Interval(-1.0, 1.0)),  # no operator on any rung
+    ("exp:d=5", Interval(0.0, np.pi)),  # no operator on any rung
+    ("rbf-cubic:centers=0,0.25,0.5,0.75,1", UNIT),
+]
+
+
+@pytest.mark.parametrize("kind, interval", SWEEP)
+def test_find_operator_matches_the_two_branch_search(kind, interval):
+    space = make_space(kind, interval)
+    for n_nodes in (None, space.dim + 2, space.dim + 6):
+        try:
+            ref = _two_branch_find_operator(space, n_nodes)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                find_operator(space, n_nodes)
+            expected = str(exc)
+            if n_nodes is None:
+                # the exhausted ladder also names its last rung's reason
+                expected += f"; last: {exc.__cause__}"
+            assert str(got.value) == expected
+            continue
+        op = find_operator(space, n_nodes)
+        for name in ("nodes", "p", "Q"):
+            np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
+
+
+def test_build_operator_evaluates_the_space_once():
+    base = exponential_space(2, UNIT)
+    calls = []
+
+    def values(x):
+        calls.append(len(x))
+        return base.values(x)
+
+    space = FunctionSpace(UNIT, values, base.derivatives, kind=base.kind)
+    rule = find_positive_rule(space)
+    calls.clear()
+    op = build_operator(space, rule, _rule_checked=True)
+    assert calls == [rule.n_nodes]
+    assert verify_sbp(op).passed
+
+
+def test_build_operator_rejects_a_rank_deficient_grid():
+    # sin(2 pi x) vanishes on all three nodes, so the grid sees rank 2 of 3
+    space = trigonometric_space(1, UNIT)
+    rule = QuadratureRule(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))
+    with pytest.raises(OperatorError, match="does not determine"):
+        build_operator(space, rule, _rule_checked=True)
+    with pytest.raises(OperatorError, match="does not determine"):
+        build_operator(
+            polynomial_space(3, UNIT), trapezoid_rule(3, UNIT), _rule_checked=True
+        )
+
+
+def test_exhausted_ladder_names_the_last_reason():
+    space = exponential_space(4, UNIT)
+    with pytest.raises(QuadratureError) as pinned:
+        find_operator(space, 8)
+    with pytest.raises(OperatorError) as exhausted:
+        find_operator(space, n_max=8)
+    assert str(exhausted.value) == (
+        f"no workable operator for 'exp:d=4' with up to 8 nodes; last: {pinned.value}"
+    )
+    assert str(exhausted.value.__cause__) == str(pinned.value)
+
+
+def test_find_operator_with_an_empty_ladder():
+    # the ladder for exp:d=4 starts at 6 nodes
+    with pytest.raises(OperatorError, match="up to 5 nodes$") as exc:
+        find_operator(exponential_space(4, UNIT), n_max=5)
+    assert exc.value.__cause__ is None

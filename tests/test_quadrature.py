@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import sbpkit.quadrature
 from sbpkit.quadrature import (
     EXACTNESS_RTOL,
     QuadratureError,
@@ -88,7 +89,6 @@ def test_least_squares_recovers_known_weights():
         rule.weights, [0.08, 0.36, 0.12, 0.36, 0.08], atol=5e-3
     )
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert rule.space_label == space.kind
 
 
 def test_least_squares_constant_space_gives_uniform_weights():
@@ -160,8 +160,27 @@ def test_find_positive_rule_exponential_ladder():
     )
     report = verify_exactness(rule, exponential_space(2, UNIT))
     assert report.ok
-    assert rule.space_label == "exp:d=2"
-    assert np.isfinite(rule.exactness_residual)
+
+
+@pytest.mark.parametrize(
+    "builder, space",
+    [
+        ("trapezoid_rule", trigonometric_space(2, UNIT)),
+        ("gauss_lobatto_rule", polynomial_space(4, UNIT)),
+        ("least_squares_rule", exponential_space(2, UNIT)),
+    ],
+)
+def test_find_positive_rule_returns_the_candidate_itself(monkeypatch, builder, space):
+    made = []
+    original = getattr(sbpkit.quadrature, builder)
+
+    def recording(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(sbpkit.quadrature, builder, recording)
+    rule = find_positive_rule(space)
+    assert rule is made[-1]
 
 
 def test_find_positive_rule_reports_failure_at_pinned_count():

@@ -75,6 +75,29 @@ def test_block_state_validates_its_grid():
         np.testing.assert_array_equal(nodes, mapped.nodes)
 
 
+def test_block_state_rejects_complex_values():
+    op = find_operator(make_space("trig:d=1", UNIT))
+    u = np.ones((1, op.n_nodes), dtype=complex)
+    with pytest.raises(ValueError, match="complex"):
+        BlockState(u=u, operator=op, edges=(0.0, 1.0), t=0.0)
+
+
+def test_ssprk33_rejects_a_complex_stage():
+    # a complex stage has another dtype, so it reaches the validating
+    # constructor instead of being cast to its real part
+    state = _linear_state([1.0, 1.0])
+    with pytest.raises(ValueError, match="complex"):
+        ssprk33_step(lambda s, t: 1j * s.u, state, 0.1)
+
+
+def test_run_rejects_a_complex_initial_condition():
+    spec = ProblemSpec(
+        kind="advection", domain=UNIT, initial_condition=lambda x: np.exp(1j * x)
+    )
+    with pytest.raises(ValueError, match="initial condition.*complex"):
+        run(spec, "trig:d=1", t_final=0.1)
+
+
 def test_advection_rhs_two_node_example():
     state = _linear_state([2.0, 3.0])
     spec = ProblemSpec(
