@@ -22,6 +22,7 @@ from .operators import (
     rule_of,
     verify_sbp,
     write_operator,
+    _fmt,
     _load_unchecked,
 )
 from .quadrature import QuadratureError, verify_exactness
@@ -90,40 +91,31 @@ def _build_parser() -> _Parser:
                               help="check a stored operator file")
     p_verify.add_argument("opfile", type=Path)
 
-    p_run = sub.add_parser("run", parents=[common],
-                           help="integrate a model problem and write CSV output")
-    p_run.add_argument("--problem", choices=_PROBLEM_FLAGS)
-    p_run.add_argument("--space")
-    p_run.add_argument("--domain", nargs=2, type=float, default=None,
-                       metavar=("XL", "XR"))
-    p_run.add_argument("--blocks", type=int, default=None)
-    p_run.add_argument("--nodes", type=int, default=None)
-    p_run.add_argument("--tfinal", type=float, default=None)
-    p_run.add_argument("--cfl", type=float, default=None)
-    p_run.add_argument("--sigma", type=float, default=None)
-    p_run.add_argument("--periodic", action="store_true", default=None,
-                       help="force periodic coupling")
-    p_run.add_argument("--inflow", type=float, default=None,
-                       help="constant inflow value (forces a boundary run)")
-    p_run.add_argument("--out", type=Path, default=None)
+    # flags shared by the two time-integration commands
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", choices=_PROBLEM_FLAGS)
+    problem.add_argument("--domain", nargs=2, type=float, default=None,
+                         metavar=("XL", "XR"))
+    problem.add_argument("--nodes", type=int, default=None)
+    problem.add_argument("--tfinal", type=float, default=None)
+    problem.add_argument("--cfl", type=float, default=None)
+    problem.add_argument("--sigma", type=float, default=None)
+    problem.add_argument("--periodic", action="store_true", default=None,
+                         help="force periodic coupling")
+    problem.add_argument("--inflow", type=float, default=None,
+                         help="constant inflow value (forces a boundary run)")
+    problem.add_argument("--out", type=Path, default=None)
 
-    p_conv = sub.add_parser("convergence", parents=[common],
+    p_run = sub.add_parser("run", parents=[common, problem],
+                           help="integrate a model problem and write CSV output")
+    p_run.add_argument("--space")
+    p_run.add_argument("--blocks", type=int, default=None)
+
+    p_conv = sub.add_parser("convergence", parents=[common, problem],
                             help="error table over a ladder of block counts")
-    p_conv.add_argument("--problem", choices=_PROBLEM_FLAGS)
     p_conv.add_argument("--space", action="append",
                         help="repeatable; one table section per space")
     p_conv.add_argument("--blocks", nargs="+", type=int, default=None)
-    p_conv.add_argument("--domain", nargs=2, type=float, default=None,
-                        metavar=("XL", "XR"))
-    p_conv.add_argument("--nodes", type=int, default=None)
-    p_conv.add_argument("--tfinal", type=float, default=None)
-    p_conv.add_argument("--cfl", type=float, default=None)
-    p_conv.add_argument("--sigma", type=float, default=None)
-    p_conv.add_argument("--periodic", action="store_true", default=None,
-                        help="force periodic coupling")
-    p_conv.add_argument("--inflow", type=float, default=None,
-                        help="constant inflow value (forces a boundary run)")
-    p_conv.add_argument("--out", type=Path, default=None)
     return parser
 
 
@@ -182,10 +174,6 @@ def _finish_args(args: argparse.Namespace) -> None:
         raise ValueError(
             f"unknown problem {problem!r}; expected one of {_PROBLEM_FLAGS}"
         )
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

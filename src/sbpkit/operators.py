@@ -203,10 +203,15 @@ def find_operator(
     with :func:`verify_sbp`; the first rung to pass all three wins.  A rule
     can sit just inside the quadrature residual gate while its operator
     misses a verification tolerance, so a failed rung moves the search on.
-    A pinned ``n_nodes`` is a one-rung ladder whose failure propagates;
-    an exhausted ladder raises :class:`OperatorError` with the last reason.
+    A pinned ``n_nodes`` is a one-rung ladder whose failure propagates,
+    and giving ``n_max`` with it raises ``ValueError``; an exhausted
+    ladder raises :class:`OperatorError` with the last reason.
     """
     pinned = n_nodes is not None
+    if pinned and n_max is not None:
+        raise ValueError(
+            f"n_nodes={n_nodes} pins the grid; n_max={n_max} cannot also be given"
+        )
     rungs = _ladder(space, n_nodes, n_nodes if pinned else n_max)
     last_error: Exception | None = None
     for n in rungs:

@@ -114,37 +114,25 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     """Gauss-Lobatto rule with ``n_nodes`` nodes, endpoints included.
 
     Interior nodes are the roots of the derivative of the Legendre
-    polynomial of degree ``n_nodes - 1``, found by damped Newton from
-    Chebyshev-Lobatto starting guesses.  Exact for polynomials of degree
-    up to ``2*n_nodes - 3``.
+    polynomial of degree ``n_nodes - 1``, computed as the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the weight ``1 - x**2``
+    (Golub & Welsch, 1969).  Exact for polynomials of degree up to
+    ``2*n_nodes - 3``.
     """
     n = int(n_nodes)
     if n < 2:
         raise ValueError(f"Gauss-Lobatto rule needs at least 2 nodes, got {n}")
-    if n == 2:
-        ref_nodes = np.array([-1.0, 1.0])
-        ref_weights = np.array([1.0, 1.0])
-    else:
-        c = np.zeros(n)
-        c[-1] = 1.0  # Legendre polynomial of degree n - 1
-        dc = _legendre.legder(c)
-        d2c = _legendre.legder(dc)
-        x = -np.cos(np.pi * np.arange(1, n - 1) / (n - 1))
-        for _ in range(100):
-            step = _legendre.legval(x, dc) / _legendre.legval(x, d2c)
-            # keep iterates strictly inside (-1, 1)
-            while np.any(np.abs(x - step) >= 1.0):
-                step *= 0.5
-            x = x - step
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        else:
-            raise QuadratureError(
-                f"Newton iteration for {n}-node Gauss-Lobatto rule did not converge"
-            )
-        ref_nodes = np.concatenate(([-1.0], np.sort(x), [1.0]))
-        pvals = _legendre.legval(ref_nodes, c)
-        ref_weights = 2.0 / (n * (n - 1) * pvals**2)
+    k = np.arange(1.0, n - 2)
+    jacobi = np.zeros((n - 2, n - 2))
+    i = np.arange(n - 3)
+    jacobi[i + 1, i] = jacobi[i, i + 1] = np.sqrt(
+        k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    )
+    ref_nodes = np.concatenate(([-1.0], np.linalg.eigvalsh(jacobi), [1.0]))
+    c = np.zeros(n)
+    c[-1] = 1.0  # Legendre polynomial of degree n - 1
+    pvals = _legendre.legval(ref_nodes, c)
+    ref_weights = 2.0 / (n * (n - 1) * pvals**2)
     half = 0.5 * interval.width
     nodes = interval.left + half * (ref_nodes + 1.0)
     nodes[-1] = interval.right
@@ -179,25 +167,24 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     Hd = pair_derivative_rows(space, fine)
     Uh, sh, _ = np.linalg.svd(Hd, full_matrices=False)
     lhs, rhs = Phi, m
-    if sh.size and sh[0] > 0.0:
+    # all-zero rows (a constant-only space) leave nothing to recombine
+    if sh[0] > 0.0:
         rh = int(np.sum(sh > _SVD_RTOL * sh[0]))
-        if rh:
-            T = (Uh[:, :rh] / sh[:rh]).T
-            lhs = T @ Phi
-            rhs = T @ m
+        T = (Uh[:, :rh] / sh[:rh]).T
+        lhs = T @ Phi
+        rhs = T @ m
 
     w = np.full(n, iv.width / n)
     U, s, Vt = np.linalg.svd(lhs, full_matrices=False)
-    if s.size and s[0] > 0.0:
+    if s[0] > 0.0:
         r = int(np.sum(s > _SVD_RTOL * s[0]))
-        if r:
-            lhs_r = Vt[:r]
-            rhs_r = (U[:, :r].T @ rhs) / s[:r]
-            w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
+        lhs_r = Vt[:r]
+        rhs_r = (U[:, :r].T @ rhs) / s[:r]
+        w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
 
     resid = Phi @ w - m
     scaled = np.abs(resid) / np.maximum(1.0, np.abs(m))
-    worst = float(np.max(scaled)) if scaled.size else 0.0
+    worst = float(np.max(scaled))
     if worst > EXACTNESS_RTOL:
         raise QuadratureError(
             f"{n} equidistant nodes cannot integrate the derivative span of "
@@ -220,8 +207,8 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
     resid = np.abs(Phi @ rule.weights - m)
     scaled = resid / np.maximum(1.0, np.abs(m))
     return ExactnessReport(
-        max_residual=float(np.max(resid)) if resid.size else 0.0,
-        max_scaled_residual=float(np.max(scaled)) if scaled.size else 0.0,
+        max_residual=float(np.max(resid)),
+        max_scaled_residual=float(np.max(scaled)),
         positive=bool(np.all(rule.weights > 0.0)),
     )
 

@@ -164,26 +164,27 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
     The basis is Legendre polynomials composed with the affine map onto
     ``[-1, 1]``.  This keeps Vandermonde matrices well conditioned up to
     high degree; the span is the same as for monomials, and operators and
-    quadrature rules depend only on the span.
+    quadrature rules depend only on the span.  Each matrix is one Clenshaw
+    evaluation of all columns at once (the identity as coefficient
+    matrix), which takes the same floating-point steps as evaluating each
+    column on its own.
     """
     degree = int(degree)
     if degree < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
     a, b = interval.left, interval.right
     scale = 2.0 / (b - a)
-    coefs = [np.eye(k + 1)[k] for k in range(degree + 1)]
-    dcoefs = [_legendre.legder(c) for c in coefs]
+    coefs = np.eye(degree + 1)
+    dcoefs = _legendre.legder(coefs)
 
     def _to_ref(x):
         return (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
 
     def values(x):
-        t = _to_ref(x)
-        return np.column_stack([_legendre.legval(t, c) for c in coefs])
+        return _legendre.legval(_to_ref(x), coefs).T
 
     def derivatives(x):
-        t = _to_ref(x)
-        return np.column_stack([scale * _legendre.legval(t, c) for c in dcoefs])
+        return scale * _legendre.legval(_to_ref(x), dcoefs).T
 
     return FunctionSpace(interval, values, derivatives, kind=f"poly:d={degree}")
 

@@ -533,3 +533,8 @@ def test_find_operator_with_an_empty_ladder():
     with pytest.raises(OperatorError, match="up to 5 nodes$") as exc:
         find_operator(exponential_space(4, UNIT), n_max=5)
     assert exc.value.__cause__ is None
+
+
+def test_find_operator_refuses_n_max_with_pinned_nodes():
+    with pytest.raises(ValueError, match="pins the grid"):
+        find_operator(exponential_space(2, UNIT), 5, n_max=3)

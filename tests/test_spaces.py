@@ -323,8 +323,8 @@ def _rbf_columns(centers, iv, x):
 @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 2.0)])
 @pytest.mark.parametrize(
     "family, arg",
-    [("poly", 0), ("poly", 7), ("trig", 1), ("trig", 4), ("exp", 1), ("exp", 4),
-     ("rbf", 3), ("rbf", 6)],
+    [("poly", 0), ("poly", 7), ("poly", 40), ("trig", 1), ("trig", 4), ("exp", 1),
+     ("exp", 4), ("rbf", 3), ("rbf", 6)],
 )
 def test_vandermonde_equals_the_per_column_formulas(family, arg, iv):
     x = np.concatenate([[iv.left, iv.right], np.linspace(iv.left, iv.right, 33)])
