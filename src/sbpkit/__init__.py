@@ -4,7 +4,14 @@ Build positive quadrature rules tied to a function space, derive the
 matching derivative operator D = P^{-1} Q with the summation-by-parts
 structure Q + Q^T = B, and integrate model conservation laws on
 multi-block grids with provably bounded energy.
+
+Operator searches log each rejected rung at DEBUG on the ``sbpkit``
+logger, which is silent unless the application configures logging.
 """
+
+import logging
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .spaces import (
     FunctionSpace,

@@ -70,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, by name."""
     parser = _Parser(prog="sbpkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,7 +117,7 @@ def _build_parser() -> _Parser:
     p_conv.add_argument("--space", action="append",
                         help="repeatable; one table section per space")
     p_conv.add_argument("--blocks", nargs="+", type=int, default=None)
-    return parser
+    return parser, sub.choices
 
 
 #: values applied after the config merge when neither flags nor the config
@@ -135,12 +136,55 @@ _REQUIRED = {
 }
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, value, where: str):
+    """A config value as its flag would parse it, or ``ValueError``.
+
+    An on/off flag takes a JSON boolean.  Every other value item must be
+    a string or a number that the flag's type accepts in its text form;
+    an option of fixed or variable arity takes a list, and a repeatable
+    one a list or a single item.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"{where} takes true or false, got {value!r}")
+        return value
+    repeatable = isinstance(action, argparse._AppendAction)
+    if action.nargs == "+" or isinstance(action.nargs, int):
+        count = "one or more" if action.nargs == "+" else action.nargs
+        if not isinstance(value, list) or not value or (
+            isinstance(action.nargs, int) and len(value) != action.nargs
+        ):
+            raise ValueError(f"{where} takes a list of {count} values, got {value!r}")
+        items = value
+    elif repeatable and isinstance(value, list):
+        items = value
+    else:
+        items = [value]
+
+    convert = action.type or str
+    parsed = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"{where}: {item!r} is not a string or a number")
+        try:
+            item = convert(str(item))
+        except ValueError:
+            raise ValueError(f"{where}: invalid value {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(
+                f"{where} must be one of {tuple(action.choices)}, got {item!r}"
+            )
+        parsed.append(item)
+    return parsed if action.nargs is not None or repeatable else parsed[0]
+
+
+def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
     """Fill unset flags from the JSON config file, if one was given.
 
     Every flag parses with a None default, so an explicit command-line
     value always wins over the file; per-command defaults are applied
-    only after the merge.
+    only after the merge.  Each value is checked against the flag of
+    ``command`` it stands for, and ``null`` leaves the flag unset.
     """
     path = getattr(args, "config", None)
     if path is None:
@@ -151,14 +195,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    actions = {a.dest: a for a in command._actions if a.dest != "config"}
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if attr == "config" or not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             raise ValueError(f"config {path}: unknown option {key!r}")
-        if getattr(args, attr) is None:
-            if attr in ("out", "opfile"):
-                value = Path(value)
-            setattr(args, attr, value)
+        if getattr(args, attr) is None and value is not None:
+            where = f"config {path}: option {key!r}"
+            setattr(args, attr, _config_value(actions[attr], value, where))
 
 
 def _finish_args(args: argparse.Namespace) -> None:
@@ -169,11 +213,6 @@ def _finish_args(args: argparse.Namespace) -> None:
     if missing:
         flags = " ".join("--" + k for k in missing)
         raise ValueError(f"missing required option(s): {flags}")
-    problem = getattr(args, "problem", None)
-    if problem is not None and problem not in _PROBLEM_FLAGS:
-        raise ValueError(
-            f"unknown problem {problem!r}; expected one of {_PROBLEM_FLAGS}"
-        )
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -320,10 +359,9 @@ def _cmd_convergence(args) -> int:
     spec, tfinal = _problem_spec(args)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    spaces = [args.space] if isinstance(args.space, str) else list(args.space)
     rows = convergence_table(
         spec,
-        spaces,
+        args.space,
         [int(b) for b in args.blocks],
         n_nodes=None if args.nodes is None else int(args.nodes),
         t_final=tfinal,
@@ -345,10 +383,10 @@ def _cmd_convergence(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, commands[args.command])
         _finish_args(args)
         if args.command == "build":
             return _cmd_build(args)

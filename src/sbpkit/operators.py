@@ -20,6 +20,7 @@ significant digits; readers reject files that fail verification.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,18 +30,12 @@ from .quadrature import (
     QuadratureError,
     QuadratureRule,
     _ladder,
+    _search_scope,
+    _vandermondes,
     find_positive_rule,
     verify_exactness,
 )
-from .spaces import (
-    RANK_RTOL,
-    FunctionSpace,
-    Interval,
-    affine_map,
-    make_space,
-    vandermonde,
-    vandermonde_derivative,
-)
+from .spaces import RANK_RTOL, FunctionSpace, Interval, affine_map, make_space
 
 __all__ = [
     "OperatorError",
@@ -71,6 +66,8 @@ TOL_COHERENCE = 1e-13
 
 # infinity-norm gate on the least-squares residual of the exactness system
 _BUILD_RESIDUAL_TOL = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 class OperatorError(RuntimeError):
@@ -158,7 +155,7 @@ def build_operator(
     p = rule.weights
     n = x.size
     K = space.dim
-    F = vandermonde(space, x)
+    F, Fx = _vandermondes(space, x)
     U, s, Wt = np.linalg.svd(F, full_matrices=False)
     # full rank: every singular value above RANK_RTOL times the largest
     if s.size < K or not s[-1] > RANK_RTOL * s[0]:
@@ -167,7 +164,6 @@ def build_operator(
             f"(rank below {K}); refine the grid"
         )
 
-    Fx = vandermonde_derivative(space, x)
     B = _boundary_matrix(n)
     R = p[:, None] * Fx - 0.5 * (B @ F)
 
@@ -205,7 +201,12 @@ def find_operator(
     misses a verification tolerance, so a failed rung moves the search on.
     A pinned ``n_nodes`` is a one-rung ladder whose failure propagates,
     and giving ``n_max`` with it raises ``ValueError``; an exhausted
-    ladder raises :class:`OperatorError` with the last reason.
+    ladder raises :class:`OperatorError` with the last reason.  Each
+    rejected rung is logged at DEBUG on the ``sbpkit`` logger.
+
+    The search evaluates the space once per grid: the rule check, the
+    build and the verification of a rung share their matrices, and the
+    rungs share the pair moments.  Nothing is kept after the call.
     """
     pinned = n_nodes is not None
     if pinned and n_max is not None:
@@ -214,22 +215,24 @@ def find_operator(
         )
     rungs = _ladder(space, n_nodes, n_nodes if pinned else n_max)
     last_error: Exception | None = None
-    for n in rungs:
-        try:
-            rule = find_positive_rule(space, n, n)
-            op = build_operator(space, rule, _rule_checked=True)
-            report = verify_sbp(op)
-            if not report.passed:
-                raise OperatorError(
-                    f"operator for {space.kind!r} on {n} nodes fails "
-                    f"verification: exactness {report.exactness_residual:.3e}, "
-                    f"constant residual {report.d_one_residual:.3e}"
-                )
-            return op
-        except (QuadratureError, OperatorError) as exc:
-            if pinned:
-                raise
-            last_error = exc
+    with _search_scope():
+        for n in rungs:
+            try:
+                rule = find_positive_rule(space, n, n)
+                op = build_operator(space, rule, _rule_checked=True)
+                report = verify_sbp(op)
+                if not report.passed:
+                    raise OperatorError(
+                        f"operator for {space.kind!r} on {n} nodes fails "
+                        f"verification: exactness {report.exactness_residual:.3e}, "
+                        f"constant residual {report.d_one_residual:.3e}"
+                    )
+                return op
+            except (QuadratureError, OperatorError) as exc:
+                _log.debug("rung of %s nodes rejected: %s", n, exc)
+                if pinned:
+                    raise
+                last_error = exc
     reason = "" if last_error is None else f"; last: {last_error}"
     raise OperatorError(
         f"no workable operator for {space.kind!r} with up to "
@@ -244,8 +247,7 @@ def verify_sbp(op: FsbpOperator) -> SbpReport:
     matrix, positivity of the norm weights, annihilation of constants
     (when the span contains them) and coherence of D with P^{-1} Q.
     """
-    F = vandermonde(op.space, op.nodes)
-    Fx = vandermonde_derivative(op.space, op.nodes)
+    F, Fx = _vandermondes(op.space, op.nodes)
     exactness = float(np.max(np.abs(op.D @ F - Fx)))
     B = _boundary_matrix(op.n_nodes)
     antisymmetry = float(np.max(np.abs(op.Q + op.Q.T - B)))

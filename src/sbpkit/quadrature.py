@@ -8,16 +8,34 @@ the composite trapezoid rule (exact for trigonometric spaces once the
 grid resolves twice the top frequency), Gauss-Lobatto rules (polynomial
 spaces), and a minimum-norm least-squares construction on equidistant
 nodes that works for any space.
+
+A search (:func:`find_positive_rule`, and ``find_operator`` in
+:mod:`sbpkit.operators`) shares what its rungs would otherwise recompute:
+the space's pair moments, the fine-grid row recombination of the
+least-squares rule and the matrices on the current rung's grid.  They are
+kept for that one call only; a direct call of any other function
+computes everything afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
 
-from .spaces import FunctionSpace, Interval, pair_derivative_rows, pair_moments
+from .spaces import (
+    FunctionSpace,
+    Interval,
+    _pair_products,
+    pair_derivative_rows,
+    pair_moments,
+    vandermonde,
+    vandermonde_derivative,
+)
 
 __all__ = [
     "QuadratureError",
@@ -41,6 +59,82 @@ _SVD_RTOL = 1e-12
 
 class QuadratureError(RuntimeError):
     """No rule with the requested properties could be constructed."""
+
+
+# The memo of the search in progress: slot name -> (space, key, value).
+# None outside a search, so direct calls compute everything afresh.
+_SEARCH: ContextVar[dict | None] = ContextVar("sbpkit_search", default=None)
+
+
+@contextmanager
+def _search_scope():
+    """Open the memo of one search; a search nested in another shares it."""
+    if _SEARCH.get() is not None:
+        yield
+        return
+    token = _SEARCH.set({})
+    try:
+        yield
+    finally:
+        _SEARCH.reset(token)
+
+
+def _shared(slot: str, space: FunctionSpace, key, compute: Callable):
+    # compute() once per search for this space and key; each slot keeps
+    # only its latest value, so the memo does not grow with the ladder
+    memo = _SEARCH.get()
+    if memo is None:
+        return compute()
+    held = memo.get(slot)
+    if held is not None and held[0] is space and held[1] == key:
+        return held[2]
+    value = compute()
+    memo[slot] = (space, key, value)
+    return value
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def _moments(space: FunctionSpace) -> np.ndarray:
+    return _shared("moments", space, None, lambda: _frozen(pair_moments(space)))
+
+
+def _vandermondes(space: FunctionSpace, nodes: np.ndarray):
+    """Value and derivative Vandermonde matrices on ``nodes``."""
+    return _shared(
+        "vandermondes",
+        space,
+        nodes.tobytes(),
+        lambda: (
+            _frozen(vandermonde(space, nodes)),
+            _frozen(vandermonde_derivative(space, nodes)),
+        ),
+    )
+
+
+def _pair_rows(space: FunctionSpace, nodes: np.ndarray) -> np.ndarray:
+    return _shared(
+        "pair_rows",
+        space,
+        nodes.tobytes(),
+        lambda: _frozen(_pair_products(*_vandermondes(space, nodes), space.dim)),
+    )
+
+
+def _recombination(space: FunctionSpace, size: int) -> np.ndarray | None:
+    # orthonormalising map of the pair rows over a fine grid of ``size``
+    # points; None when the rows are all zero (a constant-only space)
+    iv = space.interval
+    fine = np.linspace(iv.left, iv.right, size)
+    Uh, sh, _ = np.linalg.svd(pair_derivative_rows(space, fine), full_matrices=False)
+    if not sh[0] > 0.0:
+        return None
+    rh = int(np.sum(sh > _SVD_RTOL * sh[0]))
+    return _frozen((Uh[:, :rh] / sh[:rh]).T)
 
 
 @dataclass(frozen=True)
@@ -160,19 +254,12 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
         )
     iv = space.interval
     nodes = np.linspace(iv.left, iv.right, n)
-    Phi = pair_derivative_rows(space, nodes)
-    m = pair_moments(space)
+    Phi = _pair_rows(space, nodes)
+    m = _moments(space)
 
-    fine = np.linspace(iv.left, iv.right, max(257, 4 * (Phi.shape[0] + n)))
-    Hd = pair_derivative_rows(space, fine)
-    Uh, sh, _ = np.linalg.svd(Hd, full_matrices=False)
-    lhs, rhs = Phi, m
-    # all-zero rows (a constant-only space) leave nothing to recombine
-    if sh[0] > 0.0:
-        rh = int(np.sum(sh > _SVD_RTOL * sh[0]))
-        T = (Uh[:, :rh] / sh[:rh]).T
-        lhs = T @ Phi
-        rhs = T @ m
+    size = max(257, 4 * (Phi.shape[0] + n))
+    T = _shared("recombination", space, size, lambda: _recombination(space, size))
+    lhs, rhs = (Phi, m) if T is None else (T @ Phi, T @ m)
 
     w = np.full(n, iv.width / n)
     U, s, Vt = np.linalg.svd(lhs, full_matrices=False)
@@ -202,8 +289,8 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
         or abs(rule.nodes[-1] - iv.right) > slack
     ):
         raise ValueError("rule and space do not share an interval")
-    Phi = pair_derivative_rows(space, rule.nodes)
-    m = pair_moments(space)
+    Phi = _pair_rows(space, rule.nodes)
+    m = _moments(space)
     resid = np.abs(Phi @ rule.weights - m)
     scaled = resid / np.maximum(1.0, np.abs(m))
     return ExactnessReport(
@@ -256,10 +343,11 @@ def find_positive_rule(
     and positivity checks is returned as built.
     """
     rungs = _ladder(space, n_start, n_max)
-    for n in rungs:
-        for rule in _candidates(space, n):
-            if verify_exactness(rule, space).ok:
-                return rule
+    with _search_scope():
+        for n in rungs:
+            for rule in _candidates(space, n):
+                if verify_exactness(rule, space).ok:
+                    return rule
     raise QuadratureError(
         f"no positive exact rule for {space.kind!r} with "
         f"{rungs.start}..{rungs.stop - 1} nodes"

@@ -24,6 +24,7 @@ product moments, stacked pair-derivative rows and a numerical rank check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -395,11 +396,26 @@ def boundary_product_moment(space: FunctionSpace, k: int, l: int) -> float:
     return float(V[1, k] * V[1, l] - V[0, k] * V[0, l])
 
 
+@lru_cache(maxsize=64)
+def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # the row-major pairs k <= l, shared read-only by every call of one dim
+    k, l = np.triu_indices(dim)
+    k.setflags(write=False)
+    l.setflags(write=False)
+    return k, l
+
+
 def pair_moments(space: FunctionSpace) -> np.ndarray:
     """Boundary product moments for all pairs ``k <= l``, stacked row-major."""
     V = vandermonde(space, [space.interval.left, space.interval.right])
-    k, l = np.triu_indices(space.dim)
+    k, l = _pair_index(space.dim)
     return V[1, k] * V[1, l] - V[0, k] * V[0, l]
+
+
+def _pair_products(V: np.ndarray, Vx: np.ndarray, dim: int) -> np.ndarray:
+    # (f_k f_l)' from the value and derivative matrices, one row per pair
+    k, l = _pair_index(dim)
+    return (Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l]).T
 
 
 def pair_derivative_rows(space: FunctionSpace, grid) -> np.ndarray:
@@ -410,8 +426,7 @@ def pair_derivative_rows(space: FunctionSpace, grid) -> np.ndarray:
     """
     V = vandermonde(space, grid)
     Vx = vandermonde_derivative(space, grid)
-    k, l = np.triu_indices(space.dim)
-    return (Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l]).T
+    return _pair_products(V, Vx, space.dim)
 
 
 def unisolvency_rank(space: FunctionSpace, grid) -> int:

@@ -235,6 +235,29 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        (["convergence", "--space", "trig:d=1"], {"blocks": 10}, "blocks"),
+        (["run", "--space", "trig:d=1"], {"blocks": [10, 20]}, "blocks"),
+        (["run", "--space", "trig:d=1"], {"domain": 1}, "domain"),
+        (["run"], {"space": ["exp:d=2"]}, "space"),
+    ],
+)
+def test_config_file_rejects_wrong_typed_values(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(
+        command
+        + ["--problem", "advection", "--tfinal", "0", "--config", str(cfg),
+           "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and f"option {key!r}" in err
+    assert "Traceback" not in err
+
+
 def test_convergence_table_output(tmp_path):
     rc = main(
         ["convergence", "--problem", "advection-source",

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import logging
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbpkit.operators
 import sbpkit.quadrature
@@ -25,7 +28,10 @@ from sbpkit.quadrature import (
     QuadratureError,
     QuadratureRule,
     find_positive_rule,
+    gauss_lobatto_rule,
+    least_squares_rule,
     trapezoid_rule,
+    verify_exactness,
 )
 from sbpkit.spaces import (
     FunctionSpace,
@@ -538,3 +544,218 @@ def test_find_operator_with_an_empty_ladder():
 def test_find_operator_refuses_n_max_with_pinned_nodes():
     with pytest.raises(ValueError, match="pins the grid"):
         find_operator(exponential_space(2, UNIT), 5, n_max=3)
+
+
+def _memo_free_find_operator(space, n_nodes=None):
+    """The search without the per-search memo.
+
+    Every rule builder, rule check, build and verification is called
+    directly, outside any search, so each one evaluates the space afresh.
+    """
+
+    def rule_for(n):
+        kind = space.kind.split(":", 1)[0]
+        builders = []
+        if kind == "trig":
+            builders.append(lambda: trapezoid_rule(n, space.interval))
+        elif kind == "poly":
+            builders.append(lambda: gauss_lobatto_rule(n, space.interval))
+        if n >= space.dim:
+            builders.append(lambda: least_squares_rule(space, n))
+        for build in builders:
+            try:
+                rule = build()
+            except QuadratureError:
+                break
+            if verify_exactness(rule, space).ok:
+                return rule
+        raise QuadratureError(
+            f"no positive exact rule for {space.kind!r} with {n}..{n} nodes"
+        )
+
+    def verified_build(n):
+        assert sbpkit.quadrature._SEARCH.get() is None
+        op = build_operator(space, rule_for(n))
+        report = verify_sbp(op)
+        if not report.passed:
+            raise OperatorError(
+                f"operator for {space.kind!r} on {n} nodes fails "
+                f"verification: exactness {report.exactness_residual:.3e}, "
+                f"constant residual {report.d_one_residual:.3e}"
+            )
+        return op
+
+    if n_nodes is not None:
+        return verified_build(n_nodes)
+    n_start = max(space.dim, 2) if space.kind.startswith("poly") else space.dim + 1
+    last_error = None
+    for n in range(n_start, n_start + 25):
+        try:
+            return verified_build(n)
+        except (QuadratureError, OperatorError) as exc:
+            last_error = exc
+    raise OperatorError(
+        f"no workable operator for {space.kind!r} with up to {n_start + 24} "
+        f"nodes; last: {last_error}"
+    )
+
+
+def _assert_same_search(space, n_nodes=None):
+    try:
+        ref = _memo_free_find_operator(space, n_nodes)
+    except (QuadratureError, OperatorError) as exc:
+        with pytest.raises(type(exc)) as got:
+            find_operator(space, n_nodes)
+        assert str(got.value) == str(exc)
+        return
+    op = find_operator(space, n_nodes)
+    for name in ("nodes", "p", "Q", "D"):
+        assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def _centers(m, interval):
+    values = np.linspace(interval.left, interval.right, m)
+    return "rbf-cubic:centers=" + ",".join(format(v, ".17g") for v in values)
+
+
+MEMO_SWEEP = [
+    ("poly:d=0", UNIT),
+    ("poly:d=3", UNIT),
+    ("poly:d=12", Interval(-1.0, 1.0)),
+    ("poly:d=40", UNIT),
+    ("trig:d=2", UNIT),
+    ("trig:d=6", Interval(0.0, np.pi)),
+    ("trig:d=20", UNIT),
+    ("exp:d=2", UNIT),
+    ("exp:d=4", Interval(-1.0, 1.0)),
+    ("exp:d=5", Interval(0.0, np.pi)),  # catalog failure
+    ("exp:d=6", UNIT),  # catalog failure
+    (_centers(5, UNIT), UNIT),
+    (_centers(7, Interval(-1.0, 1.0)), Interval(-1.0, 1.0)),
+    (_centers(11, UNIT), UNIT),  # catalog failure
+]
+
+
+@pytest.mark.parametrize("kind, interval", MEMO_SWEEP)
+def test_find_operator_matches_the_memo_free_search(kind, interval):
+    space = make_space(kind, interval)
+    for n_nodes in (None, space.dim + 2, space.dim + 6, 64):
+        _assert_same_search(space, n_nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["poly", "trig", "exp", "rbf"]),
+    degree=st.integers(1, 4),
+    left=st.floats(-2.0, 2.0),
+    width=st.floats(0.5, 4.0),
+)
+def test_find_operator_matches_the_memo_free_search_anywhere(
+    family, degree, left, width
+):
+    interval = Interval(left, left + width)
+    if family == "rbf":
+        kind = _centers(degree + 2, interval)
+    else:
+        kind = f"{family}:d={2 * degree if family == 'poly' else degree}"
+    _assert_same_search(make_space(kind, interval))
+
+
+def _open_memo():
+    return sbpkit.quadrature._SEARCH.get()
+
+
+def test_search_memo_lives_for_one_call():
+    base = exponential_space(4, UNIT)
+    seen = []
+
+    def values(x):
+        seen.append(_open_memo())
+        return base.values(x)
+
+    space = FunctionSpace(UNIT, values, base.derivatives, kind=base.kind)
+    seen.clear()
+    find_operator(space)
+    # one memo for the whole search, the nested rule searches included
+    assert len({id(memo) for memo in seen}) == 1 and seen[0] is not None
+    assert _open_memo() is None
+    with pytest.raises(QuadratureError):
+        find_operator(space, 8)  # pinned failure
+    assert _open_memo() is None
+    with pytest.raises(OperatorError):
+        find_operator(space, n_max=8)  # exhausted ladder
+    assert _open_memo() is None
+    find_positive_rule(space)
+    assert _open_memo() is None
+
+
+def test_search_memo_keeps_nothing_across_calls():
+    base = trigonometric_space(3, UNIT)
+    calls = []
+
+    def values(x):
+        calls.append(len(x))
+        return base.values(x)
+
+    space = FunctionSpace(UNIT, values, base.derivatives, kind=base.kind)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        find_operator(space)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_search_memo_hands_out_read_only_arrays_one_slot_each():
+    space = exponential_space(3, UNIT)
+    a, b = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 7)
+    with sbpkit.quadrature._search_scope():
+        memo = _open_memo()
+        V, Vx = sbpkit.quadrature._vandermondes(space, a)
+        assert not V.flags.writeable and not Vx.flags.writeable
+        assert sbpkit.quadrature._vandermondes(space, a.copy())[0] is V
+        sbpkit.quadrature._vandermondes(space, b)
+        assert sbpkit.quadrature._vandermondes(space, a)[0] is not V
+        assert list(memo) == ["vandermondes"]
+    # outside a search every call computes afresh
+    assert sbpkit.quadrature._vandermondes(space, a)[0] is not V
+
+
+def test_find_operator_evaluates_the_winning_grid_once():
+    base = exponential_space(3, UNIT)
+    grids = {"values": [], "derivatives": []}
+
+    def recording(name, fn):
+        def wrapped(x):
+            grids[name].append(np.array(x, dtype=float))
+            return fn(x)
+
+        return wrapped
+
+    space = FunctionSpace(
+        UNIT,
+        recording("values", base.values),
+        recording("derivatives", base.derivatives),
+        kind=base.kind,
+    )
+    for grid in grids.values():
+        grid.clear()
+    op = find_operator(space)
+    for name, grid in grids.items():
+        on_winner = [x for x in grid if np.array_equal(x, op.nodes)]
+        assert len(on_winner) == 1, name
+
+
+def test_find_operator_logs_each_rejected_rung(caplog):
+    space = exponential_space(6, UNIT)
+    with pytest.raises(OperatorError):
+        find_operator(space)
+    assert caplog.records == []  # silent by default
+    caplog.set_level(logging.DEBUG, logger="sbpkit")
+    with pytest.raises(OperatorError) as exc:
+        find_operator(space)
+    records = [r for r in caplog.records if r.name.startswith("sbpkit")]
+    assert len(records) == 25
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert [r.args[0] for r in records] == list(range(8, 33))
+    assert str(records[-1].args[1]) in str(exc.value)
