@@ -7,7 +7,10 @@ closed form as boundary product moments.  This module builds such rules:
 the composite trapezoid rule (exact for trigonometric spaces once the
 grid resolves twice the top frequency), Gauss-Lobatto rules (polynomial
 spaces), and a minimum-norm least-squares construction on equidistant
-nodes that works for any space.
+nodes that works for any space.  The least-squares construction
+orthonormalises its constraint rows on a fine equidistant grid of
+``max(257, 8*P)`` points, ``P = dim*(dim+1)/2`` the number of pair rows,
+so the grid depends on the space and not on the node count.
 
 A search (:func:`find_positive_rule`, and ``find_operator`` in
 :mod:`sbpkit.operators`) shares what its rungs would otherwise recompute:
@@ -125,16 +128,26 @@ def _pair_rows(space: FunctionSpace, nodes: np.ndarray) -> np.ndarray:
     )
 
 
-def _recombination(space: FunctionSpace, size: int) -> np.ndarray | None:
-    # orthonormalising map of the pair rows over a fine grid of ``size``
-    # points; None when the rows are all zero (a constant-only space)
+def _recombination(space: FunctionSpace) -> np.ndarray | None:
+    # orthonormalising map of the pair rows over a fine grid sized from
+    # the space alone, so every rung of a search shares it; None when the
+    # rows are all zero (a constant-only space)
     iv = space.interval
-    fine = np.linspace(iv.left, iv.right, size)
+    pairs = space.dim * (space.dim + 1) // 2
+    fine = np.linspace(iv.left, iv.right, max(257, 8 * pairs))
     Uh, sh, _ = np.linalg.svd(pair_derivative_rows(space, fine), full_matrices=False)
     if not sh[0] > 0.0:
         return None
     rh = int(np.sum(sh > _SVD_RTOL * sh[0]))
     return _frozen((Uh[:, :rh] / sh[:rh]).T)
+
+
+def _node_count(value) -> int:
+    # a node count as an int; int() alone would truncate 7.5 to 7
+    n = int(value)
+    if n != value:
+        raise ValueError(f"node count must be a whole number, got {value}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -194,7 +207,7 @@ class ExactnessReport:
 
 def trapezoid_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     """Composite trapezoid rule on ``n_nodes`` equidistant nodes."""
-    n = int(n_nodes)
+    n = _node_count(n_nodes)
     if n < 2:
         raise ValueError(f"trapezoid rule needs at least 2 nodes, got {n}")
     nodes = np.linspace(interval.left, interval.right, n)
@@ -213,7 +226,7 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     (Golub & Welsch, 1969).  Exact for polynomials of degree up to
     ``2*n_nodes - 3``.
     """
-    n = int(n_nodes)
+    n = _node_count(n_nodes)
     if n < 2:
         raise ValueError(f"Gauss-Lobatto rule needs at least 2 nodes, got {n}")
     k = np.arange(1.0, n - 2)
@@ -239,15 +252,18 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     The raw constraint rows (one per pair of basis elements) are nearly
     parallel for monomial-type spaces and would limit the attainable
     residual, so they are first recombined into an orthonormal set over a
-    fine sample grid; the recombination changes neither the constraint
-    set nor the reported residual, only the float behaviour.  Starting
+    fine equidistant grid of ``max(257, 8*P)`` points, ``P`` the number of
+    pairs, whatever ``n_nodes``; the recombination changes neither the
+    constraint set nor the reported residual, only the float behaviour,
+    and a search computes it once for all its rungs.  Starting
     from uniform weights, the minimum-norm correction satisfying the
     recombined constraints is applied, with singular values below
     ``1e-12`` times the largest discarded.  Positivity is reported, not
     enforced.  Raises :class:`QuadratureError` when the grid cannot
-    support exactness at all.
+    support exactness at all, and ``ValueError`` when ``n_nodes`` is not
+    a whole number.
     """
-    n = int(n_nodes)
+    n = _node_count(n_nodes)
     if n < space.dim:
         raise ValueError(
             f"need at least dim={space.dim} nodes for space {space.kind!r}, got {n}"
@@ -257,8 +273,7 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     Phi = _pair_rows(space, nodes)
     m = _moments(space)
 
-    size = max(257, 4 * (Phi.shape[0] + n))
-    T = _shared("recombination", space, size, lambda: _recombination(space, size))
+    T = _shared("recombination", space, None, lambda: _recombination(space))
     lhs, rhs = (Phi, m) if T is None else (T @ Phi, T @ m)
 
     w = np.full(n, iv.width / n)
@@ -305,10 +320,10 @@ def _ladder(space: FunctionSpace, n_start: int | None, n_max: int | None) -> ran
     if n_start is None:
         # Gauss-Lobatto with dim nodes already integrates the product span
         n_start = max(space.dim, 2) if space.kind.startswith("poly") else space.dim + 1
-    n_start = int(n_start)
+    n_start = _node_count(n_start)
     if n_start < 2:
         raise ValueError(f"node ladder must start at 2 or above, got {n_start}")
-    n_max = n_start + 24 if n_max is None else int(n_max)
+    n_max = n_start + 24 if n_max is None else _node_count(n_max)
     return range(n_start, n_max + 1)
 
 

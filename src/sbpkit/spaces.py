@@ -415,7 +415,15 @@ def pair_moments(space: FunctionSpace) -> np.ndarray:
 def _pair_products(V: np.ndarray, Vx: np.ndarray, dim: int) -> np.ndarray:
     # (f_k f_l)' from the value and derivative matrices, one row per pair
     k, l = _pair_index(dim)
-    return (Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l]).T
+    # multiplied and added in place on the gathered copies, so at most
+    # three (points, pairs) arrays are alive at once instead of four; the
+    # rounding is that of the plain expression
+    rows = Vx[:, k]
+    rows *= V[:, l]
+    right = V[:, k]
+    right *= Vx[:, l]
+    rows += right
+    return rows.T
 
 
 def pair_derivative_rows(space: FunctionSpace, grid) -> np.ndarray:

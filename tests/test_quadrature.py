@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sbpkit.quadrature
+from sbpkit.operators import find_operator
 from sbpkit.quadrature import (
     EXACTNESS_RTOL,
     QuadratureError,
@@ -192,6 +193,27 @@ def test_find_positive_rule_reports_failure_at_pinned_count():
 def test_find_positive_rule_rejects_bad_start():
     with pytest.raises(ValueError):
         find_positive_rule(polynomial_space(1, UNIT), 1, 4)
+
+
+NODE_COUNT_ENTRY_POINTS = {
+    "trapezoid_rule": lambda n: trapezoid_rule(n, UNIT),
+    "gauss_lobatto_rule": lambda n: gauss_lobatto_rule(n, UNIT),
+    "least_squares_rule": lambda n: least_squares_rule(exponential_space(2, UNIT), n),
+    "ladder_n_nodes": lambda n: find_operator(exponential_space(2, UNIT), n),
+    "ladder_n_start": lambda n: find_positive_rule(exponential_space(2, UNIT), n),
+    "ladder_n_max": lambda n: find_operator(exponential_space(2, UNIT), n_max=n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_COUNT_ENTRY_POINTS))
+def test_node_counts_with_a_fractional_part_are_refused(name):
+    entry = NODE_COUNT_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="whole number, got 7.5"):
+        entry(7.5)
+    with pytest.raises(ValueError, match="whole number, got 6.7"):
+        entry(np.float64(6.7))
+    # int and numpy-integer counts are taken as they are
+    assert entry(np.int64(7)).nodes.tobytes() == entry(7).nodes.tobytes()
 
 
 def test_weights_sum_to_interval_width():
