@@ -4,9 +4,11 @@ Error norms weight the pointwise error with the block norm weights, so
 they approximate the continuous L2 norm of the error.  Reference
 solutions follow characteristics: shifted (and, with a source, scaled)
 initial data for advection, and, for pre-shock Burgers flow, an
-implicit characteristic equation solved for all evaluation points at
-once by one array-wide safeguarded Newton iteration, after a crossing
-guard that samples each point's own bracket.
+implicit characteristic equation solved for all distinct evaluation
+points at once by one array-wide safeguarded Newton iteration, after a
+crossing guard that samples each point's own bracket.  A convergence
+study runs all its levels first and then evaluates the reference once,
+on the nodes of every level together.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .quadrature import _whole_count
 from .solver import BlockState, ProblemSpec
 
 __all__ = [
@@ -116,21 +119,26 @@ def burgers_reference(
     """Pre-shock Burgers solution by characteristic tracing.
 
     Solves ``xi + t u0(xi) = x`` for all evaluation points at once, as
-    numpy arrays, and returns ``u0(xi)``.  Each point doubles a bracket
-    around ``x`` until it encloses the foot (at most 60 times).  A
-    conservative guard then samples the slope of ``u0`` at 64 points of
-    each point's own bracket and raises once ``t max|u0'| >= 1``, when
-    characteristics may cross.  A safeguarded Newton iteration runs on
-    the points not yet converged: a Newton step is taken only strictly
-    inside the point's bracket, bisection otherwise, until the residual
-    is at most 1e-12 (at most 200 steps).  ``u0`` must accept arrays and
-    be defined wherever the feet land.  If any point fails, this raises
-    ``ValueError`` and returns no partial result.
+    numpy arrays, and returns ``u0(xi)`` in the shape of ``x``.  Every
+    step of the solve works point by point, so each distinct point is
+    solved once and repeated points share its value.  Each point doubles
+    a bracket around ``x`` until it encloses the foot (at most 60
+    times).  A conservative guard then samples the slope of ``u0`` at 64
+    points of each point's own bracket and raises once
+    ``t max|u0'| >= 1``, when characteristics may cross.  A safeguarded
+    Newton iteration runs on the points not yet converged: a Newton step
+    is taken only strictly inside the point's bracket, bisection
+    otherwise, until the residual is at most 1e-12 (at most 200 steps).
+    ``u0`` must accept arrays and be defined wherever the feet land.  If
+    any point fails, this raises ``ValueError`` and returns no partial
+    result.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
         out = np.asarray(u0(xs), dtype=float)
         return out if np.ndim(x) else float(out[0])
+    shape = xs.shape
+    xs, back = np.unique(xs, return_inverse=True)
 
     def char(xi, x):
         return xi + t * u0(xi) - x
@@ -192,7 +200,7 @@ def burgers_reference(
         xi, f = cand, fc
     else:
         raise ValueError("characteristic solve did not reach the residual target")
-    out = np.asarray(u0(feet), dtype=float)
+    out = np.asarray(u0(feet), dtype=float)[back].reshape(shape)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -275,28 +283,53 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Run each space over a ladder of block counts and tabulate errors.
 
-    Observed orders compare consecutive levels of the same space using
-    the norm-weighted error and the block-count ratio.  A problem without
-    a reference solution is rejected before any run.
+    Every level of every space runs first; the reference is then
+    evaluated once, on the final nodes of all levels together, so a
+    reference failure (crossing Burgers characteristics) surfaces after
+    the last run.  Observed orders compare consecutive levels of the
+    same entry of ``space_specs`` using the norm-weighted error and the
+    block-count ratio.  A problem without a reference solution, and a
+    ladder whose block counts are not distinct whole numbers of at
+    least 1, are rejected before any run.
     """
     from .solver import run
 
+    counts: list[int] = []
+    for b in block_counts:
+        n = _whole_count(b, "block count")
+        if n < 1:
+            raise ValueError(f"need at least one block, got {b}")
+        if n in counts:
+            raise ValueError(f"block count {b} appears more than once in the ladder")
+        counts.append(n)
     ref = reference_solution(spec, t_final)
     if ref is None:
         raise ValueError(f"no reference solution for problem kind {spec.kind!r}")
-    rows: list[ConvergenceRow] = []
-    for space in space_specs:
-        prev: ConvergenceRow | None = None
-        for blocks in block_counts:
-            result = run(
+    states = [
+        [
+            run(
                 spec,
                 space,
                 n_nodes=n_nodes,
                 n_blocks=blocks,
                 t_final=t_final,
                 cfl=cfl,
-            )
-            err = error_report(result.state, ref)
+            ).state
+            for blocks in counts
+        ]
+        for space in space_specs
+    ]
+    nodes = [state.nodes.ravel() for level in states for state in level]
+    if not nodes:
+        return []
+    values = np.asarray(ref(np.concatenate(nodes)), dtype=float)
+    per_level = iter(np.split(values, np.cumsum([x.size for x in nodes[:-1]])))
+    rows: list[ConvergenceRow] = []
+    for space, level in zip(space_specs, states):
+        prev: ConvergenceRow | None = None
+        for blocks, state in zip(counts, level):
+            v = next(per_level)
+            err = error_report(state, lambda _nodes, v=v: v)
             if prev is None or not (err.err_p > 0.0 and prev.err_p > 0.0):
                 order = math.nan
             else:

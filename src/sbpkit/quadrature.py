@@ -142,11 +142,15 @@ def _recombination(space: FunctionSpace) -> np.ndarray | None:
     return _frozen((Uh[:, :rh] / sh[:rh]).T)
 
 
-def _node_count(value) -> int:
-    # a node count as an int; int() alone would truncate 7.5 to 7
-    n = int(value)
-    if n != value:
-        raise ValueError(f"node count must be a whole number, got {value}")
+def _whole_count(value, what: str = "node count") -> int:
+    # a count as an int; int() alone would truncate 7.5 to 7, and its
+    # errors for inf and nan would not name the count
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{what} must be a whole number, got {value}")
     return n
 
 
@@ -207,7 +211,7 @@ class ExactnessReport:
 
 def trapezoid_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     """Composite trapezoid rule on ``n_nodes`` equidistant nodes."""
-    n = _node_count(n_nodes)
+    n = _whole_count(n_nodes)
     if n < 2:
         raise ValueError(f"trapezoid rule needs at least 2 nodes, got {n}")
     nodes = np.linspace(interval.left, interval.right, n)
@@ -226,7 +230,7 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     (Golub & Welsch, 1969).  Exact for polynomials of degree up to
     ``2*n_nodes - 3``.
     """
-    n = _node_count(n_nodes)
+    n = _whole_count(n_nodes)
     if n < 2:
         raise ValueError(f"Gauss-Lobatto rule needs at least 2 nodes, got {n}")
     k = np.arange(1.0, n - 2)
@@ -263,7 +267,7 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     support exactness at all, and ``ValueError`` when ``n_nodes`` is not
     a whole number.
     """
-    n = _node_count(n_nodes)
+    n = _whole_count(n_nodes)
     if n < space.dim:
         raise ValueError(
             f"need at least dim={space.dim} nodes for space {space.kind!r}, got {n}"
@@ -320,10 +324,10 @@ def _ladder(space: FunctionSpace, n_start: int | None, n_max: int | None) -> ran
     if n_start is None:
         # Gauss-Lobatto with dim nodes already integrates the product span
         n_start = max(space.dim, 2) if space.kind.startswith("poly") else space.dim + 1
-    n_start = _node_count(n_start)
+    n_start = _whole_count(n_start)
     if n_start < 2:
         raise ValueError(f"node ladder must start at 2 or above, got {n_start}")
-    n_max = n_start + 24 if n_max is None else _node_count(n_max)
+    n_max = n_start + 24 if n_max is None else _whole_count(n_max)
     return range(n_start, n_max + 1)
 
 

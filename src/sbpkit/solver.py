@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import FsbpOperator, affine_block_operator, find_operator
+from .quadrature import _whole_count
 from .spaces import FunctionSpace, Interval, UNIT_INTERVAL, make_space
 
 __all__ = [
@@ -320,6 +321,7 @@ def run(
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    n_blocks = _whole_count(n_blocks, "block count")
     if n_blocks < 1:
         raise ValueError(f"need at least one block, got {n_blocks}")
 

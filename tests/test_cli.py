@@ -276,3 +276,13 @@ def test_convergence_table_output(tmp_path):
     # the adapted space wins at every level
     assert errs[("exp:d=2", 3)] < errs[("poly:d=2", 3)]
     assert errs[("exp:d=2", 6)] < errs[("poly:d=2", 6)]
+
+
+def test_convergence_rejects_a_repeated_block_count(tmp_path, capsys):
+    rc = main(["convergence", "--problem", "burgers", "--space", "poly:d=2",
+               "--blocks", "10", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "block count 10" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "convergence.csv").exists()

@@ -10,6 +10,7 @@ import pytest
 import sbpkit.solver
 from sbpkit.cli import _bumpy
 from sbpkit.diagnostics import (
+    ConvergenceRow,
     burgers_reference,
     convergence_table,
     energy,
@@ -197,6 +198,27 @@ def test_burgers_reference_at_time_zero_is_the_initial_data():
     np.testing.assert_array_equal(burgers_reference(_smooth, x, 0.0), _smooth(x))
 
 
+def test_burgers_reference_solves_each_distinct_point_once():
+    seen = []
+
+    def counted(x):
+        seen.append(np.size(x))
+        return _smooth(x)
+
+    x = np.linspace(0.0, 1.0, 17)
+    r = burgers_reference(counted, x, 0.05)
+    single = sum(seen)
+    got = burgers_reference(counted, np.concatenate([x, x[::-1]]), 0.05)
+    assert np.array_equal(got, np.concatenate([r, r[::-1]]))
+    seen.clear()
+    got = burgers_reference(counted, np.repeat(x, 3), 0.05)
+    assert sum(seen) == single
+    assert np.array_equal(got, np.repeat(r, 3))
+    # values come back in the shape of the input
+    assert np.array_equal(burgers_reference(_smooth, x[1:].reshape(4, 4), 0.05),
+                          r[1:].reshape(4, 4))
+
+
 def test_burgers_reference_crossing_message():
     # slope pi at t = 0.5: characteristics cross, but every foot brackets
     with pytest.raises(ValueError, match="characteristics cross before t=0.5"):
@@ -340,3 +362,103 @@ def test_convergence_table_resets_between_spaces():
     assert [r.space for r in rows] == ["poly:d=1", "poly:d=1", "poly:d=2", "poly:d=2"]
     assert math.isnan(rows[0].order)
     assert math.isnan(rows[2].order)
+
+
+def _per_level_rows(spec, spaces, counts, t_final):
+    """Rows built level by level, each level against its own reference
+    call, and the final nodes of every level in study order."""
+    ref = reference_solution(spec, t_final)
+    rows, nodes = [], []
+    for space in spaces:
+        prev = None
+        for blocks in counts:
+            state = run(spec, space, n_blocks=blocks, t_final=t_final).state
+            nodes.append(state.nodes.ravel())
+            err = error_report(state, ref)
+            order = (
+                math.nan
+                if prev is None
+                else math.log(prev.err_p / err.err_p) / math.log(blocks / prev.blocks)
+            )
+            prev = ConvergenceRow(
+                space, blocks, err.err_p, err.err_2, err.err_max, order
+            )
+            rows.append(prev)
+    return rows, nodes
+
+
+def _assert_rows_equal(got, expected):
+    assert [(r.space, r.blocks) for r in got] == [
+        (r.space, r.blocks) for r in expected
+    ]
+    np.testing.assert_array_equal(
+        [[r.err_p, r.err_2, r.err_max, r.order] for r in got],
+        [[r.err_p, r.err_2, r.err_max, r.order] for r in expected],
+    )
+
+
+def test_convergence_table_evaluates_the_burgers_reference_once(monkeypatch):
+    spec = ProblemSpec(kind="burgers", domain=UNIT, initial_condition=_bumpy)
+    spaces, counts, t_final = ["exp:d=2", "poly:d=2"], [4, 8, 16], 0.01
+    expected, nodes = _per_level_rows(spec, spaces, counts, t_final)
+    calls = []
+    solve = sbpkit.diagnostics.burgers_reference
+
+    def counting(u0, x, t):
+        calls.append(np.array(x, copy=True))
+        return solve(u0, x, t)
+
+    monkeypatch.setattr(sbpkit.diagnostics, "burgers_reference", counting)
+    rows = convergence_table(spec, spaces, counts, t_final=t_final)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.concatenate(nodes))
+    _assert_rows_equal(rows, expected)
+
+
+def test_convergence_table_matches_per_level_reports_with_inflow():
+    # the inflow reference takes each boundary-entered point in a loop; a
+    # space listed twice restarts its order chain
+    spec = ProblemSpec(
+        kind="advection_source",
+        domain=Interval(0.0, np.pi),
+        initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        periodic=False,
+        inflow=lambda t: 1.0,
+    )
+    spaces, counts, t_final = ["poly:d=2", "exp:d=2", "poly:d=2"], [2, 4], 1.0
+    expected, _ = _per_level_rows(spec, spaces, counts, t_final)
+    rows = convergence_table(spec, spaces, counts, t_final=t_final)
+    _assert_rows_equal(rows, expected)
+    assert math.isnan(rows[4].order)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([10, 10], "block count 10 appears more than once"),
+        ([4, 8, 4], "block count 4 appears more than once"),
+        ([0, 2], "need at least one block, got 0"),
+        ([2, 2.5], "block count must be a whole number, got 2.5"),
+    ],
+)
+def test_convergence_table_rejects_a_bad_ladder_before_running(
+    monkeypatch, counts, message
+):
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run() called for an invalid ladder")
+
+    monkeypatch.setattr(sbpkit.solver, "run", forbidden)
+    with pytest.raises(ValueError, match=message):
+        convergence_table(spec, ["poly:d=2"], counts, t_final=0.1)
+
+
+def test_convergence_table_accepts_a_decreasing_ladder():
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+    up = convergence_table(spec, ["poly:d=2"], [2, 4], t_final=0.25, cfl=0.4)
+    down = convergence_table(spec, ["poly:d=2"], [4, 2], t_final=0.25, cfl=0.4)
+    assert [r.err_p for r in down] == [r.err_p for r in up[::-1]]
+    assert down[1].order == pytest.approx(up[1].order, rel=1e-12)

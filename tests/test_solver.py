@@ -544,6 +544,18 @@ def test_run_validates_arguments():
         run(spec, "trig:d=1", n_blocks=0)
 
 
+def test_run_refuses_a_fractional_block_count():
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
+    for n_blocks in (2.5, math.inf, math.nan):
+        message = f"block count must be a whole number, got {n_blocks}"
+        with pytest.raises(ValueError, match=message):
+            run(spec, "poly:d=2", n_blocks=n_blocks)
+    # numpy integers are counts like ints
+    a = run(spec, "trig:d=1", n_blocks=np.int64(3), t_final=0.05)
+    b = run(spec, "trig:d=1", n_blocks=3, t_final=0.05)
+    assert np.array_equal(a.state.u, b.state.u)
+
+
 @pytest.mark.parametrize("t_final", [math.nan, math.inf])
 def test_run_rejects_non_finite_final_time(t_final):
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
