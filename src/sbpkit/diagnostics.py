@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import _whole_count
 from .solver import BlockState, ProblemSpec
+from .spaces import _whole_count
 
 __all__ = [
     "DiagnosticsRecord",

@@ -375,6 +375,8 @@ def _load_unchecked(path) -> FsbpOperator:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"operator file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"operator file {path} must hold a JSON object")
     required = ("space", "domain", "nodes", "weights", "Q", "D")
     missing = [key for key in required if key not in data]
     if missing:
@@ -382,12 +384,19 @@ def _load_unchecked(path) -> FsbpOperator:
     domain = data["domain"]
     if not (isinstance(domain, list) and len(domain) == 2):
         raise ValueError(f"operator file {path}: domain must be [left, right]")
-    interval = Interval(float(domain[0]), float(domain[1]))
-    space = make_space(str(data["space"]), interval)
-    nodes = np.asarray(data["nodes"], dtype=float)
-    weights = np.asarray(data["weights"], dtype=float)
-    Q = np.asarray(data["Q"], dtype=float)
-    D = np.asarray(data["D"], dtype=float)
+    try:
+        left, right = float(domain[0]), float(domain[1])
+        nodes, weights, Q, D = (
+            np.asarray(data[key], dtype=float) for key in ("nodes", "weights", "Q", "D")
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"operator file {path}: domain and arrays must hold numbers ({exc})"
+        ) from exc
+    # asarray turns a null entry (None) into nan without complaint
+    if not all(np.all(np.isfinite(a)) for a in (nodes, weights, Q, D)):
+        raise ValueError(f"operator file {path}: arrays must hold finite numbers")
+    space = make_space(str(data["space"]), Interval(left, right))
     if nodes.ndim != 1 or weights.shape != nodes.shape:
         raise ValueError(f"operator file {path}: bad nodes/weights shapes")
     n = nodes.size

@@ -34,6 +34,7 @@ from .spaces import (
     FunctionSpace,
     Interval,
     _pair_products,
+    _whole_count,
     pair_derivative_rows,
     pair_moments,
     vandermonde,
@@ -140,18 +141,6 @@ def _recombination(space: FunctionSpace) -> np.ndarray | None:
         return None
     rh = int(np.sum(sh > _SVD_RTOL * sh[0]))
     return _frozen((Uh[:, :rh] / sh[:rh]).T)
-
-
-def _whole_count(value, what: str = "node count") -> int:
-    # a count as an int; int() alone would truncate 7.5 to 7, and its
-    # errors for inf and nan would not name the count
-    try:
-        n = int(value)
-    except (OverflowError, ValueError):
-        n = None
-    if n is None or n != value:
-        raise ValueError(f"{what} must be a whole number, got {value}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -320,10 +309,10 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
 
 
 def _ladder(space: FunctionSpace, n_start: int | None, n_max: int | None) -> range:
-    """Node counts of a rule ladder: family start, window of 24, at least 2."""
+    """Node counts of a rule ladder: start from the rule, window of 24, >= 2."""
     if n_start is None:
         # Gauss-Lobatto with dim nodes already integrates the product span
-        n_start = max(space.dim, 2) if space.kind.startswith("poly") else space.dim + 1
+        n_start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
     n_start = _whole_count(n_start)
     if n_start < 2:
         raise ValueError(f"node ladder must start at 2 or above, got {n_start}")
@@ -333,10 +322,9 @@ def _ladder(space: FunctionSpace, n_start: int | None, n_max: int | None) -> ran
 
 def _candidates(space: FunctionSpace, n: int):
     # built on demand, so a passing closed form skips the least-squares rule
-    kind = space.kind.split(":", 1)[0]
-    if kind == "trig":
+    if space.rule == "trapezoid":
         yield trapezoid_rule(n, space.interval)
-    elif kind == "poly":
+    elif space.rule == "gauss-lobatto":
         yield gauss_lobatto_rule(n, space.interval)
     if n >= space.dim:
         try:
@@ -353,13 +341,14 @@ def find_positive_rule(
 ) -> QuadratureRule:
     """Smallest positive exact rule found in a node-count ladder.
 
-    The ladder runs from ``n_start`` (by default ``dim`` nodes for
-    polynomial kinds, ``dim + 1`` otherwise) to ``n_max`` (by default 24
-    more).  For each node count, family-specific candidates come first
-    (trapezoid for trigonometric kinds, Gauss-Lobatto for polynomial
-    kinds), then the least-squares construction, each built only when the
-    ones before it fail.  The first candidate passing both the exactness
-    and positivity checks is returned as built.
+    Both the ladder and the candidates follow ``space.rule``.  The ladder
+    runs from ``n_start`` (by default ``dim`` nodes for
+    ``"gauss-lobatto"``, ``dim + 1`` otherwise) to ``n_max`` (by default
+    24 more).  For each node count, the closed-form rule the space names
+    comes first (trapezoid or Gauss-Lobatto), then the least-squares
+    construction, each built only when the ones before it fail.  The
+    first candidate passing both the exactness and positivity checks is
+    returned as built.
     """
     rungs = _ladder(space, n_start, n_max)
     with _search_scope():

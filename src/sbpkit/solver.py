@@ -24,8 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import FsbpOperator, affine_block_operator, find_operator
-from .quadrature import _whole_count
-from .spaces import FunctionSpace, Interval, UNIT_INTERVAL, make_space
+from .spaces import UNIT_INTERVAL, FunctionSpace, Interval, _whole_count, make_space
 
 __all__ = [
     "InstabilityError",

@@ -53,10 +53,25 @@ ArrayFn = Callable[[np.ndarray], np.ndarray]
 #: singular values below RANK_RTOL * sigma_max count as zero in rank checks
 RANK_RTOL = 1e-10
 
+#: closed-form quadrature rules a space can name as its ``rule``
+RULES = ("gauss-lobatto", "trapezoid")
+
 # central-difference consistency check of analytic derivatives
 _FD_STEP_FACTOR = 1e-6
 _FD_RTOL = 1e-6
 _FD_SAMPLES = 100
+
+
+def _whole_count(value, what: str = "node count") -> int:
+    # a count as an int; int() alone would truncate 7.5 to 7, and its
+    # errors for inf and nan would not name the count
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -100,21 +115,34 @@ class FunctionSpace:
     raises ``ValueError`` on a shape mismatch, on derivatives that disagree
     with central differences, or on numerically dependent columns.
 
-    ``kind`` is the textual form understood by :func:`make_space` for the
-    built-in families; affinely mapped spaces get a non-parseable
-    ``mapped(...)`` tag instead.  ``contains_constants`` records whether
-    the constant function lies in the span, which decides whether the
-    derivative operator must annihilate constants.
+    ``kind`` is a label: the textual form understood by :func:`make_space`
+    for the built-in families, a ``mapped(...)`` tag for affinely mapped
+    spaces, free text for user spaces.  ``rule`` names the closed-form
+    quadrature rule the operator search tries before least squares:
+    ``"gauss-lobatto"`` (polynomial spans; the node ladder then starts at
+    ``dim`` instead of ``dim + 1``), ``"trapezoid"`` (spans periodic over
+    the interval) or ``None``.  Every candidate is checked for exactness,
+    so a wrong hint costs time, not correctness.
+
+    ``contains_constants`` is derived: true when a constant column leaves
+    the numerical rank of ``values`` on the rank-check grid at ``dim``.
+    Only then must the derivative operator annihilate constants.
     """
 
     interval: Interval
     values: ArrayFn
     derivatives: ArrayFn
     kind: str
-    contains_constants: bool = True
+    rule: str | None = None
     dim: int = field(init=False)
+    contains_constants: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.rule is not None and self.rule not in RULES:
+            raise ValueError(
+                f"space {self.kind!r}: rule must be None or one of {RULES}, "
+                f"got {self.rule!r}"
+            )
         iv = self.interval
         shape = np.shape(self.values(np.array([iv.left, iv.right])))
         if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
@@ -125,12 +153,19 @@ class FunctionSpace:
         object.__setattr__(self, "dim", shape[1])
         _check_derivatives(self)
         grid = np.linspace(iv.left, iv.right, max(257, 4 * self.dim + 1))
-        rank = unisolvency_rank(self, grid)
+        V = self.values(grid)
+        rank = _numerical_rank(V)
         if rank != self.dim:
             raise ValueError(
                 f"basis of kind {self.kind!r} is numerically linearly dependent "
                 f"(rank {rank} < {self.dim})"
             )
+        # the constant column is scaled like V, so that rescaling the
+        # basis cannot change the verdict
+        with_one = np.column_stack([V, np.full(grid.size, np.max(np.abs(V)))])
+        object.__setattr__(
+            self, "contains_constants", _numerical_rank(with_one) == self.dim
+        )
 
 
 def _check_derivatives(space: FunctionSpace) -> None:
@@ -170,7 +205,7 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
     matrix), which takes the same floating-point steps as evaluating each
     column on its own.
     """
-    degree = int(degree)
+    degree = _whole_count(degree, "polynomial degree")
     if degree < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
     a, b = interval.left, interval.right
@@ -187,7 +222,9 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
     def derivatives(x):
         return scale * _legendre.legval(_to_ref(x), dcoefs).T
 
-    return FunctionSpace(interval, values, derivatives, kind=f"poly:d={degree}")
+    return FunctionSpace(
+        interval, values, derivatives, kind=f"poly:d={degree}", rule="gauss-lobatto"
+    )
 
 
 def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
@@ -197,7 +234,7 @@ def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Func
     basis periodic over the interval.  Dimension is ``2*degree + 1``; the
     columns are ``1, sin1, cos1, sin2, cos2, ...``.
     """
-    degree = int(degree)
+    degree = _whole_count(degree, "trigonometric degree")
     if degree < 1:
         raise ValueError(f"trigonometric degree must be >= 1, got {degree}")
     w = (2.0 * np.pi / interval.width) * np.arange(1, degree + 1)
@@ -216,7 +253,9 @@ def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Func
         out[:, 2::2] = -w * np.sin(xw)
         return out
 
-    return FunctionSpace(interval, values, derivatives, kind=f"trig:d={degree}")
+    return FunctionSpace(
+        interval, values, derivatives, kind=f"trig:d={degree}", rule="trapezoid"
+    )
 
 
 def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
@@ -226,7 +265,7 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
     part is kept literal so that the exponential stays the distinguished
     last column.
     """
-    degree = int(degree)
+    degree = _whole_count(degree, "exponential-space degree")
     if degree < 1:
         raise ValueError(f"exponential-space degree must be >= 1, got {degree}")
 
@@ -344,7 +383,8 @@ def affine_map(space: FunctionSpace, interval: Interval) -> FunctionSpace:
     Each mapped basis function is ``f(xi(x))`` with ``xi`` the increasing
     affine bijection from ``interval`` onto ``space.interval``; derivatives
     pick up the chain-rule factor.  Spans, and therefore operators,
-    transform covariantly under this map.
+    transform covariantly under this map, so the mapped space keeps the
+    ``rule`` of ``space``: a polynomial or periodic span stays one.
     """
     src = space.interval
     s = interval.width / src.width
@@ -357,7 +397,7 @@ def affine_map(space: FunctionSpace, interval: Interval) -> FunctionSpace:
         lambda x: space.values(chart(x)),
         lambda x: space.derivatives(chart(x)) / s,
         kind=f"mapped({space.kind})",
-        contains_constants=space.contains_constants,
+        rule=space.rule,
     )
 
 
@@ -444,7 +484,11 @@ def unisolvency_rank(space: FunctionSpace, grid) -> int:
     zero.  The grid is not required to lie inside the interval.
     """
     g = np.atleast_1d(np.asarray(grid, dtype=float))
-    s = np.linalg.svd(space.values(g), compute_uv=False)
+    return _numerical_rank(space.values(g))
+
+
+def _numerical_rank(M: np.ndarray) -> int:
+    s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))

@@ -286,3 +286,12 @@ def test_convergence_rejects_a_repeated_block_count(tmp_path, capsys):
     assert err.startswith("error: ") and "block count 10" in err
     assert "Traceback" not in err
     assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_verify_malformed_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "op.json"
+    bad.write_text("5", encoding="utf-8")
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: operator file {bad}")
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 
@@ -36,6 +37,7 @@ from sbpkit.quadrature import (
 from sbpkit.spaces import (
     FunctionSpace,
     Interval,
+    affine_map,
     exponential_space,
     make_space,
     pair_moments,
@@ -262,10 +264,10 @@ def test_find_operator_raises_when_ladder_is_exhausted():
         find_operator(space, n_max=8)
 
 
-def test_operator_file_round_trip():
+def test_operator_file_round_trip(tmp_path):
     space = exponential_space(2, UNIT)
     op = find_operator(space)
-    path = "/tmp/op_roundtrip.json"
+    path = tmp_path / "op_roundtrip.json"
     write_operator(op, path)
     back = read_operator(path)
     assert back.space.kind == op.space.kind
@@ -280,10 +282,7 @@ def test_read_rejects_tampered_file(tmp_path):
     op = build_operator(space, trapezoid_rule(4, UNIT))
     path = tmp_path / "op.json"
     write_operator(op, path)
-    text = path.read_text(encoding="utf-8")
-    import json
-
-    data = json.loads(text)
+    data = json.loads(path.read_text(encoding="utf-8"))
     data["D"][0][0] += 0.5
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(OperatorError):
@@ -299,6 +298,23 @@ def test_read_rejects_malformed_files(tmp_path):
     missing.write_text('{"space": "poly:d=1"}', encoding="utf-8")
     with pytest.raises(ValueError):
         read_operator(missing)
+    fields = {
+        "space": "poly:d=1",
+        "domain": [0.0, 1.0],
+        "nodes": [0.0, 1.0],
+        "weights": [0.5, 0.5],
+        "Q": [[-0.5, 0.5], [-0.5, 0.5]],
+        "D": [[-1.0, 1.0], [-1.0, 1.0]],
+    }
+    for text in (
+        "5",
+        json.dumps({**fields, "domain": [None, 1.0]}),
+        json.dumps({**fields, "nodes": {"a": 1}}),
+        json.dumps({**fields, "Q": [[-0.5, 0.5], [-0.5, None]]}),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            read_operator(bad)
 
 
 def test_write_refuses_mapped_operators(tmp_path):
@@ -446,8 +462,7 @@ def _two_branch_find_operator(space, n_nodes=None, n_max=None):
 
     if n_nodes is not None:
         return verified_build(int(n_nodes))
-    poly = space.kind.startswith("poly")
-    n_start = max(space.dim, 2) if poly else space.dim + 1
+    n_start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
     if n_max is None:
         n_max = n_start + 24
     last_error = None
@@ -494,6 +509,28 @@ def test_find_operator_matches_the_two_branch_search(kind, interval):
             np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
 
 
+MAPPED_SWEEP = [
+    f"poly:d={d}" for d in (*range(7), 8, 10, 12, 16, 20, 24, 30, 40)
+] + [f"trig:d={d}" for d in (*range(1, 7), 8, 10, 12, 16, 20)]
+
+
+@pytest.mark.parametrize(
+    "interval", [Interval(0.0, 2.0), Interval(-1.0, 1.0), Interval(0.0, np.pi)]
+)
+@pytest.mark.parametrize("kind", MAPPED_SWEEP)
+def test_mapped_space_finds_the_native_operator(kind, interval):
+    # the span, and so the operator, is the same whichever interval the
+    # basis was written on; the mapped space keeps its closed-form rule
+    native = find_operator(make_space(kind, interval))
+    mapped = find_operator(affine_map(make_space(kind, UNIT), interval))
+    rule = "gauss-lobatto" if kind.startswith("poly") else "trapezoid"
+    assert native.space.rule == mapped.space.rule == rule
+    assert mapped.n_nodes == native.n_nodes
+    np.testing.assert_array_equal(mapped.nodes, native.nodes)
+    np.testing.assert_array_equal(mapped.p, native.p)
+    assert np.max(np.abs(mapped.Q - native.Q)) <= 1e-13
+
+
 def test_build_operator_evaluates_the_space_once():
     base = exponential_space(2, UNIT)
     calls = []
@@ -502,7 +539,9 @@ def test_build_operator_evaluates_the_space_once():
         calls.append(len(x))
         return base.values(x)
 
-    space = FunctionSpace(UNIT, values, base.derivatives, kind=base.kind)
+    space = FunctionSpace(
+        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
+    )
     rule = find_positive_rule(space)
     calls.clear()
     op = build_operator(space, rule, _rule_checked=True)
@@ -554,11 +593,10 @@ def _memo_free_find_operator(space, n_nodes=None):
     """
 
     def rule_for(n):
-        kind = space.kind.split(":", 1)[0]
         builders = []
-        if kind == "trig":
+        if space.rule == "trapezoid":
             builders.append(lambda: trapezoid_rule(n, space.interval))
-        elif kind == "poly":
+        elif space.rule == "gauss-lobatto":
             builders.append(lambda: gauss_lobatto_rule(n, space.interval))
         if n >= space.dim:
             builders.append(lambda: least_squares_rule(space, n))
@@ -587,7 +625,7 @@ def _memo_free_find_operator(space, n_nodes=None):
 
     if n_nodes is not None:
         return verified_build(n_nodes)
-    n_start = max(space.dim, 2) if space.kind.startswith("poly") else space.dim + 1
+    n_start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
     last_error = None
     for n in range(n_start, n_start + 25):
         try:
@@ -673,7 +711,9 @@ def test_search_memo_lives_for_one_call():
         seen.append(_open_memo())
         return base.values(x)
 
-    space = FunctionSpace(UNIT, values, base.derivatives, kind=base.kind)
+    space = FunctionSpace(
+        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
+    )
     seen.clear()
     find_operator(space)
     # one memo for the whole search, the nested rule searches included
@@ -697,7 +737,9 @@ def test_search_memo_keeps_nothing_across_calls():
         calls.append(len(x))
         return base.values(x)
 
-    space = FunctionSpace(UNIT, values, base.derivatives, kind=base.kind)
+    space = FunctionSpace(
+        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
+    )
     counts = []
     for _ in range(2):
         calls.clear()
@@ -737,6 +779,7 @@ def test_find_operator_evaluates_the_winning_grid_once():
         recording("values", base.values),
         recording("derivatives", base.derivatives),
         kind=base.kind,
+        rule=base.rule,
     )
     for grid in grids.values():
         grid.clear()

@@ -58,10 +58,11 @@ def test_all_builtin_spaces_contain_constants():
         exponential_space(2, iv),
         rbf_cubic_space([0.0, 0.25, 0.75, 1.0], iv),
     ]
-    x = np.linspace(0.0, 1.0, 17)
+    spaces += [affine_map(space, Interval(-1.0, 2.0)) for space in spaces]
     for space in spaces:
         assert space.contains_constants
         # the constant must actually lie in the span on a sample grid
+        x = np.linspace(space.interval.left, space.interval.right, 17)
         V = vandermonde(space, x)
         coef, *_ = np.linalg.lstsq(V, np.ones_like(x), rcond=None)
         assert np.max(np.abs(V @ coef - 1.0)) < 1e-10
@@ -125,6 +126,10 @@ def test_constructor_rejects_bad_parameters():
         trigonometric_space(0, iv)
     with pytest.raises(ValueError):
         exponential_space(0, iv)
+    # a fractional degree is refused, not truncated
+    for builder in (polynomial_space, trigonometric_space, exponential_space):
+        with pytest.raises(ValueError, match="degree must be a whole number"):
+            builder(2.5, iv)
     with pytest.raises(ValueError):
         rbf_cubic_space([0.0], iv)
     with pytest.raises(ValueError):
@@ -257,6 +262,7 @@ def test_affine_map_preserves_values_and_scales_derivatives():
     mapped = affine_map(src, Interval(2.0, 4.0))
     assert mapped.interval == Interval(2.0, 4.0)
     assert mapped.kind == "mapped(trig:d=1)"
+    assert mapped.rule == src.rule == "trapezoid"
     assert mapped.contains_constants
     # values are transported along the chart, derivatives divide by the
     # width ratio s = 2
@@ -383,8 +389,66 @@ def test_user_space_shape_mismatch_raises():
         FunctionSpace(iv, _sine_values, lambda x: _sine_derivatives(x)[:, :2], "bad")
     with pytest.raises(ValueError, match="values gave shape"):
         FunctionSpace(iv, lambda x: np.sin(x), lambda x: np.cos(x), "flat")
+    # dim and contains_constants are read off the callables, never set
     with pytest.raises(TypeError):
         FunctionSpace(iv, _sine_values, _sine_derivatives, "span", dim=3)
+    with pytest.raises(TypeError):
+        FunctionSpace(
+            iv, _sine_values, _sine_derivatives, "span", contains_constants=True
+        )
+
+
+def test_user_space_refuses_an_unknown_rule():
+    iv = Interval(0.0, 1.0)
+    for rule in ("gauss", "Trapezoid", True):
+        with pytest.raises(ValueError, match="gauss-lobatto.*trapezoid"):
+            FunctionSpace(iv, _sine_values, _sine_derivatives, "span", rule=rule)
+    space = FunctionSpace(iv, _sine_values, _sine_derivatives, "span", "trapezoid")
+    assert space.rule == "trapezoid"
+
+
+def test_user_space_without_constants_yields_a_verified_operator():
+    # span{sin(pi x), cos(pi x), x} has no constant: D need not annihilate
+    # constants, and the space says so without being told
+    def values(x):
+        return np.column_stack([np.sin(np.pi * x), np.cos(np.pi * x), x])
+
+    def derivatives(x):
+        return np.column_stack(
+            [np.pi * np.cos(np.pi * x), -np.pi * np.sin(np.pi * x), np.ones_like(x)]
+        )
+
+    space = FunctionSpace(Interval(0.0, 1.0), values, derivatives, "span{sin,cos,x}")
+    assert not space.contains_constants
+    op = find_operator(space)
+    assert verify_sbp(op).passed
+    assert op.n_nodes == 5
+    x = op.nodes
+    np.testing.assert_allclose(op.D @ values(x), derivatives(x), atol=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_contains_constants_ignores_the_scale_of_the_basis(scale):
+    def scaled(fn):
+        return lambda x: scale * fn(x)
+
+    iv = Interval(0.0, 1.0)
+    with_one = FunctionSpace(
+        iv, scaled(_sine_values), scaled(_sine_derivatives), "span{1,x,sin}"
+    )
+    assert with_one.contains_constants
+    # x, sin(pi x) and x**2 span no constant
+    without = FunctionSpace(
+        iv,
+        scaled(lambda x: np.column_stack([x, np.sin(np.pi * x), x**2])),
+        scaled(
+            lambda x: np.column_stack(
+                [np.ones_like(x), np.pi * np.cos(np.pi * x), 2.0 * x]
+            )
+        ),
+        "span{x,sin,x^2}",
+    )
+    assert not without.contains_constants
 
 
 def test_user_space_wrong_derivative_names_column_and_kind():
