@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -276,6 +277,8 @@ def _problem_spec(args) -> tuple[ProblemSpec, float]:
     periodic = setup["periodic"]
     inflow_value = setup["inflow"]
     if args.inflow is not None:
+        if not math.isfinite(args.inflow):
+            raise ValueError(f"--inflow must be finite, got {args.inflow}")
         periodic = False
         inflow_value = args.inflow
     if args.periodic:

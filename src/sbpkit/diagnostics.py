@@ -283,16 +283,20 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Run each space over a ladder of block counts and tabulate errors.
 
-    Every level of every space runs first; the reference is then
-    evaluated once, on the final nodes of all levels together, so a
-    reference failure (crossing Burgers characteristics) surfaces after
-    the last run.  Observed orders compare consecutive levels of the
-    same entry of ``space_specs`` using the norm-weighted error and the
-    block-count ratio.  A problem without a reference solution, and a
-    ladder whose block counts are not distinct whole numbers of at
-    least 1, are rejected before any run.
+    Each entry of ``space_specs`` (a textual kind, or a prebuilt space as
+    :func:`~sbpkit.solver.run` takes it) becomes its space on [0, 1] once,
+    before any run, and every level of that entry runs on it; each level
+    still searches its own operator.  Every level of every space runs
+    first; the reference is then evaluated once, on the final nodes of
+    all levels together, so a reference failure (crossing Burgers
+    characteristics) surfaces after the last run.  Observed orders
+    compare consecutive levels of the same entry of ``space_specs``
+    using the norm-weighted error and the block-count ratio.  A problem
+    without a reference solution, a ladder whose block counts are not
+    distinct whole numbers of at least 1, and a space that does not
+    construct are rejected before any run.
     """
-    from .solver import run
+    from .solver import _reference_space, run
 
     counts: list[int] = []
     for b in block_counts:
@@ -305,6 +309,7 @@ def convergence_table(
     ref = reference_solution(spec, t_final)
     if ref is None:
         raise ValueError(f"no reference solution for problem kind {spec.kind!r}")
+    spaces = [_reference_space(space) for space in space_specs]
     states = [
         [
             run(
@@ -317,7 +322,7 @@ def convergence_table(
             ).state
             for blocks in counts
         ]
-        for space in space_specs
+        for space in spaces
     ]
     nodes = [state.nodes.ravel() for level in states for state in level]
     if not nodes:

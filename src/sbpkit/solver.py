@@ -18,6 +18,7 @@ three-stage third-order strong-stability-preserving Runge-Kutta scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,6 +78,10 @@ class ProblemSpec:
             raise ValueError(
                 f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}"
             )
+        for name in ("wave_speed", "source_coefficient", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind != "burgers" and not self.wave_speed > 0.0:
             raise ValueError("advection requires a positive wave speed")
         if not self.periodic and self.inflow is None:
@@ -106,9 +111,14 @@ class BlockState:
     edges: np.ndarray
     t: float
     s: np.ndarray = field(init=False, repr=False, compare=False)
-    # s[:, None] and s * p[0], the per-block constants of the right sides
+    # the per-grid constants of the right sides: s[:, None], -3 s[:, None]
+    # (the Burgers divisor), s * p[0], and the flat index of each block's
+    # left neighbour's last node (the last block's for block 0, which
+    # closes the periodic chain)
     _s_col: np.ndarray = field(init=False, repr=False, compare=False)
+    _m3s_col: np.ndarray = field(init=False, repr=False, compare=False)
     _s_p0: np.ndarray = field(init=False, repr=False, compare=False)
+    _left_last: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         iv = self.operator.space.interval
@@ -122,14 +132,19 @@ class BlockState:
         s = (edges[1:] - edges[:-1]) / iv.width
         if not s.min() > 0.0:
             raise ValueError("block edges must be strictly increasing")
+        m3s_col = -3.0 * s[:, None]
         s_p0 = s * self.operator.p[0]
-        for arr in (u, edges, s, s_p0):
+        n_blocks, n = u.shape
+        left_last = np.roll(np.arange(n_blocks), 1) * n + (n - 1)
+        for arr in (u, edges, s, m3s_col, s_p0, left_last):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "_s_col", s[:, None])
+        object.__setattr__(self, "_m3s_col", m3s_col)
         object.__setattr__(self, "_s_p0", s_p0)
+        object.__setattr__(self, "_left_last", left_last)
 
     def _on_same_grid(self, u: np.ndarray, t: float) -> BlockState:
         """This state's grid with new values ``u`` at time ``t``.
@@ -186,12 +201,11 @@ def _boundary_data(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray
 
     Interior blocks receive the rightmost value of their left neighbour;
     the first block receives either the inflow data or, when periodic,
-    the rightmost value of the last block.
+    the rightmost value of the last block.  The returned array is new.
     """
-    u = state.u
-    g = np.empty(u.shape[0])
-    g[1:] = u[:-1, -1]
-    g[0] = u[-1, -1] if spec.periodic else spec.inflow(t)
+    g = state.u.take(state._left_last)
+    if not spec.periodic:
+        g[0] = spec.inflow(t)
     return g
 
 
@@ -202,14 +216,21 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     kind) and adds the boundary penalty ``-sigma a (u_1 - g) / p_1`` at
     its first node.  Returns an array shaped like ``state.u``.
     """
+    # scaled and penalised in place on the arrays allocated here, in the
+    # operation order of -a * (u @ D.T) / s and sigma * a * (u_1 - g) / p_1
     a = spec.wave_speed
     sigma = spec.effective_sigma
     u = state.u
-    du = (-a * (u @ state.operator.D.T)) / state._s_col
+    du = u @ state.operator.D.T
+    du *= -a
+    du /= state._s_col
     if spec.kind == "advection_source":
         du += spec.source_coefficient * u
-    g = _boundary_data(state, t, spec)
-    du[:, 0] -= sigma * a * (u[:, 0] - g) / state._s_p0
+    pen = _boundary_data(state, t, spec)
+    np.subtract(u[:, 0], pen, out=pen)
+    pen *= sigma * a
+    pen /= state._s_p0
+    du[:, 0] -= pen
     return du
 
 
@@ -221,12 +242,23 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     discrete energy rate depend on boundary values only.  Returns an
     array shaped like ``state.u``.
     """
+    # in place on the arrays allocated here, in the operation order of
+    # -((u u) @ D.T + u (u @ D.T)) / (3 s) and (sigma/3) u_1 (u_1 - g) / p_1;
+    # dividing by -3 s rounds exactly like negating and dividing by 3 s
     sigma = spec.effective_sigma
     u = state.u
     DT = state.operator.D.T
-    du = -((u * u) @ DT + u * (u @ DT)) / (3.0 * state._s_col)
-    g = _boundary_data(state, t, spec)
-    du[:, 0] -= (sigma / 3.0) * u[:, 0] * (u[:, 0] - g) / state._s_p0
+    du = (u * u) @ DT
+    udu = u @ DT
+    udu *= u
+    du += udu
+    du /= state._m3s_col
+    u1 = u[:, 0]
+    pen = _boundary_data(state, t, spec)
+    np.subtract(u1, pen, out=pen)
+    pen *= (sigma / 3.0) * u1
+    pen /= state._s_p0
+    du[:, 0] -= pen
     return du
 
 
@@ -295,6 +327,13 @@ def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
     return spec.wave_speed
 
 
+def _reference_space(space: str | FunctionSpace) -> FunctionSpace:
+    """``space`` itself, or the space its textual form names on [0, 1]."""
+    if isinstance(space, FunctionSpace):
+        return space
+    return make_space(space, UNIT_INTERVAL)
+
+
 def run(
     spec: ProblemSpec,
     space: str | FunctionSpace,
@@ -324,11 +363,7 @@ def run(
     if n_blocks < 1:
         raise ValueError(f"need at least one block, got {n_blocks}")
 
-    if isinstance(space, FunctionSpace):
-        ref_space = space
-    else:
-        ref_space = make_space(space, UNIT_INTERVAL)
-    ref_op = find_operator(ref_space, n_nodes)
+    ref_op = find_operator(_reference_space(space), n_nodes)
 
     edges = np.linspace(spec.domain.left, spec.domain.right, n_blocks + 1)
     state = BlockState(
@@ -355,16 +390,19 @@ def run(
     history = [DiagnosticsRecord(t=0.0, mass=mass(state), energy=energy(state))]
     steps = 0
     tiny = 1e-12 * max(1.0, t_final)
-    while state.t < t_final - tiny:
-        dt = cfl * spacing / _max_wave_speed(spec, state.u)
-        last = state.t + dt >= t_final - tiny
-        if last:
-            dt = t_final - state.t
-        state = ssprk33_step(rhs_fn, state, dt)
-        if last:
-            state = state._on_same_grid(state.u, t_final)
-        steps += 1
-        history.append(
-            DiagnosticsRecord(t=state.t, mass=mass(state), energy=energy(state))
-        )
+    # a blow-up overflows on its way to inf or nan; every stage is checked
+    # for finite values, so it raises InstabilityError, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.t < t_final - tiny:
+            dt = cfl * spacing / _max_wave_speed(spec, state.u)
+            last = state.t + dt >= t_final - tiny
+            if last:
+                dt = t_final - state.t
+            state = ssprk33_step(rhs_fn, state, dt)
+            if last:
+                state = state._on_same_grid(state.u, t_final)
+            steps += 1
+            history.append(
+                DiagnosticsRecord(t=state.t, mass=mass(state), energy=energy(state))
+            )
     return RunResult(state=state, history=tuple(history), steps=steps)

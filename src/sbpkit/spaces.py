@@ -63,10 +63,10 @@ _FD_SAMPLES = 100
 
 
 def _whole_count(value, what: str = "node count") -> int:
-    # a count as an int; int() alone would truncate 7.5 to 7, and its
-    # errors for inf and nan would not name the count
+    # a count as an int; int() alone would truncate 7.5 to 7, take True
+    # for 1, and its errors for inf and nan would not name the count
     try:
-        n = int(value)
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (OverflowError, ValueError):
         n = None
     if n is None or n != value:
@@ -112,8 +112,9 @@ class FunctionSpace:
     ``values(x)`` and ``derivatives(x)`` map a 1-D array of points to
     ``(len(x), dim)`` arrays of basis values and analytic derivatives;
     ``dim`` is read off ``values`` at the interval ends.  Construction
-    raises ``ValueError`` on a shape mismatch, on derivatives that disagree
-    with central differences, or on numerically dependent columns.
+    raises ``ValueError`` on a shape mismatch, on values or derivatives
+    that are not finite at its samples, on derivatives that disagree with
+    central differences, or on numerically dependent columns.
 
     ``kind`` is a label: the textual form understood by :func:`make_space`
     for the built-in families, a ``mapped(...)`` tag for affinely mapped
@@ -143,17 +144,25 @@ class FunctionSpace:
                 f"space {self.kind!r}: rule must be None or one of {RULES}, "
                 f"got {self.rule!r}"
             )
+        # the samples are taken with numpy's floating-point warnings off: an
+        # overflow or a pole shows up as a non-finite sample, which is
+        # refused by name and place
         iv = self.interval
-        shape = np.shape(self.values(np.array([iv.left, iv.right])))
-        if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
-            raise ValueError(
-                f"space {self.kind!r}: values gave shape {shape} at the two "
-                f"interval ends, expected (2, dim)"
-            )
-        object.__setattr__(self, "dim", shape[1])
-        _check_derivatives(self)
-        grid = np.linspace(iv.left, iv.right, max(257, 4 * self.dim + 1))
-        V = self.values(grid)
+        with np.errstate(all="ignore"):
+            ends = np.array([iv.left, iv.right], dtype=float)
+            V_ends = self.values(ends)
+            shape = np.shape(V_ends)
+            if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
+                raise ValueError(
+                    f"space {self.kind!r}: values gave shape {shape} at the two "
+                    f"interval ends, expected (2, dim)"
+                )
+            object.__setattr__(self, "dim", shape[1])
+            _require_finite(self, "values", ends, V_ends)
+            _check_derivatives(self)
+            grid = np.linspace(iv.left, iv.right, max(257, 4 * self.dim + 1))
+            V = self.values(grid)
+        _require_finite(self, "values", grid, V)
         rank = _numerical_rank(V)
         if rank != self.dim:
             raise ValueError(
@@ -165,6 +174,17 @@ class FunctionSpace:
         with_one = np.column_stack([V, np.full(grid.size, np.max(np.abs(V)))])
         object.__setattr__(
             self, "contains_constants", _numerical_rank(with_one) == self.dim
+        )
+
+
+def _require_finite(space: FunctionSpace, what: str, x: np.ndarray, M) -> None:
+    # M holds the space's ``what`` (values or derivatives) at the points x
+    finite = np.isfinite(M)
+    if not finite.all():
+        i, k = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(
+            f"space {space.kind!r}: {what} of column {k} are not finite "
+            f"near x={x[i]:.6g}"
         )
 
 
@@ -181,9 +201,13 @@ def _check_derivatives(space: FunctionSpace) -> None:
             f"space {space.kind!r}: derivatives gave shape {np.shape(exact)} "
             f"for {x.size} points, values have {space.dim} columns"
         )
+    _require_finite(space, "derivatives", x, exact)
     # divide by the step actually taken: x +- h rounds when |x| >> width
     xp, xm = x + h, x - h
-    plus, minus = np.split(space.values(np.concatenate([xp, xm])), 2)
+    x_pm = np.concatenate([xp, xm])
+    V_pm = space.values(x_pm)
+    _require_finite(space, "values", x_pm, V_pm)
+    plus, minus = np.split(V_pm, 2)
     approx = (plus - minus) / (xp - xm)[:, None]
     excess = np.abs(approx - exact) - _FD_RTOL * (1.0 + np.abs(exact))
     if not np.all(excess <= 0.0):

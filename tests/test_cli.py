@@ -278,6 +278,30 @@ def test_convergence_table_output(tmp_path):
     assert errs[("exp:d=2", 6)] < errs[("poly:d=2", 6)]
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--sigma", "nan"), ("--inflow", "nan"), ("--inflow", "inf")]
+)
+def test_run_refuses_non_finite_problem_parameters(tmp_path, capsys, flag, value):
+    rc = main(["run", "--problem", "advection", "--space", "trig:d=1",
+               flag, value, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert flag.lstrip("-") in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_convergence_blow_up_exits_unstable_without_a_warning(tmp_path, capsys):
+    # the overflow on the way to inf is no RuntimeWarning; with warnings
+    # turned into errors, one would escape main() instead of exit code 3
+    rc = main(["convergence", "--problem", "burgers", "--space", "poly:d=2",
+               "--blocks", "2", "4", "--tfinal", "0.5", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unstable: non-finite solution values")
+    assert "RuntimeWarning" not in err
+
+
 def test_convergence_rejects_a_repeated_block_count(tmp_path, capsys):
     rc = main(["convergence", "--problem", "burgers", "--space", "poly:d=2",
                "--blocks", "10", "10", "--out", str(tmp_path)])

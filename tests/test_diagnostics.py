@@ -439,6 +439,8 @@ def test_convergence_table_matches_per_level_reports_with_inflow():
         ([4, 8, 4], "block count 4 appears more than once"),
         ([0, 2], "need at least one block, got 0"),
         ([2, 2.5], "block count must be a whole number, got 2.5"),
+        ([True, 2], "block count must be a whole number, got True"),
+        ([2, np.True_], "block count must be a whole number, got True"),
     ],
 )
 def test_convergence_table_rejects_a_bad_ladder_before_running(
@@ -462,3 +464,39 @@ def test_convergence_table_accepts_a_decreasing_ladder():
     down = convergence_table(spec, ["poly:d=2"], [4, 2], t_final=0.25, cfl=0.4)
     assert [r.err_p for r in down] == [r.err_p for r in up[::-1]]
     assert down[1].order == pytest.approx(up[1].order, rel=1e-12)
+
+
+def test_convergence_table_builds_each_space_once(monkeypatch):
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+    spaces, counts, t_final = ["exp:d=2", "poly:d=2"], [2, 4, 8], 0.1
+    expected, _ = _per_level_rows(spec, spaces, counts, t_final)
+    made, searched = [], []
+    build, search = sbpkit.solver.make_space, sbpkit.solver.find_operator
+
+    def counting_build(text, interval):
+        made.append(text)
+        return build(text, interval)
+
+    def counting_search(space, n_nodes=None):
+        searched.append(space.kind)
+        return search(space, n_nodes)
+
+    monkeypatch.setattr(sbpkit.solver, "make_space", counting_build)
+    monkeypatch.setattr(sbpkit.solver, "find_operator", counting_search)
+    rows = convergence_table(spec, spaces, counts, t_final=t_final)
+    assert made == spaces
+    assert searched == [s for s in spaces for _ in counts]
+    _assert_rows_equal(rows, expected)
+
+
+def test_convergence_table_rejects_a_bad_space_before_running(monkeypatch):
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run() called before every space was built")
+
+    monkeypatch.setattr(sbpkit.solver, "run", forbidden)
+    with pytest.raises(ValueError, match="unknown space kind 'spline'"):
+        convergence_table(spec, ["poly:d=2", "spline:d=2"], [2, 4], t_final=0.1)

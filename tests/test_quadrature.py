@@ -212,6 +212,10 @@ def test_node_counts_with_a_fractional_part_are_refused(name):
         entry(7.5)
     with pytest.raises(ValueError, match="whole number, got 6.7"):
         entry(np.float64(6.7))
+    # booleans are not counts, although True == 1
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="whole number, got True"):
+            entry(flag)
     # int and numpy-integer counts are taken as they are
     assert entry(np.int64(7)).nodes.tobytes() == entry(7).nodes.tobytes()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import sbpkit.operators
 import sbpkit.solver
 import sbpkit.spaces
+from sbpkit.cli import _bumpy
 from sbpkit.operators import affine_block_operator, find_operator
 from sbpkit.solver import (
     BlockState,
@@ -509,6 +511,7 @@ def test_ssprk33_stage_states_share_the_grid():
         assert stage.operator is state.operator
         assert stage.edges is state.edges
         assert stage.s is state.s
+        assert stage._left_last is state._left_last
         assert not stage.u.flags.writeable
         with pytest.raises(ValueError):
             stage.u[0, 0] = 0.0
@@ -546,7 +549,7 @@ def test_run_validates_arguments():
 
 def test_run_refuses_a_fractional_block_count():
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
-    for n_blocks in (2.5, math.inf, math.nan):
+    for n_blocks in (2.5, math.inf, math.nan, True, np.True_):
         message = f"block count must be a whole number, got {n_blocks}"
         with pytest.raises(ValueError, match=message):
             run(spec, "poly:d=2", n_blocks=n_blocks)
@@ -579,6 +582,26 @@ def test_run_lands_exactly_on_final_time():
     assert result.state.t == 0.37
     assert result.steps == len(result.history) - 1
     assert result.history[0].t == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("wave_speed", math.inf), ("source_coefficient", math.nan), ("sigma", -math.inf)],
+)
+@pytest.mark.parametrize("kind", ["advection_source", "burgers"])
+def test_problem_spec_refuses_non_finite_parameters(kind, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        ProblemSpec(kind=kind, domain=UNIT, initial_condition=np.sin, **{field: value})
+
+
+def test_a_blow_up_raises_instability_error_not_a_warning():
+    # poly:d=2 on four blocks overflows in the Burgers right side before
+    # the stage check sees the non-finite values
+    spec = ProblemSpec(kind="burgers", domain=UNIT, initial_condition=_bumpy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="non-finite solution values"):
+            run(spec, "poly:d=2", n_blocks=4, t_final=0.5)
 
 
 def test_run_rejects_negative_burgers_data():

@@ -126,10 +126,11 @@ def test_constructor_rejects_bad_parameters():
         trigonometric_space(0, iv)
     with pytest.raises(ValueError):
         exponential_space(0, iv)
-    # a fractional degree is refused, not truncated
+    # a fractional degree is refused, not truncated, and a boolean is no count
     for builder in (polynomial_space, trigonometric_space, exponential_space):
-        with pytest.raises(ValueError, match="degree must be a whole number"):
-            builder(2.5, iv)
+        for degree in (2.5, True, np.True_):
+            with pytest.raises(ValueError, match="degree must be a whole number"):
+                builder(degree, iv)
     with pytest.raises(ValueError):
         rbf_cubic_space([0.0], iv)
     with pytest.raises(ValueError):
@@ -472,3 +473,60 @@ def test_derivative_check_far_from_the_origin():
         vandermonde_derivative(src, x - far.left),
         atol=1e-9,
     )
+
+
+def _log_space():
+    # log(x) is -inf at the left end of [0, 1]
+    return FunctionSpace(
+        Interval(0.0, 1.0),
+        lambda x: np.column_stack([np.ones_like(x), np.log(x)]),
+        lambda x: np.column_stack([np.zeros_like(x), 1.0 / x]),
+        kind="log",
+    )
+
+
+def _nan_space():
+    # NaN values near the right end, outside the derivative samples
+    return FunctionSpace(
+        Interval(0.0, 1.0),
+        lambda x: np.column_stack([np.ones_like(x), np.where(x > 0.99, np.nan, x)]),
+        lambda x: np.column_stack([np.zeros_like(x), np.ones_like(x)]),
+        kind="nan",
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # exp(710) overflows
+        (
+            lambda: make_space("exp:d=2", Interval(709.0, 710.0)),
+            r"space 'exp:d=2': values of column 2 are not finite near x=710$",
+        ),
+        (_log_space, r"space 'log': values of column 1 are not finite near x=0$"),
+        (_nan_space, r"space 'nan': values of column 1 are not finite near x=1$"),
+    ],
+    ids=["exp-overflow", "log-pole", "nan-values"],
+)
+def test_non_finite_basis_samples_are_named(build, message):
+    # raised as ValueError, not as an overflow warning, a wrong reason or
+    # a LinAlgError from the rank check
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_non_finite_derivatives_are_named():
+    def derivatives(x):
+        d = np.column_stack([np.zeros_like(x), np.ones_like(x)])
+        d[x > 0.5, 1] = np.inf
+        return d
+
+    with pytest.raises(
+        ValueError, match=r"derivatives of column 1 are not finite near x=0\.50"
+    ):
+        FunctionSpace(
+            Interval(0.0, 1.0),
+            lambda x: np.column_stack([np.ones_like(x), x]),
+            derivatives,
+            kind="inf-slope",
+        )
