@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .solver import BlockState, ProblemSpec
-from .spaces import _whole_count
+from .solver import BlockState, ProblemSpec, _block_count
 
 __all__ = [
     "DiagnosticsRecord",
@@ -300,9 +299,7 @@ def convergence_table(
 
     counts: list[int] = []
     for b in block_counts:
-        n = _whole_count(b, "block count")
-        if n < 1:
-            raise ValueError(f"need at least one block, got {b}")
+        n = _block_count(b)
         if n in counts:
             raise ValueError(f"block count {b} appears more than once in the ladder")
         counts.append(n)

@@ -187,11 +187,7 @@ def build_operator(
     return FsbpOperator(space=space, nodes=x, p=p, Q=Q, D=D)
 
 
-def find_operator(
-    space: FunctionSpace,
-    n_nodes: int | None = None,
-    n_max: int | None = None,
-) -> FsbpOperator:
+def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOperator:
     """Operator on the smallest workable grid from the rule ladder.
 
     Each rung (the ladder of :func:`find_positive_rule`) takes the positive
@@ -199,26 +195,19 @@ def find_operator(
     with :func:`verify_sbp`; the first rung to pass all three wins.  A rule
     can sit just inside the quadrature residual gate while its operator
     misses a verification tolerance, so a failed rung moves the search on.
-    A pinned ``n_nodes`` is a one-rung ladder whose failure propagates,
-    and giving ``n_max`` with it raises ``ValueError``; an exhausted
-    ladder raises :class:`OperatorError` with the last reason.  Each
-    rejected rung is logged at DEBUG on the ``sbpkit`` logger.
+    A pinned ``n_nodes`` is a one-rung ladder whose failure propagates; an
+    exhausted ladder raises :class:`OperatorError` with the last reason.
+    Each rejected rung is logged at DEBUG on the ``sbpkit`` logger.
 
     The search evaluates the space once per grid: the rule check, the
     build and the verification of a rung share their matrices, and the
     rungs share the pair moments.  Nothing is kept after the call.
     """
-    pinned = n_nodes is not None
-    if pinned and n_max is not None:
-        raise ValueError(
-            f"n_nodes={n_nodes} pins the grid; n_max={n_max} cannot also be given"
-        )
-    rungs = _ladder(space, n_nodes, n_nodes if pinned else n_max)
-    last_error: Exception | None = None
+    rungs = _ladder(space, n_nodes)
     with _search_scope():
         for n in rungs:
             try:
-                rule = find_positive_rule(space, n, n)
+                rule = find_positive_rule(space, n)
                 op = build_operator(space, rule, _rule_checked=True)
                 report = verify_sbp(op)
                 if not report.passed:
@@ -230,13 +219,12 @@ def find_operator(
                 return op
             except (QuadratureError, OperatorError) as exc:
                 _log.debug("rung of %s nodes rejected: %s", n, exc)
-                if pinned:
+                if n_nodes is not None:
                     raise
                 last_error = exc
-    reason = "" if last_error is None else f"; last: {last_error}"
     raise OperatorError(
         f"no workable operator for {space.kind!r} with up to "
-        f"{rungs.stop - 1} nodes{reason}"
+        f"{rungs.stop - 1} nodes; last: {last_error}"
     ) from last_error
 
 

@@ -10,7 +10,8 @@ spaces), and a minimum-norm least-squares construction on equidistant
 nodes that works for any space.  The least-squares construction
 orthonormalises its constraint rows on a fine equidistant grid of
 ``max(257, 8*P)`` points, ``P = dim*(dim+1)/2`` the number of pair rows,
-so the grid depends on the space and not on the node count.
+so the grid depends on the space and not on the node count.  The rule
+constructors never judge a rule: :func:`verify_exactness` alone does.
 
 A search (:func:`find_positive_rule`, and ``find_operator`` in
 :mod:`sbpkit.operators`) shares what its rungs would otherwise recompute:
@@ -240,7 +241,7 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
 
 
 def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
-    """Weights on equidistant nodes matching all pair-derivative moments.
+    """Minimum-norm weights on equidistant nodes for the pair-derivative moments.
 
     The raw constraint rows (one per pair of basis elements) are nearly
     parallel for monomial-type spaces and would limit the attainable
@@ -251,10 +252,10 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     and a search computes it once for all its rungs.  Starting
     from uniform weights, the minimum-norm correction satisfying the
     recombined constraints is applied, with singular values below
-    ``1e-12`` times the largest discarded.  Positivity is reported, not
-    enforced.  Raises :class:`QuadratureError` when the grid cannot
-    support exactness at all, and ``ValueError`` when ``n_nodes`` is not
-    a whole number.
+    ``1e-12`` times the largest discarded.  The rule is returned as
+    built, exact or not and positive or not: :func:`verify_exactness`
+    judges it.  Raises ``ValueError`` when ``n_nodes`` is not a whole
+    number or is below ``dim``.
     """
     n = _whole_count(n_nodes)
     if n < space.dim:
@@ -276,15 +277,6 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
         lhs_r = Vt[:r]
         rhs_r = (U[:, :r].T @ rhs) / s[:r]
         w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
-
-    resid = Phi @ w - m
-    scaled = np.abs(resid) / np.maximum(1.0, np.abs(m))
-    worst = float(np.max(scaled))
-    if worst > EXACTNESS_RTOL:
-        raise QuadratureError(
-            f"{n} equidistant nodes cannot integrate the derivative span of "
-            f"{space.kind!r}: residual {worst:.3e}"
-        )
     return QuadratureRule(nodes, w)
 
 
@@ -308,16 +300,16 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
     )
 
 
-def _ladder(space: FunctionSpace, n_start: int | None, n_max: int | None) -> range:
-    """Node counts of a rule ladder: start from the rule, window of 24, >= 2."""
-    if n_start is None:
-        # Gauss-Lobatto with dim nodes already integrates the product span
-        n_start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
-    n_start = _whole_count(n_start)
-    if n_start < 2:
-        raise ValueError(f"node ladder must start at 2 or above, got {n_start}")
-    n_max = n_start + 24 if n_max is None else _whole_count(n_max)
-    return range(n_start, n_max + 1)
+def _ladder(space: FunctionSpace, n_nodes: int | None) -> range:
+    """Node counts to search: the pinned ``n_nodes``, or 25 from the start."""
+    if n_nodes is not None:
+        n = _whole_count(n_nodes)
+        if n < 2:
+            raise ValueError(f"node ladder must start at 2 or above, got {n}")
+        return range(n, n + 1)
+    # Gauss-Lobatto with dim nodes already integrates the product span
+    start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
+    return range(start, start + 25)
 
 
 def _candidates(space: FunctionSpace, n: int):
@@ -327,30 +319,24 @@ def _candidates(space: FunctionSpace, n: int):
     elif space.rule == "gauss-lobatto":
         yield gauss_lobatto_rule(n, space.interval)
     if n >= space.dim:
-        try:
-            rule = least_squares_rule(space, n)
-        except QuadratureError:
-            return
-        yield rule
+        yield least_squares_rule(space, n)
 
 
 def find_positive_rule(
-    space: FunctionSpace,
-    n_start: int | None = None,
-    n_max: int | None = None,
+    space: FunctionSpace, n_nodes: int | None = None
 ) -> QuadratureRule:
     """Smallest positive exact rule found in a node-count ladder.
 
     Both the ladder and the candidates follow ``space.rule``.  The ladder
-    runs from ``n_start`` (by default ``dim`` nodes for
-    ``"gauss-lobatto"``, ``dim + 1`` otherwise) to ``n_max`` (by default
-    24 more).  For each node count, the closed-form rule the space names
-    comes first (trapezoid or Gauss-Lobatto), then the least-squares
-    construction, each built only when the ones before it fail.  The
-    first candidate passing both the exactness and positivity checks is
-    returned as built.
+    runs over 25 node counts from ``dim`` for ``"gauss-lobatto"`` and from
+    ``dim + 1`` otherwise; a given ``n_nodes`` pins it to that one count.
+    For each node count, the closed-form rule the space names comes first
+    (trapezoid or Gauss-Lobatto), then the least-squares construction,
+    each built only when the ones before it fail.  The first candidate
+    that :func:`verify_exactness` finds exact and positive is returned as
+    built.
     """
-    rungs = _ladder(space, n_start, n_max)
+    rungs = _ladder(space, n_nodes)
     with _search_scope():
         for n in rungs:
             for rule in _candidates(space, n):

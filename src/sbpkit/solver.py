@@ -62,6 +62,17 @@ class ProblemSpec:
     ignore ``inflow``; otherwise ``inflow`` supplies the weak boundary
     data g(t) at the left end.  ``sigma`` of ``None`` picks the default
     penalty strength (1 for the advection kinds, 2 for Burgers).
+
+    A given ``sigma`` must make the inflow penalty dissipative:
+    ``sigma > 1/2`` for the advection kinds, whose boundary energy rate
+    ``a(u_0^2 - u_N^2 - 2 sigma u_0^2 + 2 sigma u_0 g)`` is then bounded
+    by the data, and ``sigma >= 1`` for Burgers, whose rate
+    ``(2/3)(sigma u_0^2 g - (sigma - 1) u_0^3 - u_N^3)`` is otherwise
+    positive at ``g = u_N = 0 < u_0``.  The advection interface term
+    ``a((1 - 2 sigma) v^2 + 2 sigma v g - g^2)`` (``v`` a block's first
+    value, ``g`` its left neighbour's last) is nonpositive for every
+    state only at ``sigma = 1``, where it is ``-a (v - g)^2``; other
+    accepted values have no interface energy estimate.
     """
 
     kind: str
@@ -82,6 +93,13 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.sigma is not None:
+            burgers = self.kind == "burgers"
+            if not (self.sigma >= 1.0 if burgers else self.sigma > 0.5):
+                bound = "be at least 1" if burgers else "exceed 1/2"
+                raise ValueError(
+                    f"sigma must {bound} for {self.kind!r}, got {self.sigma}"
+                )
         if self.kind != "burgers" and not self.wave_speed > 0.0:
             raise ValueError("advection requires a positive wave speed")
         if not self.periodic and self.inflow is None:
@@ -327,6 +345,14 @@ def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
     return spec.wave_speed
 
 
+def _block_count(value) -> int:
+    """``value`` as a block count: a whole number of at least 1."""
+    n = _whole_count(value, "block count")
+    if n < 1:
+        raise ValueError(f"need at least one block, got {n}")
+    return n
+
+
 def _reference_space(space: str | FunctionSpace) -> FunctionSpace:
     """``space`` itself, or the space its textual form names on [0, 1]."""
     if isinstance(space, FunctionSpace):
@@ -359,9 +385,7 @@ def run(
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
-    n_blocks = _whole_count(n_blocks, "block count")
-    if n_blocks < 1:
-        raise ValueError(f"need at least one block, got {n_blocks}")
+    n_blocks = _block_count(n_blocks)
 
     ref_op = find_operator(_reference_space(space), n_nodes)
 

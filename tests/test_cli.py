@@ -291,6 +291,17 @@ def test_run_refuses_non_finite_problem_parameters(tmp_path, capsys, flag, value
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_run_refuses_an_anti_dissipative_sigma(tmp_path, capsys):
+    # with sigma = -1 both the inflow and the interface penalties feed
+    # energy in, and the run would blow up to an error of order 1e20
+    rc = main(["run", "--problem", "advection", "--space", "trig:d=2",
+               "--blocks", "4", "--sigma", "-1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: sigma must exceed 1/2 for 'advection', got -1.0\n"
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_convergence_blow_up_exits_unstable_without_a_warning(tmp_path, capsys):
     # the overflow on the way to inf is no RuntimeWarning; with warnings
     # turned into errors, one would escape main() instead of exit code 3

@@ -106,7 +106,7 @@ RBF_D = np.array(
 
 def test_two_node_linear_operator_in_closed_form():
     space = polynomial_space(1, UNIT)
-    op = build_operator(space, find_positive_rule(space, 2, 2))
+    op = build_operator(space, find_positive_rule(space, 2))
     np.testing.assert_allclose(op.p, [0.5, 0.5], atol=1e-14)
     np.testing.assert_allclose(op.Q, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-13)
     np.testing.assert_allclose(op.D, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-13)
@@ -259,9 +259,9 @@ def test_find_operator_skips_unworkable_node_counts():
 
 
 def test_find_operator_raises_when_ladder_is_exhausted():
-    space = exponential_space(4, UNIT)
+    space = exponential_space(6, UNIT)
     with pytest.raises(OperatorError):
-        find_operator(space, n_max=8)
+        find_operator(space)
 
 
 def test_operator_file_round_trip(tmp_path):
@@ -379,7 +379,7 @@ def test_closed_form_build_matches_dense_least_squares(kind):
 
 def test_closed_form_build_gate_residual_matches_dense_least_squares():
     space = exponential_space(6, UNIT)
-    rule = find_positive_rule(space, 32, 32)
+    rule = find_positive_rule(space, 32)
     with pytest.raises(OperatorError, match="inconsistent") as exc:
         build_operator(space, rule)
     residual = float(re.search(r"residual (\S+)$", str(exc.value)).group(1))
@@ -435,7 +435,7 @@ def test_find_operator_checks_each_rule_once(monkeypatch):
     assert counts["verify"] == counts["candidates"]
 
 
-def _two_branch_find_operator(space, n_nodes=None, n_max=None):
+def _two_branch_find_operator(space, n_nodes=None):
     """The search that the one-loop :func:`find_operator` replaced.
 
     A pinned count and the ladder are separate branches, the ladder keeps
@@ -444,7 +444,7 @@ def _two_branch_find_operator(space, n_nodes=None, n_max=None):
     """
 
     def verified_build(n):
-        rule = find_positive_rule(space, n, n)
+        rule = find_positive_rule(space, n)
         if unisolvency_rank(space, rule.nodes) != space.dim:
             raise OperatorError(
                 f"grid does not determine {space.kind!r} uniquely "
@@ -463,10 +463,9 @@ def _two_branch_find_operator(space, n_nodes=None, n_max=None):
     if n_nodes is not None:
         return verified_build(int(n_nodes))
     n_start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
-    if n_max is None:
-        n_max = n_start + 24
+    n_max = n_start + 24
     last_error = None
-    for n in range(n_start, int(n_max) + 1):
+    for n in range(n_start, n_max + 1):
         try:
             return verified_build(n)
         except (QuadratureError, OperatorError) as exc:
@@ -562,27 +561,16 @@ def test_build_operator_rejects_a_rank_deficient_grid():
 
 
 def test_exhausted_ladder_names_the_last_reason():
-    space = exponential_space(4, UNIT)
-    with pytest.raises(QuadratureError) as pinned:
-        find_operator(space, 8)
+    # the ladder for exp:d=6 runs from 8 to 32 nodes, and no rung works
+    space = exponential_space(6, UNIT)
+    with pytest.raises(OperatorError) as pinned:
+        find_operator(space, 32)
     with pytest.raises(OperatorError) as exhausted:
-        find_operator(space, n_max=8)
+        find_operator(space)
     assert str(exhausted.value) == (
-        f"no workable operator for 'exp:d=4' with up to 8 nodes; last: {pinned.value}"
+        f"no workable operator for 'exp:d=6' with up to 32 nodes; last: {pinned.value}"
     )
     assert str(exhausted.value.__cause__) == str(pinned.value)
-
-
-def test_find_operator_with_an_empty_ladder():
-    # the ladder for exp:d=4 starts at 6 nodes
-    with pytest.raises(OperatorError, match="up to 5 nodes$") as exc:
-        find_operator(exponential_space(4, UNIT), n_max=5)
-    assert exc.value.__cause__ is None
-
-
-def test_find_operator_refuses_n_max_with_pinned_nodes():
-    with pytest.raises(ValueError, match="pins the grid"):
-        find_operator(exponential_space(2, UNIT), 5, n_max=3)
 
 
 def _memo_free_find_operator(space, n_nodes=None):
@@ -601,10 +589,7 @@ def _memo_free_find_operator(space, n_nodes=None):
         if n >= space.dim:
             builders.append(lambda: least_squares_rule(space, n))
         for build in builders:
-            try:
-                rule = build()
-            except QuadratureError:
-                break
+            rule = build()
             if verify_exactness(rule, space).ok:
                 return rule
         raise QuadratureError(
@@ -723,7 +708,7 @@ def test_search_memo_lives_for_one_call():
         find_operator(space, 8)  # pinned failure
     assert _open_memo() is None
     with pytest.raises(OperatorError):
-        find_operator(space, n_max=8)  # exhausted ladder
+        find_operator(exponential_space(6, UNIT))  # exhausted ladder
     assert _open_memo() is None
     find_positive_rule(space)
     assert _open_memo() is None

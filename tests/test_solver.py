@@ -594,6 +594,23 @@ def test_problem_spec_refuses_non_finite_parameters(kind, field, value):
         ProblemSpec(kind=kind, domain=UNIT, initial_condition=np.sin, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "kind, sigma, bound",
+    [
+        ("advection", -1.0, "exceed 1/2"),
+        ("advection", 0.25, "exceed 1/2"),
+        ("advection", 0.5, "exceed 1/2"),
+        ("advection_source", 0.5, "exceed 1/2"),
+        ("burgers", 0.5, "be at least 1"),
+    ],
+)
+def test_problem_spec_refuses_anti_dissipative_sigma(kind, sigma, bound):
+    with pytest.raises(
+        ValueError, match=f"^sigma must {bound} for '{kind}', got {sigma}$"
+    ):
+        ProblemSpec(kind=kind, domain=UNIT, initial_condition=np.sin, sigma=sigma)
+
+
 def test_a_blow_up_raises_instability_error_not_a_warning():
     # poly:d=2 on four blocks overflows in the Burgers right side before
     # the stage check sees the non-finite values
