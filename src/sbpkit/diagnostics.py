@@ -72,15 +72,16 @@ class ConvergenceRow:
 def mass(state: BlockState) -> float:
     """Discrete integral of the solution over all blocks.
 
-    Block i contributes ``s_i p @ u_i``, summed as ``s @ (u @ p)``.
+    Block i contributes ``s_i p @ u_i``, summed as ``s @ (u @ p)``;
+    ``np.dot`` rounds like ``@`` here and skips its dispatch.
     """
-    return float(state.s @ (state.u @ state.operator.p))
+    return float(np.dot(state.s, np.dot(state.u, state.operator.p)))
 
 
 def energy(state: BlockState) -> float:
     """Discrete squared L2 norm of the solution over all blocks."""
     u = state.u
-    return float(state.s @ ((u * u) @ state.operator.p))
+    return float(np.dot(state.s, np.dot(u * u, state.operator.p)))
 
 
 def _wrap(x: np.ndarray, domain) -> np.ndarray:

@@ -129,10 +129,12 @@ class BlockState:
     edges: np.ndarray
     t: float
     s: np.ndarray = field(init=False, repr=False, compare=False)
-    # the per-grid constants of the right sides: s[:, None], -3 s[:, None]
+    # the per-grid constants of the right sides: D.T, s[:, None], -3 s[:, None]
     # (the Burgers divisor), s * p[0], and the flat index of each block's
     # left neighbour's last node (the last block's for block 0, which
-    # closes the periodic chain)
+    # closes the periodic chain).  D.T stays the transposed view: np.dot
+    # on it rounds like u @ D.T, and a contiguous copy does not
+    _DT: np.ndarray = field(init=False, repr=False, compare=False)
     _s_col: np.ndarray = field(init=False, repr=False, compare=False)
     _m3s_col: np.ndarray = field(init=False, repr=False, compare=False)
     _s_p0: np.ndarray = field(init=False, repr=False, compare=False)
@@ -147,6 +149,10 @@ class BlockState:
                 f"values of shape {u.shape} do not match {edges.size - 1} "
                 f"blocks of {self.operator.n_nodes} nodes"
             )
+        if not np.isfinite(edges).all():
+            raise ValueError(f"block edges must be finite, got {edges}")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         s = (edges[1:] - edges[:-1]) / iv.width
         if not s.min() > 0.0:
             raise ValueError("block edges must be strictly increasing")
@@ -159,6 +165,7 @@ class BlockState:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_DT", self.operator.D.T)
         object.__setattr__(self, "_s_col", s[:, None])
         object.__setattr__(self, "_m3s_col", m3s_col)
         object.__setattr__(self, "_s_p0", s_p0)
@@ -235,11 +242,13 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     its first node.  Returns an array shaped like ``state.u``.
     """
     # scaled and penalised in place on the arrays allocated here, in the
-    # operation order of -a * (u @ D.T) / s and sigma * a * (u_1 - g) / p_1
+    # operation order of -a * (u @ D.T) / s and sigma * a * (u_1 - g) / p_1;
+    # the penalty goes through a column view, which du[:, 0] -= pen would
+    # write back a second time
     a = spec.wave_speed
     sigma = spec.effective_sigma
     u = state.u
-    du = u @ state.operator.D.T
+    du = np.dot(u, state._DT)
     du *= -a
     du /= state._s_col
     if spec.kind == "advection_source":
@@ -248,7 +257,8 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     np.subtract(u[:, 0], pen, out=pen)
     pen *= sigma * a
     pen /= state._s_p0
-    du[:, 0] -= pen
+    col = du[:, 0]
+    col -= pen
     return du
 
 
@@ -265,9 +275,9 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     # dividing by -3 s rounds exactly like negating and dividing by 3 s
     sigma = spec.effective_sigma
     u = state.u
-    DT = state.operator.D.T
-    du = (u * u) @ DT
-    udu = u @ DT
+    DT = state._DT
+    du = np.dot(u * u, DT)
+    udu = np.dot(u, DT)
     udu *= u
     du += udu
     du /= state._m3s_col
@@ -276,7 +286,8 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     np.subtract(u1, pen, out=pen)
     pen *= (sigma / 3.0) * u1
     pen /= state._s_p0
-    du[:, 0] -= pen
+    col = du[:, 0]
+    col -= pen
     return du
 
 
@@ -314,6 +325,13 @@ def ssprk33_step(
     only swap in new values and times.  A stage whose values come out with
     another shape or dtype (say, a ``rhs_fn`` returning a wrongly shaped
     array) is validated in full and raises ``ValueError``.
+
+    The stages are ``u0 + dt k``, ``3/4 u0 + 1/4 (u1 + dt k)`` and
+    ``(u0 + 2 (u2 + dt k)) / 3``.  The last two are scaled in place on the
+    fresh sum ``u1 + dt k`` (``u2 + dt k``) with the same IEEE operations,
+    commuted, so the result is bit-identical to those formulas.  The right
+    side's own output is never written to: it may be a state's read-only
+    values.
     """
     t, u0 = state.t, state.u
 
@@ -321,11 +339,16 @@ def ssprk33_step(
     _check_finite(u1, t)
 
     k = rhs_fn(state._on_same_grid(u1, t + dt), t + dt)
-    u2 = 0.75 * u0 + 0.25 * (u1 + dt * k)
+    u2 = u1 + dt * k
+    u2 *= 0.25
+    u2 += 0.75 * u0
     _check_finite(u2, t + dt)
 
     k = rhs_fn(state._on_same_grid(u2, t + 0.5 * dt), t + 0.5 * dt)
-    u3 = (u0 + 2.0 * (u2 + dt * k)) / 3.0
+    u3 = u2 + dt * k
+    u3 *= 2.0
+    u3 += u0
+    u3 /= 3.0
     _check_finite(u3, t + 0.5 * dt)
     return state._on_same_grid(u3, t + dt)
 
@@ -341,7 +364,7 @@ class RunResult:
 
 def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
     if spec.kind == "burgers":
-        return max(1.0, float(np.max(np.abs(u))))
+        return max(1.0, float(np.abs(u).max()))
     return spec.wave_speed
 
 
@@ -377,14 +400,20 @@ def run(
     The step size is ``cfl`` times the smallest node spacing over the
     largest wave speed, refreshed every step for Burgers, and the final
     step is shortened to land on ``t_final`` exactly.  Mass and energy
-    are recorded after every step.
+    are recorded after every step.  A non-periodic problem's inflow is
+    sampled at 65 times of ``[0, t_final]`` before the first step and
+    must be finite there (and nonnegative for Burgers).
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
+    for name, value in (("cfl", cfl), ("t_final", t_final)):
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {value}")
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    t_final = float(t_final)
     n_blocks = _block_count(n_blocks)
 
     ref_op = find_operator(_reference_space(space), n_nodes)
@@ -398,13 +427,17 @@ def run(
     if u.shape != (nodes.size,):
         raise ValueError("initial condition must return one value per node")
 
-    if spec.kind == "burgers":
-        if float(np.min(u)) < -1e-12:
-            raise ValueError("Burgers runs require nonnegative initial data")
-        if not spec.periodic:
-            ts = np.linspace(0.0, t_final, 65)
-            if min(float(spec.inflow(t)) for t in ts) < -1e-12:
-                raise ValueError("Burgers runs require nonnegative inflow data")
+    if spec.kind == "burgers" and float(np.min(u)) < -1e-12:
+        raise ValueError("Burgers runs require nonnegative initial data")
+    if not spec.periodic:
+        ts = np.linspace(0.0, t_final, 65)
+        g = np.array([float(spec.inflow(t)) for t in ts])
+        finite = np.isfinite(g)
+        if not finite.all():
+            i = np.flatnonzero(~finite)[0]
+            raise ValueError(f"inflow must be finite, got {g[i]} at t={ts[i]:.6g}")
+        if spec.kind == "burgers" and g.min() < -1e-12:
+            raise ValueError("Burgers runs require nonnegative inflow data")
 
     state = state._on_same_grid(u.reshape(nodes.shape), 0.0)
     _check_finite(state.u, 0.0)

@@ -38,6 +38,19 @@ def test_mass_and_energy_hand_sums():
     assert energy(state) == pytest.approx(6.5)
 
 
+@pytest.mark.parametrize(
+    "space, n_blocks", [("trig:d=4", 64), ("poly:d=16", 1), ("poly:d=16", 7)]
+)
+def test_mass_and_energy_round_like_the_matrix_products(space, n_blocks):
+    op = find_operator(make_space(space, UNIT))
+    rng = np.random.default_rng(n_blocks)
+    edges = np.cumsum(rng.uniform(0.5, 1.5, n_blocks + 1))
+    u = rng.standard_normal((n_blocks, op.n_nodes))
+    state = BlockState(u=u, operator=op, edges=edges, t=0.0)
+    assert mass(state) == float(state.s @ (u @ op.p))
+    assert energy(state) == float(state.s @ ((u * u) @ op.p))
+
+
 def test_mass_of_constant_equals_interval_width():
     op = find_operator(make_space("exp:d=2", UNIT))
     u = np.ones((1, op.n_nodes))

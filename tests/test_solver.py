@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -75,6 +76,24 @@ def test_block_state_validates_its_grid():
     np.testing.assert_array_equal(state.s, [0.25, 0.75])
     for nodes, mapped in zip(state.nodes, state.operators):
         np.testing.assert_array_equal(nodes, mapped.nodes)
+
+
+@pytest.mark.parametrize(
+    "edges", [(0.0, math.inf), (math.nan, 1.0), (0.0, 0.5, -math.inf)]
+)
+def test_block_state_refuses_non_finite_edges(edges):
+    op = find_operator(make_space("trig:d=1", UNIT))
+    u = np.zeros((len(edges) - 1, op.n_nodes))
+    with pytest.raises(ValueError, match="^block edges must be finite, got "):
+        BlockState(u=u, operator=op, edges=edges, t=0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_block_state_refuses_a_non_finite_time(t):
+    op = find_operator(make_space("trig:d=1", UNIT))
+    u = np.zeros((1, op.n_nodes))
+    with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+        BlockState(u=u, operator=op, edges=(0.0, 1.0), t=t)
 
 
 def test_block_state_rejects_complex_values():
@@ -439,7 +458,19 @@ def _stepping_spec(kind: str, periodic: bool) -> ProblemSpec:
     )
 
 
-@pytest.mark.parametrize("n_blocks", [1, 10, 64])
+# poly:d=16 has 17 nodes, where D.T as a contiguous copy rounds the
+# products differently from the transposed view
+@pytest.mark.parametrize(
+    "n_blocks, space",
+    [
+        (1, "exp:d=2"),
+        (10, "exp:d=2"),
+        (64, "exp:d=2"),
+        (1, "poly:d=16"),
+        (10, "poly:d=16"),
+    ],
+    ids=["1", "10", "64", "1-poly:d=16", "10-poly:d=16"],
+)
 @pytest.mark.parametrize(
     "kind, periodic",
     [
@@ -449,13 +480,15 @@ def _stepping_spec(kind: str, periodic: bool) -> ProblemSpec:
         ("burgers", False),
     ],
 )
-def test_run_matches_the_replace_based_step(monkeypatch, kind, periodic, n_blocks):
+def test_run_matches_the_replace_based_step(
+    monkeypatch, kind, periodic, n_blocks, space
+):
     spec = _stepping_spec(kind, periodic)
-    got = run(spec, "exp:d=2", n_blocks=n_blocks, t_final=0.1)
+    got = run(spec, space, n_blocks=n_blocks, t_final=0.1)
     with monkeypatch.context() as m:
         m.setattr(sbpkit.solver, "ssprk33_step", _replace_ssprk33_step)
         m.setattr(sbpkit.solver, "rhs_for", _recomputing_rhs_for)
-        want = run(spec, "exp:d=2", n_blocks=n_blocks, t_final=0.1)
+        want = run(spec, space, n_blocks=n_blocks, t_final=0.1)
     assert got.steps == want.steps > 0
     np.testing.assert_array_equal(got.state.u, want.state.u)
     assert got.state.t == want.state.t == 0.1
@@ -492,6 +525,37 @@ def test_ssprk33_revalidates_a_stage_of_another_shape():
     misshapen = lambda s, t: np.zeros((s.n_blocks, 1, s.u.shape[1]))
     with pytest.raises(ValueError, match="do not match"):
         ssprk33_step(misshapen, state, 0.1)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda s: s.u,
+        lambda s: -s.u.astype(np.float32),
+        lambda s: np.float32(0.3) * s.u[0],
+        lambda s: 2.0,
+        lambda s: 1j * s.u,
+    ],
+    ids=["read-only", "float32", "broadcast", "scalar", "complex"],
+)
+def test_ssprk33_matches_the_replace_based_step_for_any_stage(stage):
+    # the step works in place on its own arrays only: a right side that
+    # returns the state's read-only values, another dtype or shape, or a
+    # scalar gives the out-of-place result or the same error
+    ref = find_operator(make_space("trig:d=1", UNIT))
+    u = np.random.default_rng(3).standard_normal((3, ref.n_nodes))
+    state = BlockState(u=u, operator=ref, edges=(0.0, 0.2, 0.5, 1.0), t=0.0)
+    rhs = lambda s, t: stage(s)
+    try:
+        want = _replace_ssprk33_step(rhs, state, 0.1)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            ssprk33_step(rhs, state, 0.1)
+        return
+    got = ssprk33_step(rhs, state, 0.1)
+    assert got.u.dtype == want.u.dtype == np.float64
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.t == want.t
 
 
 def test_ssprk33_stage_states_share_the_grid():
@@ -557,6 +621,35 @@ def test_run_refuses_a_fractional_block_count():
     a = run(spec, "trig:d=1", n_blocks=np.int64(3), t_final=0.05)
     b = run(spec, "trig:d=1", n_blocks=3, t_final=0.05)
     assert np.array_equal(a.state.u, b.state.u)
+
+
+@pytest.mark.parametrize("name", ["t_final", "cfl"])
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_run_refuses_a_boolean_time_or_cfl(name, value):
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got True$"):
+        run(spec, "trig:d=1", **{name: value})
+
+
+def test_run_records_the_final_time_as_a_float():
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
+    result = run(spec, "trig:d=1", n_blocks=2, t_final=1)
+    assert type(result.state.t) is float and result.state.t == 1.0
+    assert type(result.history[-1].t) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["advection", "advection_source", "burgers"])
+def test_run_refuses_non_finite_inflow_by_name(kind, bad):
+    spec = ProblemSpec(
+        kind=kind,
+        domain=UNIT,
+        initial_condition=lambda x: np.ones_like(x),
+        periodic=False,
+        inflow=lambda t: bad if t > 0.05 else 1.0,
+    )
+    with pytest.raises(ValueError, match=rf"^inflow must be finite, got {bad} at t=0\.05"):
+        run(spec, "trig:d=1", t_final=0.1)
 
 
 @pytest.mark.parametrize("t_final", [math.nan, math.inf])
