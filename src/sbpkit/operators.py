@@ -121,9 +121,7 @@ def _boundary_matrix(n: int) -> np.ndarray:
     return B
 
 
-def build_operator(
-    space: FunctionSpace, rule: QuadratureRule, *, _rule_checked: bool = False
-) -> FsbpOperator:
+def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Build the operator for a space from a positive exact rule.
 
     The antisymmetric part Q_A of Q minimises ``|Q_A F - (P F_x - B F / 2)|``
@@ -135,27 +133,26 @@ def build_operator(
     grid does not determine the space uniquely, or the largest entry of
     the residual exceeds the gate.
 
-    ``_rule_checked`` is internal: :func:`find_operator` sets it for the
-    rule :func:`find_positive_rule` has just verified against the same
-    space, so each rung checks its rule once.
+    The rule check and the build share one evaluation of the space on the
+    rule's grid; inside a search the check is the verdict the search
+    already holds for the rule.
     """
-    if not _rule_checked:
+    x = rule.nodes
+    p = rule.weights
+    n = x.size
+    K = space.dim
+    with _search_scope():
         report = verify_exactness(rule, space)
         if not report.positive:
             raise OperatorError(
-                f"rule has non-positive weights (min {np.min(rule.weights):.3e})"
+                f"rule has non-positive weights (min {np.min(p):.3e})"
             )
         if not report.exact:
             raise OperatorError(
                 f"rule is not exact for {space.kind!r}: "
                 f"residual {report.max_scaled_residual:.3e}"
             )
-
-    x = rule.nodes
-    p = rule.weights
-    n = x.size
-    K = space.dim
-    F, Fx = _vandermondes(space, x)
+        F, Fx = _vandermondes(space, x)
     U, s, Wt = np.linalg.svd(F, full_matrices=False)
     # full rank: every singular value above RANK_RTOL times the largest
     if s.size < K or not s[-1] > RANK_RTOL * s[0]:
@@ -200,15 +197,16 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
     Each rejected rung is logged at DEBUG on the ``sbpkit`` logger.
 
     The search evaluates the space once per grid: the rule check, the
-    build and the verification of a rung share their matrices, and the
-    rungs share the pair moments.  Nothing is kept after the call.
+    build and the verification of a rung share their matrices, the build
+    reuses the rule's verdict, and the rungs share the pair moments.
+    Nothing is kept after the call.
     """
     rungs = _ladder(space, n_nodes)
     with _search_scope():
         for n in rungs:
             try:
                 rule = find_positive_rule(space, n)
-                op = build_operator(space, rule, _rule_checked=True)
+                op = build_operator(space, rule)
                 report = verify_sbp(op)
                 if not report.passed:
                     raise OperatorError(

@@ -16,7 +16,8 @@ constructors never judge a rule: :func:`verify_exactness` alone does.
 A search (:func:`find_positive_rule`, and ``find_operator`` in
 :mod:`sbpkit.operators`) shares what its rungs would otherwise recompute:
 the space's pair moments, the fine-grid row recombination of the
-least-squares rule and the matrices on the current rung's grid.  They are
+least-squares rule, the matrices on the current rung's grid and the
+verdict of :func:`verify_exactness` on the latest rule.  They are
 kept for that one call only; a direct call of any other function
 computes everything afresh.
 """
@@ -281,7 +282,15 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
 
 
 def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
-    """Check a rule against every pair-derivative moment of a space."""
+    """Check a rule against every pair-derivative moment of a space.
+
+    Inside a search a rule checked again gets the verdict already computed.
+    """
+    key = rule.nodes.tobytes() + rule.weights.tobytes()
+    return _shared("exactness", space, key, lambda: _exactness(rule, space))
+
+
+def _exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
     iv = space.interval
     slack = 1e-12 * iv.width
     if (

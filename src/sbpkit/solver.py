@@ -221,17 +221,22 @@ class BlockState:
         )
 
 
-def _boundary_data(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
-    """Weak boundary datum for each block's first node.
+def _penalise(du, state: BlockState, t: float, spec: ProblemSpec, scale) -> None:
+    """Subtract ``scale (u_1 - g) / p_1`` from each block's first value in ``du``.
 
-    Interior blocks receive the rightmost value of their left neighbour;
-    the first block receives either the inflow data or, when periodic,
-    the rightmost value of the last block.  The returned array is new.
+    ``g`` is the left neighbour's last value, or for the first block the
+    inflow data (the last block's last value when periodic).
     """
-    g = state.u.take(state._left_last)
+    # in place on the datum array taken here; the penalty goes through a
+    # column view, which du[:, 0] -= pen would write back a second time
+    pen = state.u.take(state._left_last)
     if not spec.periodic:
-        g[0] = spec.inflow(t)
-    return g
+        pen[0] = spec.inflow(t)
+    np.subtract(state.u[:, 0], pen, out=pen)
+    pen *= scale
+    pen /= state._s_p0
+    col = du[:, 0]
+    col -= pen
 
 
 def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
@@ -241,24 +246,16 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     kind) and adds the boundary penalty ``-sigma a (u_1 - g) / p_1`` at
     its first node.  Returns an array shaped like ``state.u``.
     """
-    # scaled and penalised in place on the arrays allocated here, in the
-    # operation order of -a * (u @ D.T) / s and sigma * a * (u_1 - g) / p_1;
-    # the penalty goes through a column view, which du[:, 0] -= pen would
-    # write back a second time
+    # scaled and penalised in place on the array allocated here, in the
+    # operation order of -a * (u @ D.T) / s and sigma * a * (u_1 - g) / p_1
     a = spec.wave_speed
-    sigma = spec.effective_sigma
     u = state.u
     du = np.dot(u, state._DT)
     du *= -a
     du /= state._s_col
     if spec.kind == "advection_source":
         du += spec.source_coefficient * u
-    pen = _boundary_data(state, t, spec)
-    np.subtract(u[:, 0], pen, out=pen)
-    pen *= sigma * a
-    pen /= state._s_p0
-    col = du[:, 0]
-    col -= pen
+    _penalise(du, state, t, spec, spec.effective_sigma * a)
     return du
 
 
@@ -273,7 +270,6 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     # in place on the arrays allocated here, in the operation order of
     # -((u u) @ D.T + u (u @ D.T)) / (3 s) and (sigma/3) u_1 (u_1 - g) / p_1;
     # dividing by -3 s rounds exactly like negating and dividing by 3 s
-    sigma = spec.effective_sigma
     u = state.u
     DT = state._DT
     du = np.dot(u * u, DT)
@@ -281,13 +277,7 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     udu *= u
     du += udu
     du /= state._m3s_col
-    u1 = u[:, 0]
-    pen = _boundary_data(state, t, spec)
-    np.subtract(u1, pen, out=pen)
-    pen *= (sigma / 3.0) * u1
-    pen /= state._s_p0
-    col = du[:, 0]
-    col -= pen
+    _penalise(du, state, t, spec, (spec.effective_sigma / 3.0) * u[:, 0])
     return du
 
 
@@ -318,7 +308,8 @@ def ssprk33_step(
     Stages evaluate the right-hand side at times t, t + dt and t + dt/2;
     every stage is checked for finite values, and a failure names the
     first block that went non-finite and the time of the stage that
-    produced it.
+    produced it.  A non-finite ``dt`` raises ``ValueError`` before any
+    stage.
 
     The grid is validated once, when ``state`` is built: the stage states
     and the returned state share its operator, edges and width ratios and
@@ -333,6 +324,8 @@ def ssprk33_step(
     side's own output is never written to: it may be a state's read-only
     values.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     t, u0 = state.t, state.u
 
     u1 = u0 + dt * rhs_fn(state, t)
@@ -368,6 +361,14 @@ def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
     return spec.wave_speed
 
 
+def _require_finite(what: str, v: np.ndarray, name: str, at: np.ndarray) -> None:
+    """Refuse non-finite values ``v``, naming the first one and its ``name=at``."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"{what} must be finite, got {v[i]} at {name}={at[i]:.6g}")
+
+
 def _block_count(value) -> int:
     """``value`` as a block count: a whole number of at least 1."""
     n = _whole_count(value, "block count")
@@ -400,9 +401,10 @@ def run(
     The step size is ``cfl`` times the smallest node spacing over the
     largest wave speed, refreshed every step for Burgers, and the final
     step is shortened to land on ``t_final`` exactly.  Mass and energy
-    are recorded after every step.  A non-periodic problem's inflow is
+    are recorded after every step.  The initial values must be finite,
+    and a non-periodic problem's inflow is
     sampled at 65 times of ``[0, t_final]`` before the first step and
-    must be finite there (and nonnegative for Burgers).
+    must be finite there (both nonnegative for Burgers).
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
@@ -426,21 +428,18 @@ def run(
     u = _real_array(spec.initial_condition(nodes.ravel()), "initial condition values")
     if u.shape != (nodes.size,):
         raise ValueError("initial condition must return one value per node")
+    _require_finite("initial condition", u, "x", nodes.ravel())
 
     if spec.kind == "burgers" and float(np.min(u)) < -1e-12:
         raise ValueError("Burgers runs require nonnegative initial data")
     if not spec.periodic:
         ts = np.linspace(0.0, t_final, 65)
         g = np.array([float(spec.inflow(t)) for t in ts])
-        finite = np.isfinite(g)
-        if not finite.all():
-            i = np.flatnonzero(~finite)[0]
-            raise ValueError(f"inflow must be finite, got {g[i]} at t={ts[i]:.6g}")
+        _require_finite("inflow", g, "t", ts)
         if spec.kind == "burgers" and g.min() < -1e-12:
             raise ValueError("Burgers runs require nonnegative inflow data")
 
     state = state._on_same_grid(u.reshape(nodes.shape), 0.0)
-    _check_finite(state.u, 0.0)
     rhs_fn = rhs_for(spec)
     spacing = float(np.min(np.diff(nodes, axis=1)))
 

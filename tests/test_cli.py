@@ -291,6 +291,24 @@ def test_run_refuses_non_finite_problem_parameters(tmp_path, capsys, flag, value
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_periodic_run_refuses_a_non_finite_inflow(tmp_path, capsys):
+    # --periodic drops the inflow before the run, which would never see it
+    rc = main(["run", "--problem", "advection", "--space", "trig:d=1",
+               "--periodic", "--inflow", "nan", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --inflow must be finite, got nan\n"
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_convergence_refuses_a_burgers_inflow_before_any_run(tmp_path, capsys):
+    rc = main(["convergence", "--problem", "burgers", "--space", "poly:d=2",
+               "--blocks", "2", "4", "--inflow", "-1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: no reference solution for problem kind 'burgers'\n"
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_run_refuses_an_anti_dissipative_sigma(tmp_path, capsys):
     # with sigma = -1 both the inflow and the interface penalties feed
     # energy in, and the run would blow up to an error of order 1e20

@@ -26,6 +26,7 @@ from sbpkit.operators import (
     write_operator,
 )
 from sbpkit.quadrature import (
+    ExactnessReport,
     QuadratureError,
     QuadratureRule,
     find_positive_rule,
@@ -403,13 +404,14 @@ def test_closed_form_rules_skip_the_least_squares_rule(monkeypatch):
 
 def test_find_operator_checks_each_rule_once(monkeypatch):
     # find_positive_rule verifies every candidate it builds; the build on
-    # the rule it returns must not verify that rule again
+    # the rule it returns checks it again, and that check must not
+    # recompute the residuals
     counts = {"verify": 0, "candidates": 0, "builds": 0}
-    verify = sbpkit.quadrature.verify_exactness
+    exactness = sbpkit.quadrature._exactness
 
-    def counting_verify(*args, **kwargs):
+    def counting_exactness(*args, **kwargs):
         counts["verify"] += 1
-        return verify(*args, **kwargs)
+        return exactness(*args, **kwargs)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -419,8 +421,7 @@ def test_find_operator_checks_each_rule_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(sbpkit.quadrature, "verify_exactness", counting_verify)
-    monkeypatch.setattr(sbpkit.operators, "verify_exactness", counting_verify)
+    monkeypatch.setattr(sbpkit.quadrature, "_exactness", counting_exactness)
     for builder in ("trapezoid_rule", "gauss_lobatto_rule", "least_squares_rule"):
         fn = getattr(sbpkit.quadrature, builder)
         monkeypatch.setattr(sbpkit.quadrature, builder, counting("candidates", fn))
@@ -450,7 +451,7 @@ def _two_branch_find_operator(space, n_nodes=None):
                 f"grid does not determine {space.kind!r} uniquely "
                 f"(rank below {space.dim}); refine the grid"
             )
-        op = build_operator(space, rule, _rule_checked=True)
+        op = build_operator(space, rule)
         report = verify_sbp(op)
         if not report.passed:
             raise OperatorError(
@@ -543,21 +544,28 @@ def test_build_operator_evaluates_the_space_once():
     )
     rule = find_positive_rule(space)
     calls.clear()
-    op = build_operator(space, rule, _rule_checked=True)
-    assert calls == [rule.n_nodes]
+    op = build_operator(space, rule)
+    # the rule check and the build share one evaluation on the rule's
+    # grid; the pair moments evaluate the space at the two interval ends
+    assert calls.count(rule.n_nodes) == 1
+    assert set(calls) <= {rule.n_nodes, 2}
     assert verify_sbp(op).passed
 
 
-def test_build_operator_rejects_a_rank_deficient_grid():
-    # sin(2 pi x) vanishes on all three nodes, so the grid sees rank 2 of 3
+def test_build_operator_rejects_a_rank_deficient_grid(monkeypatch):
+    # sin(2 pi x) vanishes on all three nodes, so the grid sees rank 2 of 3;
+    # the rule check is stubbed to pass, so the build reaches the rank check
+    monkeypatch.setattr(
+        sbpkit.operators,
+        "verify_exactness",
+        lambda rule, space: ExactnessReport(0.0, 0.0, True),
+    )
     space = trigonometric_space(1, UNIT)
     rule = QuadratureRule(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))
     with pytest.raises(OperatorError, match="does not determine"):
-        build_operator(space, rule, _rule_checked=True)
+        build_operator(space, rule)
     with pytest.raises(OperatorError, match="does not determine"):
-        build_operator(
-            polynomial_space(3, UNIT), trapezoid_rule(3, UNIT), _rule_checked=True
-        )
+        build_operator(polynomial_space(3, UNIT), trapezoid_rule(3, UNIT))
 
 
 def test_exhausted_ladder_names_the_last_reason():
@@ -746,6 +754,19 @@ def test_search_memo_hands_out_read_only_arrays_one_slot_each():
         assert list(memo) == ["vandermondes"]
     # outside a search every call computes afresh
     assert sbpkit.quadrature._vandermondes(space, a)[0] is not V
+
+
+def test_search_memo_keeps_each_rules_own_verdict():
+    # a trig rung's trapezoid and least-squares candidates share their
+    # nodes; the kept verdict must follow the weights as well
+    space = trigonometric_space(3, UNIT)
+    rules = [trapezoid_rule(8, UNIT), least_squares_rule(space, 8)]
+    np.testing.assert_array_equal(rules[0].nodes, rules[1].nodes)
+    alone = [verify_exactness(rule, space) for rule in rules]
+    assert alone[0] != alone[1]
+    with sbpkit.quadrature._search_scope():
+        shared = [verify_exactness(rule, space) for rule in rules * 2]
+    assert shared == alone * 2
 
 
 def test_find_operator_evaluates_the_winning_grid_once():

@@ -374,6 +374,21 @@ def test_ssprk33_flags_nonfinite_states():
         ssprk33_step(blowup, state, 0.1)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_ssprk33_refuses_a_non_finite_dt(dt):
+    # a bad step size is the caller's error, not an instability
+    state = _linear_state([1.0, 1.0])
+    calls = []
+
+    def rhs(s, t):
+        calls.append(t)
+        return -s.u
+
+    with pytest.raises(ValueError, match=rf"^dt must be finite, got {dt}$"):
+        ssprk33_step(rhs, state, dt)
+    assert calls == []
+
+
 def test_ssprk33_failure_names_the_stage_time():
     # only the second stage, evaluated at t + dt, produces non-finite values
     state = replace(_linear_state([1.0, 1.0]), t=1.0)
@@ -650,6 +665,22 @@ def test_run_refuses_non_finite_inflow_by_name(kind, bad):
     )
     with pytest.raises(ValueError, match=rf"^inflow must be finite, got {bad} at t=0\.05"):
         run(spec, "trig:d=1", t_final=0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["advection", "burgers"])
+def test_run_refuses_non_finite_initial_data_by_name(kind, bad):
+    # refused before the Burgers sign check, which NaN would slip past,
+    # and before any step, so it is not reported as an instability
+    spec = ProblemSpec(
+        kind=kind, domain=UNIT, initial_condition=lambda x: np.where(x > 0.5, bad, 1.0)
+    )
+    with pytest.raises(ValueError) as err:
+        run(spec, "trig:d=1", n_blocks=2, t_final=0.1)
+    got = re.fullmatch(
+        rf"initial condition must be finite, got {bad} at x=(\S+)", str(err.value)
+    )
+    assert got is not None and float(got.group(1)) > 0.5
 
 
 @pytest.mark.parametrize("t_final", [math.nan, math.inf])
