@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+import sbpkit.cli
 import sbpkit.diagnostics
+import sbpkit.quadrature
 from sbpkit.cli import _bumpy, main
 
 TRIG1_D = np.array(
@@ -242,6 +244,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         (["run", "--space", "trig:d=1"], {"blocks": [10, 20]}, "blocks"),
         (["run", "--space", "trig:d=1"], {"domain": 1}, "domain"),
         (["run"], {"space": ["exp:d=2"]}, "space"),
+        (["run", "--space", "trig:d=1"], {"periodic": 1}, "periodic"),
     ],
 )
 def test_config_file_rejects_wrong_typed_values(tmp_path, capsys, command, config, key):
@@ -348,3 +351,85 @@ def test_verify_malformed_file_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: operator file {bad}")
     assert "Traceback" not in err
+
+
+def test_verify_evaluates_the_space_once_on_the_operators_grid(tmp_path, monkeypatch):
+    out = tmp_path / "op.json"
+    assert main(["build", "--space", "exp:d=3", "--nodes", "8", "--out", str(out)]) == 0
+    calls = []
+    traced = sbpkit.quadrature.vandermonde
+
+    def counting(space, x):
+        calls.append(len(x))
+        return traced(space, x)
+
+    monkeypatch.setattr(sbpkit.quadrature, "vandermonde", counting)
+    assert main(["verify", str(out)]) == 0
+    # verify_sbp and the quadrature check share one evaluation on the grid
+    assert calls.count(8) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weights", [0.5, 0.5]), ("Q", [[0.0, 1.0], [-1.0, 0.0]])],
+)
+def test_verify_refuses_wrongly_shaped_arrays(tmp_path, capsys, field, value):
+    out = tmp_path / "op.json"
+    main(["build", "--space", "trig:d=1", "--nodes", "4", "--out", str(out)])
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data[field] = value
+    out.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: operator file {out}: bad ")
+    assert "shapes" in err
+
+
+def test_run_without_a_reference_writes_nan_errors(tmp_path, capsys):
+    # Burgers with inflow data has no reference solution
+    rc = main(["run", "--problem", "burgers", "--space", "poly:d=2",
+               "--blocks", "2", "--inflow", "0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.rstrip().endswith("no reference")
+    _, summary = _read_csv(tmp_path / "summary.csv")
+    assert all(np.isnan(float(v)) for v in summary[0][:3])
+    assert float(summary[0][3]) >= 1
+    _, solution = _read_csv(tmp_path / "solution.csv")
+    assert solution and all(
+        np.isnan(float(row[2])) and np.isnan(float(row[3])) for row in solution
+    )
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_periodic_keeps_the_problems_default_domain(tmp_path, monkeypatch, source):
+    specs = []
+    solve = sbpkit.cli.run
+
+    def capturing(spec, *args, **kwargs):
+        specs.append(spec)
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(sbpkit.cli, "run", capturing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"periodic": True}), encoding="utf-8")
+    periodic = ["--periodic"] if source == "flag" else ["--config", str(cfg)]
+    rc = main(["run", "--problem", "advection-source", "--space", "poly:d=2",
+               "--blocks", "2", "--tfinal", "0.25", "--out", str(tmp_path)]
+              + periodic)
+    assert rc == 0
+    (spec,) = specs
+    assert spec.periodic and spec.inflow is None
+    assert (spec.domain.left, spec.domain.right) == (0.0, np.pi)
+    # constant initial data grows uniformly when nothing enters the domain
+    _, solution = _read_csv(tmp_path / "solution.csv")
+    assert max(float(row[0]) for row in solution) == pytest.approx(np.pi)
+    assert {row[2] for row in solution} == {solution[0][2]}
+
+
+def test_build_without_an_operator_is_a_verification_failure(tmp_path, capsys):
+    rc = main(["build", "--space", "exp:d=6", "--nodes", "32",
+               "--out", str(tmp_path / "op.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("verification failure: ")
+    assert not (tmp_path / "op.json").exists()

@@ -513,3 +513,9 @@ def test_convergence_table_rejects_a_bad_space_before_running(monkeypatch):
     monkeypatch.setattr(sbpkit.solver, "run", forbidden)
     with pytest.raises(ValueError, match="unknown space kind 'spline'"):
         convergence_table(spec, ["poly:d=2", "spline:d=2"], [2, 4], t_final=0.1)
+
+
+def test_convergence_table_without_spaces_is_empty():
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+    assert convergence_table(spec, [], [1, 2]) == []
