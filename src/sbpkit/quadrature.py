@@ -7,16 +7,12 @@ closed form as boundary product moments.  This module builds such rules:
 the composite trapezoid rule (exact for trigonometric spaces once the
 grid resolves twice the top frequency), Gauss-Lobatto rules (polynomial
 spaces), and a minimum-norm least-squares construction on equidistant
-nodes that works for any space.  The least-squares construction
-orthonormalises its constraint rows on a fine equidistant grid of
-``max(257, 8*P)`` points, ``P = dim*(dim+1)/2`` the number of pair rows,
-so the grid depends on the space and not on the node count.  The rule
-constructors never judge a rule: :func:`verify_exactness` alone does.
+nodes that works for any space.  The rule constructors never judge a
+rule: :func:`verify_exactness` alone does.
 
 A search (:func:`find_positive_rule`, and ``find_operator`` in
 :mod:`sbpkit.operators`) shares what its rungs would otherwise recompute:
-the space's pair moments, the fine-grid row recombination of the
-least-squares rule, the matrices on the current rung's grid and the
+the space's pair moments, the matrices on the current rung's grid and the
 verdict of :func:`verify_exactness` on the latest rule.  They are
 kept for that one call only; a direct call of any other function
 computes everything afresh.
@@ -37,7 +33,6 @@ from .spaces import (
     Interval,
     _pair_products,
     _whole_count,
-    pair_derivative_rows,
     pair_moments,
     vandermonde,
     vandermonde_derivative,
@@ -129,20 +124,6 @@ def _pair_rows(space: FunctionSpace, nodes: np.ndarray) -> np.ndarray:
         nodes.tobytes(),
         lambda: _frozen(_pair_products(*_vandermondes(space, nodes), space.dim)),
     )
-
-
-def _recombination(space: FunctionSpace) -> np.ndarray | None:
-    # orthonormalising map of the pair rows over a fine grid sized from
-    # the space alone, so every rung of a search shares it; None when the
-    # rows are all zero (a constant-only space)
-    iv = space.interval
-    pairs = space.dim * (space.dim + 1) // 2
-    fine = np.linspace(iv.left, iv.right, max(257, 8 * pairs))
-    Uh, sh, _ = np.linalg.svd(pair_derivative_rows(space, fine), full_matrices=False)
-    if not sh[0] > 0.0:
-        return None
-    rh = int(np.sum(sh > _SVD_RTOL * sh[0]))
-    return _frozen((Uh[:, :rh] / sh[:rh]).T)
 
 
 @dataclass(frozen=True)
@@ -244,19 +225,13 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
 def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     """Minimum-norm weights on equidistant nodes for the pair-derivative moments.
 
-    The raw constraint rows (one per pair of basis elements) are nearly
-    parallel for monomial-type spaces and would limit the attainable
-    residual, so they are first recombined into an orthonormal set over a
-    fine equidistant grid of ``max(257, 8*P)`` points, ``P`` the number of
-    pairs, whatever ``n_nodes``; the recombination changes neither the
-    constraint set nor the reported residual, only the float behaviour,
-    and a search computes it once for all its rungs.  Starting
-    from uniform weights, the minimum-norm correction satisfying the
-    recombined constraints is applied, with singular values below
-    ``1e-12`` times the largest discarded.  The rule is returned as
-    built, exact or not and positive or not: :func:`verify_exactness`
-    judges it.  Raises ``ValueError`` when ``n_nodes`` is not a whole
-    number or is below ``dim``.
+    The constraints are one row per pair of basis elements, evaluated on
+    the nodes, against the pair moments.  Starting from uniform weights,
+    the minimum-norm correction satisfying them is applied, with singular
+    values below ``1e-12`` times the largest discarded.  The rule is
+    returned as built, exact or not and positive or not:
+    :func:`verify_exactness` judges it.  Raises ``ValueError`` when
+    ``n_nodes`` is not a whole number or is below ``dim``.
     """
     n = _whole_count(n_nodes)
     if n < space.dim:
@@ -268,15 +243,12 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     Phi = _pair_rows(space, nodes)
     m = _moments(space)
 
-    T = _shared("recombination", space, None, lambda: _recombination(space))
-    lhs, rhs = (Phi, m) if T is None else (T @ Phi, T @ m)
-
     w = np.full(n, iv.width / n)
-    U, s, Vt = np.linalg.svd(lhs, full_matrices=False)
+    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
     if s[0] > 0.0:
         r = int(np.sum(s > _SVD_RTOL * s[0]))
         lhs_r = Vt[:r]
-        rhs_r = (U[:, :r].T @ rhs) / s[:r]
+        rhs_r = (U[:, :r].T @ m) / s[:r]
         w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
     return QuadratureRule(nodes, w)
 

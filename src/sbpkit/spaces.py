@@ -337,19 +337,16 @@ def rbf_cubic_space(
         coef = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular radial interpolation system: {exc}") from exc
-    # One matrix-vector product per cardinal function, batched: this rounds
-    # exactly like evaluating each column on its own, while a plain matrix
-    # product rounds differently, enough to move marginal operator searches.
-    alpha = coef[:m, :].T[:, :, None]
-    beta = coef[m, :]
+    alpha = coef[:m]
+    beta = coef[m]
 
     def values(x):
         s = np.asarray(x, dtype=float)[:, None] - c
-        return (np.abs(s) ** 3 @ alpha)[..., 0].T + beta
+        return np.abs(s) ** 3 @ alpha + beta
 
     def derivatives(x):
         s = np.asarray(x, dtype=float)[:, None] - c
-        return ((3.0 * s * np.abs(s)) @ alpha)[..., 0].T
+        return (3.0 * s * np.abs(s)) @ alpha
 
     centers_txt = ",".join(format(v, "g") for v in c)
     return FunctionSpace(

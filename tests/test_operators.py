@@ -663,7 +663,7 @@ MEMO_SWEEP = [
     ("exp:d=6", UNIT),  # catalog failure
     (_centers(5, UNIT), UNIT),
     (_centers(7, Interval(-1.0, 1.0)), Interval(-1.0, 1.0)),
-    (_centers(11, UNIT), UNIT),  # catalog failure
+    (_centers(11, UNIT), UNIT),
 ]
 
 
@@ -810,34 +810,20 @@ def test_find_operator_logs_each_rejected_rung(caplog):
     assert str(records[-1].args[1]) in str(exc.value)
 
 
-def test_find_operator_computes_one_recombination_per_search(monkeypatch):
-    calls = []
-    recombination = sbpkit.quadrature._recombination
-
-    def counting(space):
-        calls.append(space.kind)
-        return recombination(space)
-
-    monkeypatch.setattr(sbpkit.quadrature, "_recombination", counting)
-    # 25 least-squares rungs each, every one with P + n > 64 for 11 centers
-    for kind in (_centers(11, UNIT), "exp:d=6"):
-        space = make_space(kind, UNIT)
-        calls.clear()
-        with pytest.raises(OperatorError):
-            find_operator(space)
-        assert calls == [space.kind]
-        # nothing is kept across calls
-        with pytest.raises(OperatorError):
-            find_operator(space)
-        assert calls == [space.kind] * 2
-
-
 @pytest.mark.parametrize(
-    "kind, n_nodes, expected", [(_centers(9, UNIT), None, 30), ("exp:d=5", 64, 64)]
+    "kind, n_nodes, expected", [(_centers(9, UNIT), None, 17), ("exp:d=5", 64, 64)]
 )
 def test_least_squares_rule_matches_the_rung_of_a_search(kind, n_nodes, expected):
-    # P + n > 64 on these rungs, where the fine grid once grew with n
     space = make_space(kind, UNIT)
     op = find_operator(space, n_nodes)
     assert op.n_nodes == expected
     np.testing.assert_array_equal(least_squares_rule(space, expected).weights, op.p)
+
+
+@pytest.mark.parametrize(
+    "interval", [UNIT, Interval(-1.0, 1.0), Interval(0.0, np.pi)]
+)
+def test_find_operator_finds_the_eleven_center_rbf_space(interval):
+    op = find_operator(make_space(_centers(11, interval), interval))
+    assert op.n_nodes == 21
+    assert verify_sbp(op).passed

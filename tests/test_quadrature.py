@@ -18,6 +18,7 @@ from sbpkit.quadrature import (
     verify_exactness,
 )
 from sbpkit.spaces import (
+    FunctionSpace,
     Interval,
     exponential_space,
     make_space,
@@ -105,6 +106,32 @@ def test_least_squares_radial_weights():
     )
 
 
+def test_least_squares_evaluates_the_space_only_on_its_nodes():
+    base = make_space("trig:d=20", UNIT)
+    rows = {"values": [], "derivatives": []}
+
+    def counting(name, fn):
+        def wrapped(x):
+            rows[name].append(len(x))
+            return fn(x)
+
+        return wrapped
+
+    space = FunctionSpace(
+        UNIT,
+        counting("values", base.values),
+        counting("derivatives", base.derivatives),
+        kind=base.kind,
+        rule=base.rule,
+    )
+    for calls in rows.values():
+        calls.clear()
+    least_squares_rule(space, 50)
+    # the 50 nodes, and the two interval ends for the pair moments
+    assert sorted(rows["values"]) == [2, 50]
+    assert rows["derivatives"] == [50]
+
+
 def test_least_squares_requires_enough_nodes():
     with pytest.raises(ValueError):
         least_squares_rule(exponential_space(2, UNIT), 2)
@@ -188,7 +215,7 @@ def test_find_positive_rule_returns_the_candidate_itself(monkeypatch, builder, s
 def test_find_positive_rule_reports_failure_at_pinned_count():
     space = exponential_space(5, UNIT)
     with pytest.raises(QuadratureError):
-        find_positive_rule(space, 11)
+        find_positive_rule(space, 10)
 
 
 def test_find_positive_rule_rejects_bad_start():

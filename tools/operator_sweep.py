@@ -18,7 +18,10 @@ Run the sweep of one source tree, then compare two result files::
 ``--src`` defaults to the ``src/`` directory next to this file; the
 package is imported from there, so each tree is swept in its own
 process.  ``--compare`` prints every key whose entry differs or that only
-one file has, and exits 1 if there is any, like ``diff``.
+one file has, and exits 1 if there is any, like ``diff``.  Its last line
+tallies the moves by kind: a failure that became an operator and the
+reverse, an operator on fewer, more or the same number of nodes, a
+failure whose message changed, and a key that only one file has.
 """
 
 from __future__ import annotations
@@ -111,6 +114,38 @@ def compare(a: dict, b: dict) -> list[str]:
     return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
 
 
+MOVE_KINDS = (
+    "failure->operator",
+    "operator->failure",
+    "fewer nodes",
+    "more nodes",
+    "same node count",
+    "failure message only",
+    "in one file only",
+)
+
+
+def move_kind(old: dict | None, new: dict | None) -> str:
+    """Which of ``MOVE_KINDS`` a moved key's pair of entries is."""
+    if old is None or new is None:
+        return "in one file only"
+    if "n_nodes" not in old:
+        return "failure message only" if "error" in new else "failure->operator"
+    if "n_nodes" not in new:
+        return "operator->failure"
+    if new["n_nodes"] == old["n_nodes"]:
+        return "same node count"
+    return "fewer nodes" if new["n_nodes"] < old["n_nodes"] else "more nodes"
+
+
+def tally(a: dict, b: dict) -> str:
+    """One line counting the moved keys of two sweeps by ``move_kind``."""
+    counts = dict.fromkeys(MOVE_KINDS, 0)
+    for key in compare(a, b):
+        counts[move_kind(a.get(key), b.get(key))] += 1
+    return ", ".join(f"{count} {kind}" for kind, count in counts.items())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
@@ -129,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             for path, entries in zip(args.compare, (a, b)):
                 print(f"  {path}: {entries.get(key)}")
         print(f"{len(moved)} of {len(a.keys() | b.keys())} searches moved")
+        print(tally(a, b))
         return 1 if moved else 0
 
     sys.path.insert(0, str(args.src.resolve()))
