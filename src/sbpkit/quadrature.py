@@ -323,7 +323,7 @@ def find_positive_rule(
             for rule in _candidates(space, n):
                 if verify_exactness(rule, space).ok:
                     return rule
+    counts = f"{rungs.start}" if len(rungs) == 1 else f"{rungs.start}..{rungs[-1]}"
     raise QuadratureError(
-        f"no positive exact rule for {space.kind!r} with "
-        f"{rungs.start}..{rungs.stop - 1} nodes"
+        f"no positive exact rule for {space.kind!r} with {counts} nodes"
     )

@@ -12,7 +12,9 @@ families are built in:
 * ``trig``: constants plus sine/cosine pairs at integer multiples of the
   base frequency ``2*pi / (x_R - x_L)``, so every element is periodic over
   the interval,
-* ``exp``: monomials up to ``degree - 1`` plus ``exp(x)``,
+* ``exp``: the span of monomials up to ``degree - 1`` plus ``exp(x)``,
+  represented as Legendre polynomials plus the Taylor tail of ``exp``
+  about the interval midpoint,
 * ``rbf-cubic``: cardinal functions of cubic radial basis interpolation
   with a constant tail.
 
@@ -23,6 +25,7 @@ product moments, stacked pair-derivative rows and a numerical rank check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -283,24 +286,78 @@ def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Func
 
 
 def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
-    """Monomials ``1, x, ..., x**(degree-1)`` together with ``exp(x)``.
+    """The span of ``1, x, ..., x**(degree-1)`` and ``exp(x)``.
 
-    Dimension is ``degree + 1``.  Meant for small degrees; the monomial
-    part is kept literal so that the exponential stays the distinguished
-    last column.
+    Dimension is ``degree + 1``.  With ``c`` the midpoint, ``h`` the half
+    width, ``t = x - c`` and ``s = t/h``, the columns are the Legendre
+    polynomials ``P_0(s), ..., P_{degree-1}(s)`` and the Taylor tail of
+    ``exp`` about the midpoint, ``T(t) = sum_{k>=degree} t**k / k!``,
+    divided by ``T(h)`` so that, like every ``P_k``, it is 1 at the right
+    end.  The literal columns lose numerical rank on narrow intervals,
+    from about degree 6, and on wide intervals where ``exp`` dwarfs the
+    monomials.
+
+    Each matrix is one product ``vander(s) @ C``: the rows of ``C`` hold
+    the power-series coefficients in ``s`` of every column, with the
+    tail's series cut at the first term below ``1e-18`` of its leading
+    one.  The derivative coefficients are those of ``C`` shifted up one
+    power and divided by ``h``.  Near ``c`` the tail is summed as its own
+    series, since ``exp`` minus its Taylor part cancels there.  Below
+    ``t = -(degree + 1)`` the series alternates with terms far above its
+    sum, while ``exp(t)`` is small beside the Taylor part, so there the
+    tail is ``exp(t)`` minus the Taylor part.
     """
     degree = _whole_count(degree, "exponential-space degree")
     if degree < 1:
         raise ValueError(f"exponential-space degree must be >= 1, got {degree}")
+    c = 0.5 * (interval.left + interval.right)
+    h = 0.5 * interval.width
+    # T's coefficient of s**(degree + j) over that of s**degree:
+    # degree!/(degree + j)! * h**j
+    tail = [1.0]
+    while math.isfinite(tail[-1]):
+        term = tail[-1] * h / (degree + len(tail))
+        if term < 1e-18:
+            break
+        tail.append(term)
+    # T(h) over h**degree/degree!; on a very wide interval a term overflows,
+    # leaves a nan in C and is refused by name at construction
+    total = sum(tail)
+    n_powers = degree + len(tail)
+    C = np.zeros((n_powers, degree + 1))
+    C[0, 0] = 1.0
+    if degree > 1:
+        C[1, 1] = 1.0
+    for k in range(1, degree - 1):
+        # (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1}: exact in floating
+        # point through P_24, where leg2poly is an ulp off from P_6 on, and
+        # a tenth of its time
+        C[1:, k + 1] = (2 * k + 1) * C[:-1, k]
+        C[:, k + 1] -= k * C[:, k - 1]
+        C[:, k + 1] /= k + 1
+    C[degree:, degree] = [a / total for a in tail]
+    Cx = np.arange(1, n_powers)[:, None] * C[1:] / h
+    far_field = -(degree + 1.0)
+
+    def product(x, coefs, taylor_terms):
+        t = np.asarray(x, dtype=float) - c
+        out = np.vander(t / h, len(coefs), increasing=True) @ coefs
+        far = t < far_field
+        if far.any():
+            tf = t[far]
+            taylor = sum(tf**k / math.factorial(k) for k in range(taylor_terms))
+            # 1/T(h) = degree!/(h**degree * total), taken in logs so that no
+            # step overflows; here h > degree + 1
+            log_norm = math.lgamma(degree + 1) - degree * math.log(h) - math.log(total)
+            out[far, degree] = math.exp(log_norm) * (np.exp(tf) - taylor)
+        return out
 
     def values(x):
-        x = np.asarray(x, dtype=float)
-        return np.column_stack([x**k for k in range(degree)] + [np.exp(x)])
+        return product(x, C, degree)
 
     def derivatives(x):
-        x = np.asarray(x, dtype=float)
-        powers = [k * x ** (k - 1) for k in range(1, degree)]
-        return np.column_stack([np.zeros_like(x)] + powers + [np.exp(x)])
+        # T' is the tail from degree - 1 on
+        return product(x, Cx, degree - 1)
 
     return FunctionSpace(interval, values, derivatives, kind=f"exp:d={degree}")
 

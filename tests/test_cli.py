@@ -428,7 +428,7 @@ def test_periodic_keeps_the_problems_default_domain(tmp_path, monkeypatch, sourc
 
 
 def test_build_without_an_operator_is_a_verification_failure(tmp_path, capsys):
-    rc = main(["build", "--space", "exp:d=6", "--nodes", "32",
+    rc = main(["build", "--space", "exp:d=9", "--nodes", "32",
                "--out", str(tmp_path / "op.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("verification failure: ")

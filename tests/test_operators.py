@@ -50,6 +50,8 @@ from sbpkit.spaces import (
     vandermonde_derivative,
 )
 
+from literal_exp import literal_exponential_space
+
 UNIT = Interval(0.0, 1.0)
 
 # known operator matrices, stated to two decimals
@@ -250,8 +252,9 @@ def test_build_rejects_nonpositive_weights():
 def test_find_operator_skips_unworkable_node_counts():
     # ten equidistant nodes admit weights that squeeze past the quadrature
     # residual gate, yet no antisymmetric part reproduces the derivatives;
-    # the pinned build must fail while the ladder walks on to a good count
-    space = exponential_space(4, UNIT)
+    # the pinned build must fail while the ladder walks on to a good count;
+    # the literal columns 1, x, x^2, x^3, exp(x) reach that gate
+    space = literal_exponential_space(4, UNIT)
     with pytest.raises(OperatorError):
         find_operator(space, 10)
     op = find_operator(space)
@@ -260,7 +263,7 @@ def test_find_operator_skips_unworkable_node_counts():
 
 
 def test_find_operator_raises_when_ladder_is_exhausted():
-    space = exponential_space(6, UNIT)
+    space = literal_exponential_space(6, UNIT)
     with pytest.raises(OperatorError):
         find_operator(space)
 
@@ -379,7 +382,7 @@ def test_closed_form_build_matches_dense_least_squares(kind):
 
 
 def test_closed_form_build_gate_residual_matches_dense_least_squares():
-    space = exponential_space(6, UNIT)
+    space = literal_exponential_space(6, UNIT)
     rule = find_positive_rule(space, 32)
     with pytest.raises(OperatorError, match="inconsistent") as exc:
         build_operator(space, rule)
@@ -430,7 +433,8 @@ def test_find_operator_checks_each_rule_once(monkeypatch):
         "build_operator",
         counting("builds", sbpkit.operators.build_operator),
     )
-    op = find_operator(exponential_space(5, UNIT))
+    # the literal columns fail a build before the search finds its operator
+    op = find_operator(literal_exponential_space(5, UNIT))
     assert verify_sbp(op).passed
     assert counts["builds"] >= 2
     assert counts["verify"] == counts["candidates"]
@@ -483,8 +487,8 @@ SWEEP = [
     ("trig:d=6", Interval(0.0, np.pi)),
     ("exp:d=2", UNIT),
     ("exp:d=4", UNIT),
-    ("exp:d=4", Interval(-1.0, 1.0)),  # no operator on any rung
-    ("exp:d=5", Interval(0.0, np.pi)),  # no operator on any rung
+    ("exp:d=4", Interval(-1.0, 1.0)),
+    ("exp:d=5", Interval(0.0, np.pi)),
     ("rbf-cubic:centers=0,0.25,0.5,0.75,1", UNIT),
 ]
 
@@ -569,8 +573,9 @@ def test_build_operator_rejects_a_rank_deficient_grid(monkeypatch):
 
 
 def test_exhausted_ladder_names_the_last_reason():
-    # the ladder for exp:d=6 runs from 8 to 32 nodes, and no rung works
-    space = exponential_space(6, UNIT)
+    # the ladder for exp:d=6 runs from 8 to 32 nodes, and with the literal
+    # columns no rung works
+    space = literal_exponential_space(6, UNIT)
     with pytest.raises(OperatorError) as pinned:
         find_operator(space, 32)
     with pytest.raises(OperatorError) as exhausted:
@@ -601,7 +606,7 @@ def _memo_free_find_operator(space, n_nodes=None):
             if verify_exactness(rule, space).ok:
                 return rule
         raise QuadratureError(
-            f"no positive exact rule for {space.kind!r} with {n}..{n} nodes"
+            f"no positive exact rule for {space.kind!r} with {n} nodes"
         )
 
     def verified_build(n):
@@ -659,8 +664,8 @@ MEMO_SWEEP = [
     ("trig:d=20", UNIT),
     ("exp:d=2", UNIT),
     ("exp:d=4", Interval(-1.0, 1.0)),
-    ("exp:d=5", Interval(0.0, np.pi)),  # catalog failure
-    ("exp:d=6", UNIT),  # catalog failure
+    ("exp:d=5", Interval(0.0, np.pi)),
+    ("exp:d=6", UNIT),
     (_centers(5, UNIT), UNIT),
     (_centers(7, Interval(-1.0, 1.0)), Interval(-1.0, 1.0)),
     (_centers(11, UNIT), UNIT),
@@ -677,9 +682,9 @@ def test_find_operator_matches_the_memo_free_search(kind, interval):
 @settings(max_examples=30, deadline=None)
 @given(
     family=st.sampled_from(["poly", "trig", "exp", "rbf"]),
-    degree=st.integers(1, 4),
+    degree=st.integers(1, 6),
     left=st.floats(-2.0, 2.0),
-    width=st.floats(0.5, 4.0),
+    width=st.floats(0.25, 4.0),
 )
 def test_find_operator_matches_the_memo_free_search_anywhere(
     family, degree, left, width
@@ -716,7 +721,7 @@ def test_search_memo_lives_for_one_call():
         find_operator(space, 8)  # pinned failure
     assert _open_memo() is None
     with pytest.raises(OperatorError):
-        find_operator(exponential_space(6, UNIT))  # exhausted ladder
+        find_operator(literal_exponential_space(6, UNIT))  # exhausted ladder
     assert _open_memo() is None
     find_positive_rule(space)
     assert _open_memo() is None
@@ -796,7 +801,7 @@ def test_find_operator_evaluates_the_winning_grid_once():
 
 
 def test_find_operator_logs_each_rejected_rung(caplog):
-    space = exponential_space(6, UNIT)
+    space = literal_exponential_space(6, UNIT)
     with pytest.raises(OperatorError):
         find_operator(space)
     assert caplog.records == []  # silent by default
@@ -827,3 +832,32 @@ def test_find_operator_finds_the_eleven_center_rbf_space(interval):
     op = find_operator(make_space(_centers(11, interval), interval))
     assert op.n_nodes == 21
     assert verify_sbp(op).passed
+
+
+@pytest.mark.parametrize(
+    "kind, interval, expected",
+    [
+        ("exp:d=6", UNIT, 19),
+        ("exp:d=5", Interval(0.0, np.pi), 20),
+        ("exp:d=4", Interval(-1.0, 1.0), 14),
+        ("exp:d=4", UNIT, 11),
+    ],
+)
+def test_find_operator_finds_the_former_exp_failures(kind, interval, expected):
+    # the literal columns 1, x, ..., exp(x) found none of these (exp:d=4 on
+    # [0, 1] only at 24 nodes); the Legendre-plus-tail columns span the same
+    op = find_operator(make_space(kind, interval))
+    assert op.n_nodes == expected
+    assert verify_sbp(op).passed
+
+
+def test_exp_degree_nine_exhausts_the_ladder_with_its_reason():
+    # the equispaced least-squares rule needs 36 nodes, one past the ladder
+    space = make_space("exp:d=9", UNIT)
+    with pytest.raises(OperatorError) as exc:
+        find_operator(space)
+    assert str(exc.value) == (
+        "no workable operator for 'exp:d=9' with up to 35 nodes; "
+        "last: no positive exact rule for 'exp:d=9' with 35 nodes"
+    )
+    assert find_operator(space, 36).n_nodes == 36

@@ -214,8 +214,13 @@ def test_find_positive_rule_returns_the_candidate_itself(monkeypatch, builder, s
 
 def test_find_positive_rule_reports_failure_at_pinned_count():
     space = exponential_space(5, UNIT)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as exc:
         find_positive_rule(space, 10)
+    # a pinned search names its one count, an exhausted ladder its range
+    assert str(exc.value) == "no positive exact rule for 'exp:d=5' with 10 nodes"
+    with pytest.raises(QuadratureError) as exc:
+        find_positive_rule(exponential_space(9, UNIT))
+    assert str(exc.value) == "no positive exact rule for 'exp:d=9' with 11..35 nodes"
 
 
 def test_find_positive_rule_rejects_bad_start():

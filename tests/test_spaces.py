@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from sbpkit.spaces import (
     vandermonde,
     vandermonde_derivative,
 )
+
+from literal_exp import literal_exponential_space
 
 
 def test_interval_rejects_empty_and_non_finite():
@@ -75,7 +78,7 @@ def test_trig_vandermonde_row_at_zero():
 
 
 def test_exp_vandermonde_row_at_one():
-    space = exponential_space(2, Interval(0.0, 1.0))
+    space = literal_exponential_space(2, Interval(0.0, 1.0))
     row = vandermonde(space, [1.0])[0]
     np.testing.assert_allclose(row, [1.0, 1.0, math.e], rtol=1e-15)
 
@@ -183,7 +186,7 @@ def test_unisolvency_rank_counts_independent_directions():
 
 
 def test_boundary_product_moment_values_and_symmetry():
-    space = exponential_space(2, Interval(0.0, 1.0))
+    space = literal_exponential_space(2, Interval(0.0, 1.0))
     # elements are 1, x, exp(x); the (x, x) product jumps by 1 over [0, 1]
     assert boundary_product_moment(space, 1, 1) == pytest.approx(1.0)
     # (1, exp) jumps by e - 1
@@ -220,7 +223,7 @@ def test_pair_rows_constant_space():
 
 def test_pair_rows_monomial_pair():
     # for elements 1, x, exp(x) the (x, x) row is (x^2)' = 2x with moment 1
-    space = exponential_space(2, Interval(0.0, 1.0))
+    space = literal_exponential_space(2, Interval(0.0, 1.0))
     grid = np.array([0.0, 1.0])
     rows = pair_derivative_rows(space, grid)
     assert rows.shape == (6, 2)
@@ -306,11 +309,40 @@ def _trig_columns(degree, iv, x):
 
 
 def _exp_columns(degree, iv, x):
-    vals, ders = [np.ones_like(x)], [np.zeros_like(x)]
-    for k in range(1, degree):
-        vals.append(x**k)
-        ders.append(k * x ** (k - 1))
-    return np.column_stack(vals + [np.exp(x)]), np.column_stack(ders + [np.exp(x)])
+    # Legendre columns in s = (x - c)/h, then the tail of exp about the
+    # midpoint c over its value at the right end, T(t)/T(h) with
+    # T(t) = exp(t) minus its Taylor part up to t**(degree-1): evaluated
+    # here as that difference in 60-digit decimals, where it cancels
+    # harmlessly
+    c, h = 0.5 * (iv.left + iv.right), 0.5 * iv.width
+    s = (x - c) / h
+    vals, ders = [], []
+    for k in range(degree):
+        coef = np.zeros(k + 1)
+        coef[k] = 1.0
+        vals.append(legendre.legval(s, coef))
+        ders.append(legendre.legval(s, legendre.legder(coef)) / h)
+
+    def tail(m, t):
+        rest, term = t.exp(), Decimal(1)
+        for k in range(m):
+            rest -= term
+            term *= t / (k + 1)
+        return rest
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = [Decimal(v) - Decimal(c) for v in x]
+        norm = tail(degree, Decimal(h))
+        vals.append(np.array([float(tail(degree, u) / norm) for u in t]))
+        # T' is the tail from degree - 1 on
+        ders.append(np.array([float(tail(degree - 1, u) / norm) for u in t]))
+    return np.column_stack(vals), np.column_stack(ders)
+
+
+def _assert_close_per_column(got, want, rtol):
+    # each column to rtol times its largest entry
+    assert np.all(np.abs(got - want) <= rtol * np.max(np.abs(want), axis=0))
 
 
 def _rbf_columns(centers, iv, x):
@@ -348,7 +380,11 @@ def test_vandermonde_equals_the_per_column_formulas(family, arg, iv):
         space = builder(arg, iv)
         V, Vx = columns(arg, iv, x)
     assert space.dim == V.shape[1]
-    if family == "rbf":
+    if family == "exp":
+        # one product against per-column sums and a 60-digit tail
+        _assert_close_per_column(vandermonde(space, x), V, 1e-15)
+        _assert_close_per_column(vandermonde_derivative(space, x), Vx, 1e-15)
+    elif family == "rbf":
         np.testing.assert_allclose(vandermonde(space, x), V, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             vandermonde_derivative(space, x), Vx, rtol=0, atol=1e-12
@@ -356,6 +392,79 @@ def test_vandermonde_equals_the_per_column_formulas(family, arg, iv):
     else:
         assert np.array_equal(vandermonde(space, x), V)
         assert np.array_equal(vandermonde_derivative(space, x), Vx)
+
+
+@pytest.mark.parametrize(
+    "iv", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, np.pi)]
+)
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_exp_columns_span_the_monomials_and_exp(degree, iv):
+    # one set of coefficients carries the columns onto 1, x, ..., exp(x)
+    # and their derivatives onto the derivatives of those
+    space = exponential_space(degree, iv)
+    literal = literal_exponential_space(degree, iv)
+    x = np.linspace(iv.left, iv.right, 257)
+    V = vandermonde(space, x)
+    target = vandermonde(literal, x)
+    coef, *_ = np.linalg.lstsq(V, target, rcond=None)
+    for got, want in (
+        (V @ coef, target),
+        (vandermonde_derivative(space, x) @ coef, vandermonde_derivative(literal, x)),
+    ):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "iv",
+    [Interval(0.0, 0.25), Interval(0.0, np.pi), Interval(0.0, 30.0),
+     Interval(-40.0, 10.0), Interval(700.0, 712.0)],
+)
+@pytest.mark.parametrize("degree", [1, 2, 5, 8])
+def test_exp_columns_match_a_60_digit_reference(degree, iv):
+    # [0, 30] and [-40, 10] reach far below t = -(degree + 1), where the
+    # tail is exp minus its Taylor part; exp(x) overflows on [700, 712]
+    x = np.concatenate([[iv.left, iv.right], np.linspace(iv.left, iv.right, 65)])
+    space = exponential_space(degree, iv)
+    V, Vx = _exp_columns(degree, iv, x)
+    # the power form of P_7 loses a digit against its Clenshaw sum
+    _assert_close_per_column(vandermonde(space, x), V, 1e-14)
+    _assert_close_per_column(vandermonde_derivative(space, x), Vx, 1e-14)
+
+
+@pytest.mark.parametrize("left", [-745.0, 709.0, 710.0])
+def test_exp_columns_do_not_depend_on_where_the_interval_lies(left):
+    # exp(x) under- or overflows on these intervals, the columns do not
+    x = np.linspace(0.0, 1.0, 33)
+    here = exponential_space(3, Interval(left, left + 1.0))
+    np.testing.assert_allclose(
+        vandermonde(here, left + x), vandermonde(exponential_space(3), x),
+        rtol=0, atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize(
+    "degree, iv",
+    [(2, Interval(0.0, 24.0)), (8, Interval(0.0, 21.0)), (1, Interval(-60.0, 25.0)),
+     (2, Interval(-60.0, 25.0))],
+)
+def test_exp_space_constructs_where_the_literal_columns_do(degree, iv):
+    # the literal columns construct here and are refused one unit wider;
+    # the new ones construct up to a width of about 1430
+    literal_exponential_space(degree, iv)
+    space = exponential_space(degree, iv)
+    assert space.dim == degree + 1 and space.contains_constants
+    wider = Interval(iv.left, iv.left + 1000.0)
+    assert exponential_space(degree, wider).dim == degree + 1
+
+
+@pytest.mark.parametrize("degree, right", [(6, 0.25), (7, 0.5), (8, 0.5)])
+def test_exp_space_constructs_on_narrow_intervals(degree, right):
+    # the literal columns are numerically dependent here
+    iv = Interval(0.0, right)
+    with pytest.raises(ValueError, match="numerically linearly dependent"):
+        literal_exponential_space(degree, iv)
+    space = make_space(f"exp:d={degree}", iv)
+    assert space.dim == degree + 1 and space.contains_constants
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +607,10 @@ def _nan_space():
 @pytest.mark.parametrize(
     "build, message",
     [
-        # exp(710) overflows
+        # the tail's series overflows on so wide an interval
         (
-            lambda: make_space("exp:d=2", Interval(709.0, 710.0)),
-            r"space 'exp:d=2': values of column 2 are not finite near x=710$",
+            lambda: make_space("exp:d=2", Interval(0.0, 2000.0)),
+            r"space 'exp:d=2': values of column 2 are not finite near x=2000$",
         ),
         (_log_space, r"space 'log': values of column 1 are not finite near x=0$"),
         (_nan_space, r"space 'nan': values of column 1 are not finite near x=1$"),
