@@ -30,8 +30,8 @@ from .quadrature import (
     QuadratureError,
     QuadratureRule,
     _ladder,
+    _on_grid,
     _search_scope,
-    _vandermondes,
     find_positive_rule,
     verify_exactness,
 )
@@ -134,8 +134,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     the residual exceeds the gate.
 
     The rule check and the build share one evaluation of the space on the
-    rule's grid; inside a search the check is the verdict the search
-    already holds for the rule.
+    rule's grid; inside a search it is the one the search already holds.
     """
     x = rule.nodes
     p = rule.weights
@@ -152,7 +151,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
                 f"rule is not exact for {space.kind!r}: "
                 f"residual {report.max_scaled_residual:.3e}"
             )
-        F, Fx = _vandermondes(space, x)
+        F, Fx, _ = _on_grid(space, x)
     U, s, Wt = np.linalg.svd(F, full_matrices=False)
     # full rank: every singular value above RANK_RTOL times the largest
     if s.size < K or not s[-1] > RANK_RTOL * s[0]:
@@ -197,9 +196,9 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
     Each rejected rung is logged at DEBUG on the ``sbpkit`` logger.
 
     The search evaluates the space once per grid: the rule check, the
-    build and the verification of a rung share their matrices, the build
-    reuses the rule's verdict, and the rungs share the pair moments.
-    Nothing is kept after the call.
+    build and the verification of a rung share their matrices, and every
+    rule is checked against the moments the space computed when it was
+    constructed.  Nothing is kept after the call.
     """
     rungs = _ladder(space, n_nodes)
     with _search_scope():
@@ -233,7 +232,7 @@ def verify_sbp(op: FsbpOperator) -> SbpReport:
     matrix, positivity of the norm weights, annihilation of constants
     (when the span contains them) and coherence of D with P^{-1} Q.
     """
-    F, Fx = _vandermondes(op.space, op.nodes)
+    F, Fx, _ = _on_grid(op.space, op.nodes)
     exactness = float(np.max(np.abs(op.D @ F - Fx)))
     B = _boundary_matrix(op.n_nodes)
     antisymmetry = float(np.max(np.abs(op.Q + op.Q.T - B)))

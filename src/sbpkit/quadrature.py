@@ -11,11 +11,12 @@ nodes that works for any space.  The rule constructors never judge a
 rule: :func:`verify_exactness` alone does.
 
 A search (:func:`find_positive_rule`, and ``find_operator`` in
-:mod:`sbpkit.operators`) shares what its rungs would otherwise recompute:
-the space's pair moments, the matrices on the current rung's grid and the
-verdict of :func:`verify_exactness` on the latest rule.  They are
-kept for that one call only; a direct call of any other function
-computes everything afresh.
+:mod:`sbpkit.operators`) keeps the matrices of the space on the current
+rung's grid, so that a rung's rule check, build and verification evaluate
+the space there once.  Only the latest grid is kept, and only for that
+one call; a direct call of any other function evaluates the space afresh.
+The moments every rule must reproduce are ``space.moments``, computed
+when the space is constructed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
@@ -33,7 +33,6 @@ from .spaces import (
     Interval,
     _pair_products,
     _whole_count,
-    pair_moments,
     vandermonde,
     vandermonde_derivative,
 )
@@ -62,9 +61,10 @@ class QuadratureError(RuntimeError):
     """No rule with the requested properties could be constructed."""
 
 
-# The memo of the search in progress: slot name -> (space, key, value).
-# None outside a search, so direct calls compute everything afresh.
-_SEARCH: ContextVar[dict | None] = ContextVar("sbpkit_search", default=None)
+# The current grid of the search in progress, as a list holding at most
+# one (space, node bytes, (V, Vx, Phi)); None outside a search, so direct
+# calls evaluate the space afresh.
+_SEARCH: ContextVar[list | None] = ContextVar("sbpkit_search", default=None)
 
 
 @contextmanager
@@ -73,57 +73,32 @@ def _search_scope():
     if _SEARCH.get() is not None:
         yield
         return
-    token = _SEARCH.set({})
+    token = _SEARCH.set([])
     try:
         yield
     finally:
         _SEARCH.reset(token)
 
 
-def _shared(slot: str, space: FunctionSpace, key, compute: Callable):
-    # compute() once per search for this space and key; each slot keeps
-    # only its latest value, so the memo does not grow with the ladder
+def _on_grid(space: FunctionSpace, nodes: np.ndarray):
+    """Read-only value, derivative and pair-derivative matrices on ``nodes``.
+
+    Inside a search the latest grid's matrices are kept, so asking again
+    for the same space and nodes evaluates nothing.
+    """
     memo = _SEARCH.get()
-    if memo is None:
-        return compute()
-    held = memo.get(slot)
-    if held is not None and held[0] is space and held[1] == key:
-        return held[2]
-    value = compute()
-    memo[slot] = (space, key, value)
-    return value
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.setflags(write=False)
-    return view
-
-
-def _moments(space: FunctionSpace) -> np.ndarray:
-    return _shared("moments", space, None, lambda: _frozen(pair_moments(space)))
-
-
-def _vandermondes(space: FunctionSpace, nodes: np.ndarray):
-    """Value and derivative Vandermonde matrices on ``nodes``."""
-    return _shared(
-        "vandermondes",
-        space,
-        nodes.tobytes(),
-        lambda: (
-            _frozen(vandermonde(space, nodes)),
-            _frozen(vandermonde_derivative(space, nodes)),
-        ),
-    )
-
-
-def _pair_rows(space: FunctionSpace, nodes: np.ndarray) -> np.ndarray:
-    return _shared(
-        "pair_rows",
-        space,
-        nodes.tobytes(),
-        lambda: _frozen(_pair_products(*_vandermondes(space, nodes), space.dim)),
-    )
+    key = nodes.tobytes()
+    if memo and memo[0][0] is space and memo[0][1] == key:
+        return memo[0][2]
+    V = vandermonde(space, nodes)
+    Vx = vandermonde_derivative(space, nodes)
+    # views, so that no array the space's callables own is frozen
+    mats = tuple(a.view() for a in (V, Vx, _pair_products(V, Vx, space.dim)))
+    for a in mats:
+        a.setflags(write=False)
+    if memo is not None:
+        memo[:] = [(space, key, mats)]
+    return mats
 
 
 @dataclass(frozen=True)
@@ -240,8 +215,8 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
         )
     iv = space.interval
     nodes = np.linspace(iv.left, iv.right, n)
-    Phi = _pair_rows(space, nodes)
-    m = _moments(space)
+    _, _, Phi = _on_grid(space, nodes)
+    m = space.moments
 
     w = np.full(n, iv.width / n)
     U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
@@ -256,13 +231,9 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
 def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
     """Check a rule against every pair-derivative moment of a space.
 
-    Inside a search a rule checked again gets the verdict already computed.
+    The residuals are recomputed on every call; inside a search the pair
+    rows on the rule's grid are the ones the search already holds.
     """
-    key = rule.nodes.tobytes() + rule.weights.tobytes()
-    return _shared("exactness", space, key, lambda: _exactness(rule, space))
-
-
-def _exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
     iv = space.interval
     slack = 1e-12 * iv.width
     if (
@@ -270,8 +241,8 @@ def _exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
         or abs(rule.nodes[-1] - iv.right) > slack
     ):
         raise ValueError("rule and space do not share an interval")
-    Phi = _pair_rows(space, rule.nodes)
-    m = _moments(space)
+    _, _, Phi = _on_grid(space, rule.nodes)
+    m = space.moments
     resid = np.abs(Phi @ rule.weights - m)
     scaled = resid / np.maximum(1.0, np.abs(m))
     return ExactnessReport(

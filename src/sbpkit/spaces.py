@@ -131,6 +131,12 @@ class FunctionSpace:
     ``contains_constants`` is derived: true when a constant column leaves
     the numerical rank of ``values`` on the rank-check grid at ``dim``.
     Only then must the derivative operator annihilate constants.
+
+    ``moments`` is derived too: the read-only boundary product moments of
+    every pair ``k <= l`` (see :func:`pair_moments`), the targets of every
+    quadrature rule, taken from the values at the interval ends, so that
+    no search evaluates the space there again.  Equality and hashing
+    ignore them.
     """
 
     interval: Interval
@@ -140,6 +146,7 @@ class FunctionSpace:
     rule: str | None = None
     dim: int = field(init=False)
     contains_constants: bool = field(init=False)
+    moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rule is not None and self.rule not in RULES:
@@ -178,6 +185,11 @@ class FunctionSpace:
         object.__setattr__(
             self, "contains_constants", _numerical_rank(with_one) == self.dim
         )
+        # outside the errstate block, so a product that overflows warns
+        k, l = _pair_index(self.dim)
+        moments = V_ends[1, k] * V_ends[1, l] - V_ends[0, k] * V_ends[0, l]
+        moments.setflags(write=False)
+        object.__setattr__(self, "moments", moments)
 
 
 def _require_finite(space: FunctionSpace, what: str, x: np.ndarray, M) -> None:
@@ -336,7 +348,10 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
         C[:, k + 1] -= k * C[:, k - 1]
         C[:, k + 1] /= k + 1
     C[degree:, degree] = [a / total for a in tail]
-    Cx = np.arange(1, n_powers)[:, None] * C[1:] / h
+    # on an interval so narrow that h is 0 or near it, the division leaves
+    # non-finite entries, which construction refuses by name
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Cx = np.arange(1, n_powers)[:, None] * C[1:] / h
     far_field = -(degree + 1.0)
 
     def product(x, coefs, taylor_terms):
@@ -524,10 +539,11 @@ def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_moments(space: FunctionSpace) -> np.ndarray:
-    """Boundary product moments for all pairs ``k <= l``, stacked row-major."""
-    V = vandermonde(space, [space.interval.left, space.interval.right])
-    k, l = _pair_index(space.dim)
-    return V[1, k] * V[1, l] - V[0, k] * V[0, l]
+    """Boundary product moments for all pairs ``k <= l``, stacked row-major.
+
+    This is ``space.moments``, computed when the space was constructed.
+    """
+    return space.moments
 
 
 def _pair_products(V: np.ndarray, Vx: np.ndarray, dim: int) -> np.ndarray:

@@ -405,41 +405,6 @@ def test_closed_form_rules_skip_the_least_squares_rule(monkeypatch):
     assert calls == []
 
 
-def test_find_operator_checks_each_rule_once(monkeypatch):
-    # find_positive_rule verifies every candidate it builds; the build on
-    # the rule it returns checks it again, and that check must not
-    # recompute the residuals
-    counts = {"verify": 0, "candidates": 0, "builds": 0}
-    exactness = sbpkit.quadrature._exactness
-
-    def counting_exactness(*args, **kwargs):
-        counts["verify"] += 1
-        return exactness(*args, **kwargs)
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            counts[name] += 1
-            return out
-
-        return wrapper
-
-    monkeypatch.setattr(sbpkit.quadrature, "_exactness", counting_exactness)
-    for builder in ("trapezoid_rule", "gauss_lobatto_rule", "least_squares_rule"):
-        fn = getattr(sbpkit.quadrature, builder)
-        monkeypatch.setattr(sbpkit.quadrature, builder, counting("candidates", fn))
-    monkeypatch.setattr(
-        sbpkit.operators,
-        "build_operator",
-        counting("builds", sbpkit.operators.build_operator),
-    )
-    # the literal columns fail a build before the search finds its operator
-    op = find_operator(literal_exponential_space(5, UNIT))
-    assert verify_sbp(op).passed
-    assert counts["builds"] >= 2
-    assert counts["verify"] == counts["candidates"]
-
-
 def _two_branch_find_operator(space, n_nodes=None):
     """The search that the one-loop :func:`find_operator` replaced.
 
@@ -749,16 +714,43 @@ def test_search_memo_keeps_nothing_across_calls():
 def test_search_memo_hands_out_read_only_arrays_one_slot_each():
     space = exponential_space(3, UNIT)
     a, b = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 7)
+    on_grid = sbpkit.quadrature._on_grid
     with sbpkit.quadrature._search_scope():
         memo = _open_memo()
-        V, Vx = sbpkit.quadrature._vandermondes(space, a)
-        assert not V.flags.writeable and not Vx.flags.writeable
-        assert sbpkit.quadrature._vandermondes(space, a.copy())[0] is V
-        sbpkit.quadrature._vandermondes(space, b)
-        assert sbpkit.quadrature._vandermondes(space, a)[0] is not V
-        assert list(memo) == ["vandermondes"]
+        mats = on_grid(space, a)
+        V = mats[0]
+        assert len(mats) == 3 and not any(m.flags.writeable for m in mats)
+        assert on_grid(space, a.copy()) is mats
+        assert len(memo) == 1 and memo[0][2] is mats
+        on_grid(space, b)
+        # the new grid evicts the old one: the memo holds one grid only
+        assert len(memo) == 1 and memo[0][2] is not mats
+        assert on_grid(space, a)[0] is not V
     # outside a search every call computes afresh
-    assert sbpkit.quadrature._vandermondes(space, a)[0] is not V
+    assert on_grid(space, a)[0] is not V
+
+
+def test_no_search_evaluates_the_space_at_the_interval_ends():
+    # the rules' targets are the space's own moments, computed from its
+    # values at the ends when it was constructed
+    base = exponential_space(3, UNIT)
+    grids = []
+
+    def values(x):
+        grids.append(np.array(x, dtype=float))
+        return base.values(x)
+
+    space = FunctionSpace(
+        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
+    )
+    ends = np.array([UNIT.left, UNIT.right])
+    assert any(np.array_equal(x, ends) for x in grids)
+    grids.clear()
+    rule = find_positive_rule(space)
+    find_operator(space)
+    build_operator(space, rule)
+    least_squares_rule(space, 7)
+    assert grids and not any(np.array_equal(x, ends) for x in grids)
 
 
 def test_search_memo_keeps_each_rules_own_verdict():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -259,6 +260,48 @@ def test_pair_helpers_equal_the_per_pair_loop(kind):
     moments = [boundary_product_moment(space, k, l) for k, l in pairs]
     assert np.array_equal(pair_derivative_rows(space, x), np.array(rows))
     assert np.array_equal(pair_moments(space), np.array(moments))
+
+
+MOMENT_SPACES = {
+    "poly": lambda: make_space("poly:d=5", Interval(-1.0, 2.0)),
+    "trig": lambda: make_space("trig:d=3", Interval(0.0, np.pi)),
+    "exp": lambda: make_space("exp:d=4", Interval(0.0, 3.0)),
+    "rbf-cubic": lambda: make_space("rbf-cubic:centers=0,0.3,0.6,1"),
+    "mapped": lambda: affine_map(make_space("exp:d=3"), Interval(-2.0, 5.0)),
+    "user": lambda: FunctionSpace(
+        Interval(0.0, 1.0), _sine_values, _sine_derivatives, kind="sine"
+    ),
+}
+
+
+@pytest.mark.parametrize("build", MOMENT_SPACES.values(), ids=list(MOMENT_SPACES))
+def test_space_moments_are_the_boundary_products(build):
+    space = build()
+    iv = space.interval
+    V = space.values(np.array([iv.left, iv.right]))
+    k, l = np.triu_indices(space.dim)
+    expected = V[1, k] * V[1, l] - V[0, k] * V[0, l]
+    assert space.moments.dtype == expected.dtype
+    assert space.moments.tobytes() == expected.tobytes()
+    assert pair_moments(space) is space.moments
+    assert not space.moments.flags.writeable
+    with pytest.raises(ValueError):
+        space.moments[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.moments = expected
+
+
+def test_space_moments_leave_equality_hash_and_repr_alone():
+    space = make_space("exp:d=3", Interval(0.0, 2.0))
+    twin = dataclasses.replace(space)
+    assert twin == space and hash(twin) == hash(space)
+    assert twin.moments is not space.moments
+    compared = (
+        space.interval, space.values, space.derivatives, space.kind, space.rule,
+        space.dim, space.contains_constants,
+    )
+    assert hash(space) == hash(compared)
+    assert "moments" not in repr(space)
 
 
 def test_affine_map_preserves_values_and_scales_derivatives():
@@ -612,10 +655,27 @@ def _nan_space():
             lambda: make_space("exp:d=2", Interval(0.0, 2000.0)),
             r"space 'exp:d=2': values of column 2 are not finite near x=2000$",
         ),
+        # the half width rounds to 0, or the derivative coefficients 1/h
+        # overflow, on an interval this narrow
+        (
+            lambda: make_space("exp:d=2", Interval(0.0, 5e-324)),
+            r"space 'exp:d=2': values of column 0 are not finite near x=0$",
+        ),
+        (
+            lambda: make_space("exp:d=2", Interval(0.0, 1e-323)),
+            r"space 'exp:d=2': derivatives of column 1 are not finite near x=0$",
+        ),
+        (
+            lambda: make_space("exp:d=2", Interval(0.0, 1e-310)),
+            r"space 'exp:d=2': derivatives of column 1 are not finite near x=2e-312$",
+        ),
         (_log_space, r"space 'log': values of column 1 are not finite near x=0$"),
         (_nan_space, r"space 'nan': values of column 1 are not finite near x=1$"),
     ],
-    ids=["exp-overflow", "log-pole", "nan-values"],
+    ids=[
+        "exp-overflow", "exp-width-5e-324", "exp-width-1e-323", "exp-width-1e-310",
+        "log-pole", "nan-values",
+    ],
 )
 def test_non_finite_basis_samples_are_named(build, message):
     # raised as ValueError, not as an overflow warning, a wrong reason or
