@@ -228,8 +228,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _cmd_build(args) -> int:
     space = make_space(args.space, Interval(*args.domain))
-    op = find_operator(space, args.nodes)
-    report = verify_sbp(op)
+    with _search_scope():  # the report reuses the search's winning grid
+        op = find_operator(space, args.nodes)
+        report = verify_sbp(op)
     write_operator(op, args.out)
     print(f"space      {space.kind}")
     print(f"nodes      {op.n_nodes}")

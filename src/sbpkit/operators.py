@@ -171,7 +171,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     Y = (RW - U @ Z) / s
     M = U @ X @ U.T + Y @ U.T - U @ Y.T
     QA = 0.5 * (M - M.T)
-    residual = float(np.max(np.abs(QA @ F - R)))
+    residual = float(np.abs(QA @ F - R).max())
     if residual > _BUILD_RESIDUAL_TOL:
         raise OperatorError(
             f"exactness system for {space.kind!r} on {n} nodes is "
@@ -233,13 +233,13 @@ def verify_sbp(op: FsbpOperator) -> SbpReport:
     (when the span contains them) and coherence of D with P^{-1} Q.
     """
     F, Fx, _ = _on_grid(op.space, op.nodes)
-    exactness = float(np.max(np.abs(op.D @ F - Fx)))
+    exactness = float(np.abs(op.D @ F - Fx).max())
     B = _boundary_matrix(op.n_nodes)
-    antisymmetry = float(np.max(np.abs(op.Q + op.Q.T - B)))
-    min_weight = float(np.min(op.p))
+    antisymmetry = float(np.abs(op.Q + op.Q.T - B).max())
+    min_weight = float(op.p.min())
     ones = np.ones(op.n_nodes)
-    d_one = float(np.max(np.abs(op.D @ ones)))
-    coherence = float(np.max(np.abs(op.D - op.Q / op.p[:, None])))
+    d_one = float(np.abs(op.D @ ones).max())
+    coherence = float(np.abs(op.D - op.Q / op.p[:, None]).max())
     passed = (
         exactness <= TOL_EXACTNESS
         and antisymmetry <= TOL_ANTISYMMETRY

@@ -115,9 +115,9 @@ class QuadratureRule:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size < 2:
             raise ValueError("a rule needs at least two nodes")
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
+        if not np.isfinite(nodes).all() or not np.isfinite(weights).all():
             raise ValueError("nodes and weights must be finite")
-        if np.min(np.diff(nodes)) <= 0.0:
+        if np.diff(nodes).min() <= 0.0:
             raise ValueError("nodes must be strictly increasing")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -221,7 +221,7 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     w = np.full(n, iv.width / n)
     U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
     if s[0] > 0.0:
-        r = int(np.sum(s > _SVD_RTOL * s[0]))
+        r = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
         lhs_r = Vt[:r]
         rhs_r = (U[:, :r].T @ m) / s[:r]
         w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
@@ -246,9 +246,9 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
     resid = np.abs(Phi @ rule.weights - m)
     scaled = resid / np.maximum(1.0, np.abs(m))
     return ExactnessReport(
-        max_residual=float(np.max(resid)),
-        max_scaled_residual=float(np.max(scaled)),
-        positive=bool(np.all(rule.weights > 0.0)),
+        max_residual=float(resid.max()),
+        max_scaled_residual=float(scaled.max()),
+        positive=bool((rule.weights > 0.0).all()),
     )
 
 

@@ -97,11 +97,16 @@ class Interval:
         return self.right - self.left
 
     def contains(self, x) -> bool:
-        """Whether all points lie in the interval, up to roundoff slack."""
+        """Whether all points lie in the interval, up to roundoff slack.
+
+        A NaN or infinite point is refused; an empty array is accepted.
+        """
         x = np.asarray(x, dtype=float)
         slack = 1e-12 * self.width
-        return bool(
-            np.all(x >= self.left - slack) and np.all(x <= self.right + slack)
+        # the min and max of an array holding NaN are NaN, which fails both
+        # comparisons, so non-finite points need no separate check
+        return x.size == 0 or bool(
+            x.min() >= self.left - slack and x.max() <= self.right + slack
         )
 
 

@@ -353,9 +353,8 @@ def test_verify_malformed_file_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_verify_evaluates_the_space_once_on_the_operators_grid(tmp_path, monkeypatch):
-    out = tmp_path / "op.json"
-    assert main(["build", "--space", "exp:d=3", "--nodes", "8", "--out", str(out)]) == 0
+def _count_grid_evaluations(monkeypatch) -> list[int]:
+    """Record the grid size of every value-matrix evaluation of a search."""
     calls = []
     traced = sbpkit.quadrature.vandermonde
 
@@ -364,9 +363,28 @@ def test_verify_evaluates_the_space_once_on_the_operators_grid(tmp_path, monkeyp
         return traced(space, x)
 
     monkeypatch.setattr(sbpkit.quadrature, "vandermonde", counting)
+    return calls
+
+
+def test_verify_evaluates_the_space_once_on_the_operators_grid(tmp_path, monkeypatch):
+    out = tmp_path / "op.json"
+    assert main(["build", "--space", "exp:d=3", "--nodes", "8", "--out", str(out)]) == 0
+    calls = _count_grid_evaluations(monkeypatch)
     assert main(["verify", str(out)]) == 0
     # verify_sbp and the quadrature check share one evaluation on the grid
     assert calls.count(8) == 1
+
+
+@pytest.mark.parametrize("spec, nodes", [("poly:d=3", 6), ("exp:d=3", 8)])
+def test_build_evaluates_the_space_once_on_the_winning_grid(
+    tmp_path, monkeypatch, spec, nodes
+):
+    calls = _count_grid_evaluations(monkeypatch)
+    out = tmp_path / "op.json"
+    args = ["build", "--space", spec, "--nodes", str(nodes), "--out", str(out)]
+    assert main(args) == 0
+    # the printed report reuses the search's evaluation of the grid
+    assert calls == [nodes]
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,39 @@ def test_interval_rejects_empty_and_non_finite():
     assert not iv.contains(3.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_interval_refuses_non_finite_points(bad):
+    iv = Interval(-2.0, 3.0)
+    assert not iv.contains(bad)
+    assert not iv.contains([0.0, bad, 1.0])
+
+
+def test_interval_accepts_empty_scalar_and_2d_inputs():
+    iv = Interval(-2.0, 3.0)
+    assert iv.contains([])
+    assert iv.contains(np.empty((0, 3)))
+    assert iv.contains(np.float64(1.0))
+    assert iv.contains([[-2.0, 0.0], [1.0, 3.0]])
+    assert not iv.contains([[-2.0, 0.0], [1.0, 4.0]])
+
+
+def test_interval_slack_is_relative_to_the_width():
+    iv = Interval(-2.0, 3.0)
+    inside, outside = 0.5e-12 * iv.width, 2e-12 * iv.width
+    assert iv.contains([iv.left - inside, iv.right + inside])
+    assert not iv.contains(iv.left - outside)
+    assert not iv.contains(iv.right + outside)
+
+
+def test_vandermonde_grid_check_on_empty_and_nan_grids():
+    space = polynomial_space(3, Interval(0.0, 1.0))
+    assert vandermonde(space, []).shape == (0, space.dim)
+    with pytest.raises(ValueError, match="outside interval"):
+        vandermonde(space, [math.nan])
+    with pytest.raises(ValueError, match="outside interval"):
+        vandermonde_derivative(space, [0.5, math.inf])
+
+
 def test_space_dimensions():
     iv = Interval(0.0, 1.0)
     assert polynomial_space(0, iv).dim == 1
