@@ -18,15 +18,11 @@ from .spaces import (
     Interval,
     UNIT_INTERVAL,
     affine_map,
-    boundary_product_moment,
     exponential_space,
     make_space,
-    pair_derivative_rows,
-    pair_moments,
     polynomial_space,
     rbf_cubic_space,
     trigonometric_space,
-    unisolvency_rank,
     vandermonde,
     vandermonde_derivative,
 )

@@ -312,8 +312,9 @@ def _fmt_matrix(M: np.ndarray) -> str:
 def write_operator(op: FsbpOperator, path) -> None:
     """Serialize an operator to a JSON text file at full precision.
 
-    Only natively built spaces round-trip through their textual kind, so
-    affinely mapped operators are refused.
+    The space is stored as its textual kind, which every built-in space
+    round-trips through; affinely mapped and user spaces have none and
+    are refused.
     """
     try:
         make_space(op.space.kind, op.space.interval)

@@ -18,9 +18,8 @@ families are built in:
 * ``rbf-cubic``: cardinal functions of cubic radial basis interpolation
   with a constant tail.
 
-The module also provides the Vandermonde machinery used by the quadrature
-and operator builders: value/derivative Vandermonde matrices, boundary
-product moments, stacked pair-derivative rows and a numerical rank check.
+The module also provides the value and derivative Vandermonde matrices
+used by the quadrature and operator builders.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ __all__ = [
     "affine_map",
     "vandermonde",
     "vandermonde_derivative",
-    "boundary_product_moment",
-    "pair_moments",
-    "pair_derivative_rows",
-    "unisolvency_rank",
 ]
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -138,10 +133,11 @@ class FunctionSpace:
     Only then must the derivative operator annihilate constants.
 
     ``moments`` is derived too: the read-only boundary product moments of
-    every pair ``k <= l`` (see :func:`pair_moments`), the targets of every
-    quadrature rule, taken from the values at the interval ends, so that
-    no search evaluates the space there again.  Equality and hashing
-    ignore them.
+    every pair ``k <= l``, stacked row-major:
+    ``f_k(x_R) f_l(x_R) - f_k(x_L) f_l(x_L)``, the exact integral of
+    ``(f_k f_l)'`` and the target of every quadrature rule.  They are
+    taken from the values at the interval ends, so that no search
+    evaluates the space there again.  Equality and hashing ignore them.
     """
 
     interval: Interval
@@ -323,10 +319,19 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
     ``t = -(degree + 1)`` the series alternates with terms far above its
     sum, while ``exp(t)`` is small beside the Taylor part, so there the
     tail is ``exp(t)`` minus the Taylor part.
+
+    Degrees from 18 on are refused: in power form, ``P_17`` and above are
+    sums of terms far larger than their values, so those columns lose
+    digits to cancellation (2.4e-11 at degree 18 on ``[-1, 1]``).
     """
     degree = _whole_count(degree, "exponential-space degree")
     if degree < 1:
         raise ValueError(f"exponential-space degree must be >= 1, got {degree}")
+    if degree >= 18:
+        raise ValueError(
+            f"exponential-space degree must be <= 17, got {degree}: from degree "
+            f"18 on, the power-form Legendre columns lose digits to cancellation"
+        )
     c = 0.5 * (interval.left + interval.right)
     h = 0.5 * interval.width
     # T's coefficient of s**(degree + j) over that of s**degree:
@@ -425,7 +430,11 @@ def rbf_cubic_space(
         s = np.asarray(x, dtype=float)[:, None] - c
         return (3.0 * s * np.abs(s)) @ alpha
 
-    centers_txt = ",".join(format(v, "g") for v in c)
+    # the "g" text where it reads back exactly, else the shortest text that
+    # does, so that make_space rebuilds this very space from its kind
+    centers_txt = ",".join(
+        t if float(t := format(v, "g")) == v else repr(float(v)) for v in c
+    )
     return FunctionSpace(
         interval, values, derivatives, kind=f"rbf-cubic:centers={centers_txt}"
     )
@@ -520,20 +529,6 @@ def vandermonde_derivative(space: FunctionSpace, grid) -> np.ndarray:
     return space.derivatives(_validated_grid(space, grid))
 
 
-def boundary_product_moment(space: FunctionSpace, k: int, l: int) -> float:
-    """Boundary term ``f_k(x_R) f_l(x_R) - f_k(x_L) f_l(x_L)``.
-
-    This equals the exact integral of ``(f_k f_l)'`` over the interval and
-    is symmetric in ``k`` and ``l``.  Indices are zero-based column
-    positions of ``space.values``.
-    """
-    K = space.dim
-    if not (0 <= k < K and 0 <= l < K):
-        raise ValueError(f"column indices out of range: ({k}, {l}) for dim {K}")
-    V = space.values(np.array([space.interval.left, space.interval.right]))
-    return float(V[1, k] * V[1, l] - V[0, k] * V[0, l])
-
-
 @lru_cache(maxsize=64)
 def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     # the row-major pairs k <= l, shared read-only by every call of one dim
@@ -541,14 +536,6 @@ def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     k.setflags(write=False)
     l.setflags(write=False)
     return k, l
-
-
-def pair_moments(space: FunctionSpace) -> np.ndarray:
-    """Boundary product moments for all pairs ``k <= l``, stacked row-major.
-
-    This is ``space.moments``, computed when the space was constructed.
-    """
-    return space.moments
 
 
 def _pair_products(V: np.ndarray, Vx: np.ndarray, dim: int) -> np.ndarray:
@@ -563,27 +550,6 @@ def _pair_products(V: np.ndarray, Vx: np.ndarray, dim: int) -> np.ndarray:
     right *= Vx[:, l]
     rows += right
     return rows.T
-
-
-def pair_derivative_rows(space: FunctionSpace, grid) -> np.ndarray:
-    """Rows ``(f_k f_l)'`` evaluated on the grid, one per pair ``k <= l``.
-
-    Row order matches :func:`pair_moments`.  Shape is
-    ``(dim*(dim+1)/2, len(grid))``.
-    """
-    V = vandermonde(space, grid)
-    Vx = vandermonde_derivative(space, grid)
-    return _pair_products(V, Vx, space.dim)
-
-
-def unisolvency_rank(space: FunctionSpace, grid) -> int:
-    """Numerical rank of the value Vandermonde matrix on the grid.
-
-    Singular values below ``RANK_RTOL`` times the largest one count as
-    zero.  The grid is not required to lie inside the interval.
-    """
-    g = np.atleast_1d(np.asarray(grid, dtype=float))
-    return _numerical_rank(space.values(g))
 
 
 def _numerical_rank(M: np.ndarray) -> int:

@@ -29,7 +29,6 @@ from sbpkit.solver import (
 from sbpkit.spaces import (
     exponential_space,
     make_space,
-    pair_moments,
     polynomial_space,
     rbf_cubic_space,
     trigonometric_space,
@@ -116,7 +115,7 @@ def _pair_residual(op) -> float:
     F = vandermonde(space, op.nodes)
     Fx = vandermonde_derivative(space, op.nodes)
     G = Fx.T @ (op.p[:, None] * F) + F.T @ (op.p[:, None] * Fx)
-    m = pair_moments(space)
+    m = space.moments
     worst = 0.0
     idx = 0
     for k in range(space.dim):

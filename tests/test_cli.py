@@ -88,6 +88,15 @@ def test_build_then_verify_round_trip(tmp_path):
         assert main(["verify", str(out)]) == 0, text
 
 
+def test_build_then_verify_keeps_every_center_digit(tmp_path, capsys):
+    out = tmp_path / "rbf.json"
+    space = "rbf-cubic:centers=0,0.1234567,0.6,1"
+    assert main(["build", "--space", space, "--nodes", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
 def test_verify_detects_zeroed_entry(tmp_path, capsys):
     out = tmp_path / "op.json"
     main(["build", "--space", "trig:d=1", "--nodes", "4", "--out", str(out)])

@@ -36,16 +36,15 @@ from sbpkit.quadrature import (
     verify_exactness,
 )
 from sbpkit.spaces import (
+    RANK_RTOL,
     FunctionSpace,
     Interval,
     affine_map,
     exponential_space,
     make_space,
-    pair_moments,
     polynomial_space,
     rbf_cubic_space,
     trigonometric_space,
-    unisolvency_rank,
     vandermonde,
     vandermonde_derivative,
 )
@@ -228,7 +227,7 @@ def test_norm_compatibility_identities():
         F = vandermonde(space, op.nodes)
         Fx = vandermonde_derivative(space, op.nodes)
         G = Fx.T @ (op.p[:, None] * F) + F.T @ (op.p[:, None] * Fx)
-        m = pair_moments(space)
+        m = space.moments
         idx = 0
         for k in range(space.dim):
             for l in range(k, space.dim):
@@ -278,6 +277,23 @@ def test_operator_file_round_trip(tmp_path):
     assert np.array_equal(back.nodes, op.nodes)
     assert np.array_equal(back.p, op.p)
     assert np.array_equal(back.Q, op.Q)
+    assert np.array_equal(back.D, op.D)
+
+
+@pytest.mark.parametrize(
+    "text, iv",
+    [
+        ("rbf-cubic:centers=0,0.1234567,0.6,1", UNIT),
+        ("rbf-cubic:centers=0,1.5707963267948966,3.1415926535897931",
+         Interval(0.0, np.pi)),
+    ],
+)
+def test_rbf_operator_file_round_trip(tmp_path, text, iv):
+    op = find_operator(make_space(text, iv))
+    path = tmp_path / "rbf.json"
+    write_operator(op, path)
+    back = read_operator(path)
+    assert back.space.kind == op.space.kind
     assert np.array_equal(back.D, op.D)
 
 
@@ -415,7 +431,8 @@ def _two_branch_find_operator(space, n_nodes=None):
 
     def verified_build(n):
         rule = find_positive_rule(space, n)
-        if unisolvency_rank(space, rule.nodes) != space.dim:
+        sigma = np.linalg.svd(space.values(rule.nodes), compute_uv=False)
+        if np.sum(sigma > RANK_RTOL * sigma[0]) != space.dim:
             raise OperatorError(
                 f"grid does not determine {space.kind!r} uniquely "
                 f"(rank below {space.dim}); refine the grid"

@@ -1,4 +1,4 @@
-"""Function space construction, evaluation and moment helpers."""
+"""Function space construction, evaluation and boundary product moments."""
 
 from __future__ import annotations
 
@@ -15,17 +15,14 @@ from sbpkit.spaces import (
     FunctionSpace,
     Interval,
     affine_map,
-    boundary_product_moment,
     exponential_space,
     make_space,
-    pair_derivative_rows,
-    pair_moments,
     polynomial_space,
     rbf_cubic_space,
     trigonometric_space,
-    unisolvency_rank,
     vandermonde,
     vandermonde_derivative,
+    _pair_products,
 )
 
 from literal_exp import literal_exponential_space
@@ -207,70 +204,52 @@ def test_analytic_derivatives_match_finite_differences():
         assert np.max(np.abs(approx - exact)) < 1e-4 * (1.0 + np.max(np.abs(exact)))
 
 
-def test_unisolvency_rank_counts_independent_directions():
-    iv = Interval(0.0, 1.0)
-    trig = trigonometric_space(1, iv)
-    assert unisolvency_rank(trig, np.linspace(0.0, 1.0, 4)) == 3
-    poly2 = polynomial_space(2, iv)
-    assert unisolvency_rank(poly2, [0.0, 0.5, 1.0]) == 3
-    # a repeated node contributes nothing new
-    poly1 = polynomial_space(1, iv)
-    assert unisolvency_rank(poly1, [0.5, 0.5]) == 1
-    assert unisolvency_rank(poly1, [0.25, 0.75]) == 2
-
-
-def test_boundary_product_moment_values_and_symmetry():
+def test_space_moments_of_the_literal_exp_columns():
     space = literal_exponential_space(2, Interval(0.0, 1.0))
+    # pairs in order (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
     # elements are 1, x, exp(x); the (x, x) product jumps by 1 over [0, 1]
-    assert boundary_product_moment(space, 1, 1) == pytest.approx(1.0)
+    assert space.moments[3] == pytest.approx(1.0)
     # (1, exp) jumps by e - 1
-    assert boundary_product_moment(space, 0, 2) == pytest.approx(math.e - 1.0)
-    for k in range(space.dim):
-        for l in range(space.dim):
-            a = boundary_product_moment(space, k, l)
-            b = boundary_product_moment(space, l, k)
-            assert a == pytest.approx(b, abs=0.0)
+    assert space.moments[2] == pytest.approx(math.e - 1.0)
 
 
-def test_boundary_product_moment_periodic_pairs_vanish():
+def test_space_moments_of_periodic_pairs_vanish():
     space = trigonometric_space(1, Interval(0.0, 1.0))
     # sin and cos of the base frequency take equal values at both ends
-    assert boundary_product_moment(space, 1, 2) == pytest.approx(0.0, abs=1e-15)
-    assert boundary_product_moment(space, 1, 1) == pytest.approx(0.0, abs=1e-15)
+    assert space.moments[4] == pytest.approx(0.0, abs=1e-15)  # (sin, cos)
+    assert space.moments[3] == pytest.approx(0.0, abs=1e-15)  # (sin, sin)
 
 
-def test_boundary_product_moment_range_check():
-    space = polynomial_space(1, Interval(0.0, 1.0))
-    with pytest.raises(ValueError):
-        boundary_product_moment(space, 0, 2)
-    with pytest.raises(ValueError):
-        boundary_product_moment(space, -1, 0)
+def _pair_rows(space, grid):
+    return _pair_products(
+        vandermonde(space, grid), vandermonde_derivative(space, grid), space.dim
+    )
 
 
 def test_pair_rows_constant_space():
     space = polynomial_space(0, Interval(0.0, 1.0))
-    rows = pair_derivative_rows(space, np.linspace(0.0, 1.0, 5))
+    rows = _pair_rows(space, np.linspace(0.0, 1.0, 5))
     assert rows.shape == (1, 5)
     np.testing.assert_allclose(rows, 0.0, atol=1e-15)
-    np.testing.assert_allclose(pair_moments(space), [0.0], atol=1e-15)
+    np.testing.assert_allclose(space.moments, [0.0], atol=1e-15)
 
 
 def test_pair_rows_monomial_pair():
     # for elements 1, x, exp(x) the (x, x) row is (x^2)' = 2x with moment 1
     space = literal_exponential_space(2, Interval(0.0, 1.0))
     grid = np.array([0.0, 1.0])
-    rows = pair_derivative_rows(space, grid)
+    rows = _pair_rows(space, grid)
     assert rows.shape == (6, 2)
     idx = 3  # pairs in order (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
     np.testing.assert_allclose(rows[idx], [0.0, 2.0], atol=1e-14)
-    assert pair_moments(space)[idx] == pytest.approx(1.0)
+    assert space.moments[idx] == pytest.approx(1.0)
 
 
 def test_pair_rows_match_product_rule():
     """Each row equals the derivative of the corresponding product."""
     space = trigonometric_space(1, Interval(0.0, 1.0))
     x = np.linspace(0.05, 0.95, 21)
-    rows = pair_derivative_rows(space, x)
+    rows = _pair_rows(space, x)
     h = 1e-6
     Vp = vandermonde(space, x + h)
     Vm = vandermonde(space, x - h)
@@ -288,11 +267,12 @@ def test_pair_helpers_equal_the_per_pair_loop(kind):
     x = np.linspace(0.0, 1.0, 17)
     V = vandermonde(space, x)
     Vx = vandermonde_derivative(space, x)
+    ends = space.values(np.array([0.0, 1.0]))
     pairs = [(k, l) for k in range(space.dim) for l in range(k, space.dim)]
     rows = [Vx[:, k] * V[:, l] + V[:, k] * Vx[:, l] for k, l in pairs]
-    moments = [boundary_product_moment(space, k, l) for k, l in pairs]
-    assert np.array_equal(pair_derivative_rows(space, x), np.array(rows))
-    assert np.array_equal(pair_moments(space), np.array(moments))
+    moments = [ends[1, k] * ends[1, l] - ends[0, k] * ends[0, l] for k, l in pairs]
+    assert np.array_equal(_pair_products(V, Vx, space.dim), np.array(rows))
+    assert np.array_equal(space.moments, np.array(moments))
 
 
 MOMENT_SPACES = {
@@ -316,7 +296,6 @@ def test_space_moments_are_the_boundary_products(build):
     expected = V[1, k] * V[1, l] - V[0, k] * V[0, l]
     assert space.moments.dtype == expected.dtype
     assert space.moments.tobytes() == expected.tobytes()
-    assert pair_moments(space) is space.moments
     assert not space.moments.flags.writeable
     with pytest.raises(ValueError):
         space.moments[0] = 1.0
@@ -541,6 +520,42 @@ def test_exp_space_constructs_on_narrow_intervals(degree, right):
         literal_exponential_space(degree, iv)
     space = make_space(f"exp:d={degree}", iv)
     assert space.dim == degree + 1 and space.contains_constants
+
+
+@pytest.mark.parametrize(
+    "iv", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, math.pi)]
+)
+def test_exp_space_refuses_degree_eighteen_by_its_cause(iv):
+    with pytest.raises(ValueError, match="must be <= 17, got 18: .*cancellation"):
+        exponential_space(18, iv)
+
+
+@pytest.mark.parametrize("right", [1.0, 0.25])
+def test_exp_space_constructs_at_degree_seventeen(right):
+    assert make_space("exp:d=17", Interval(0.0, right)).dim == 18
+
+
+# the first center is rounded by "g", the second set misses the right end
+ROUND_TRIP_RBF = [
+    ("rbf-cubic:centers=0,0.1234567,0.6,1", Interval(0.0, 1.0)),
+    ("rbf-cubic:centers=0,1.5707963267948966,3.1415926535897931",
+     Interval(0.0, math.pi)),
+]
+
+
+@pytest.mark.parametrize("text, iv", ROUND_TRIP_RBF)
+def test_rbf_kind_rebuilds_the_same_space(text, iv):
+    space = make_space(text, iv)
+    twin = make_space(space.kind, space.interval)
+    assert twin.kind == space.kind
+    x = np.linspace(iv.left, iv.right, 33)
+    assert space.values(x).tobytes() == twin.values(x).tobytes()
+
+
+def test_rbf_kind_keeps_the_g_text_of_exact_centers():
+    assert make_space("rbf-cubic:centers=0,0.5,1").kind == "rbf-cubic:centers=0,0.5,1"
+    space = rbf_cubic_space([0.0, 1e6, 2e6], Interval(0.0, 2e6))
+    assert space.kind == "rbf-cubic:centers=0,1e+06,2e+06"
 
 
 # ---------------------------------------------------------------------------
