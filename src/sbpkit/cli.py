@@ -25,7 +25,7 @@ from .operators import (
     _fmt,
     _load_unchecked,
 )
-from .quadrature import QuadratureError, _search_scope, verify_exactness
+from .quadrature import QuadratureError, verify_exactness
 from .solver import InstabilityError, Interval, ProblemSpec, run
 from .spaces import make_space
 
@@ -228,9 +228,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _cmd_build(args) -> int:
     space = make_space(args.space, Interval(*args.domain))
-    with _search_scope():  # the report reuses the search's winning grid
-        op = find_operator(space, args.nodes)
-        report = verify_sbp(op)
+    op = find_operator(space, args.nodes)
+    report = verify_sbp(op)  # on the winning grid the space still keeps
     write_operator(op, args.out)
     print(f"space      {space.kind}")
     print(f"nodes      {op.n_nodes}")
@@ -242,13 +241,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     op = _load_unchecked(args.opfile)
-    with _search_scope():  # both checks share one evaluation on the grid
-        report = verify_sbp(op)
-        exact = verify_exactness(rule_of(op), op.space)
+    # both checks share the space's one evaluation on the grid
+    report = verify_sbp(op)
+    exact = verify_exactness(rule_of(op), op.space)
     print(f"exactness residual     {report.exactness_residual:.3e}")
     print(f"antisymmetry residual  {report.antisymmetry_residual:.3e}")
     print(f"min weight             {report.min_weight:.6g}")
     print(f"constant residual      {report.d_one_residual:.3e}")
+    print(f"coherence residual     {report.coherence_residual:.3e}")
     print(f"quadrature residual    {exact.max_scaled_residual:.3e}")
     if not report.min_weight > 0.0:
         print(

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .solver import BlockState, ProblemSpec, _block_count
+from .spaces import FunctionSpace
 
 __all__ = [
     "DiagnosticsRecord",
@@ -265,7 +266,7 @@ def error_report(
 
 def convergence_table(
     spec: ProblemSpec,
-    space_specs: Sequence[str],
+    space_specs: Sequence[str | FunctionSpace],
     block_counts: Sequence[int],
     n_nodes: int | None = None,
     t_final: float = 1.0,
@@ -318,7 +319,9 @@ def convergence_table(
     values = np.asarray(ref(np.concatenate(nodes)), dtype=float)
     per_level = iter(np.split(values, np.cumsum([x.size for x in nodes[:-1]])))
     rows: list[ConvergenceRow] = []
-    for space, level in zip(space_specs, states):
+    for entry, space, level in zip(space_specs, spaces, states):
+        # a text entry keeps its text as given, a prebuilt space its kind
+        name = entry if isinstance(entry, str) else space.kind
         prev: ConvergenceRow | None = None
         for blocks, state in zip(counts, level):
             v = next(per_level)
@@ -330,7 +333,7 @@ def convergence_table(
                     blocks / prev.blocks
                 )
             row = ConvergenceRow(
-                space=space,
+                space=name,
                 blocks=blocks,
                 err_p=err.err_p,
                 err_2=err.err_2,

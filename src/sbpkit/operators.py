@@ -30,12 +30,10 @@ from .quadrature import (
     QuadratureError,
     QuadratureRule,
     _ladder,
-    _on_grid,
-    _search_scope,
     find_positive_rule,
     verify_exactness,
 )
-from .spaces import RANK_RTOL, FunctionSpace, Interval, affine_map, make_space
+from .spaces import RANK_RTOL, FunctionSpace, Interval, _on_grid, affine_map, make_space
 
 __all__ = [
     "OperatorError",
@@ -133,25 +131,22 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     grid does not determine the space uniquely, or the largest entry of
     the residual exceeds the gate.
 
-    The rule check and the build share one evaluation of the space on the
-    rule's grid; inside a search it is the one the search already holds.
+    The rule check and the build share the space's one evaluation on the
+    rule's grid; after a search it is the one the search already holds.
     """
     x = rule.nodes
     p = rule.weights
     n = x.size
     K = space.dim
-    with _search_scope():
-        report = verify_exactness(rule, space)
-        if not report.positive:
-            raise OperatorError(
-                f"rule has non-positive weights (min {np.min(p):.3e})"
-            )
-        if not report.exact:
-            raise OperatorError(
-                f"rule is not exact for {space.kind!r}: "
-                f"residual {report.max_scaled_residual:.3e}"
-            )
-        F, Fx, _ = _on_grid(space, x)
+    report = verify_exactness(rule, space)
+    if not report.positive:
+        raise OperatorError(f"rule has non-positive weights (min {np.min(p):.3e})")
+    if not report.exact:
+        raise OperatorError(
+            f"rule is not exact for {space.kind!r}: "
+            f"residual {report.max_scaled_residual:.3e}"
+        )
+    F, Fx, _ = _on_grid(space, x)
     U, s, Wt = np.linalg.svd(F, full_matrices=False)
     # full rank: every singular value above RANK_RTOL times the largest
     if s.size < K or not s[-1] > RANK_RTOL * s[0]:
@@ -196,29 +191,29 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
     Each rejected rung is logged at DEBUG on the ``sbpkit`` logger.
 
     The search evaluates the space once per grid: the rule check, the
-    build and the verification of a rung share their matrices, and every
-    rule is checked against the moments the space computed when it was
-    constructed.  Nothing is kept after the call.
+    build and the verification of a rung share the matrices the space
+    keeps for its latest grid, and every rule is checked against the
+    moments the space computed when it was constructed.  The space keeps
+    the winning grid's matrices after the call.
     """
     rungs = _ladder(space, n_nodes)
-    with _search_scope():
-        for n in rungs:
-            try:
-                rule = find_positive_rule(space, n)
-                op = build_operator(space, rule)
-                report = verify_sbp(op)
-                if not report.passed:
-                    raise OperatorError(
-                        f"operator for {space.kind!r} on {n} nodes fails "
-                        f"verification: exactness {report.exactness_residual:.3e}, "
-                        f"constant residual {report.d_one_residual:.3e}"
-                    )
-                return op
-            except (QuadratureError, OperatorError) as exc:
-                _log.debug("rung of %s nodes rejected: %s", n, exc)
-                if n_nodes is not None:
-                    raise
-                last_error = exc
+    for n in rungs:
+        try:
+            rule = find_positive_rule(space, n)
+            op = build_operator(space, rule)
+            report = verify_sbp(op)
+            if not report.passed:
+                raise OperatorError(
+                    f"operator for {space.kind!r} on {n} nodes fails "
+                    f"verification: exactness {report.exactness_residual:.3e}, "
+                    f"constant residual {report.d_one_residual:.3e}"
+                )
+            return op
+        except (QuadratureError, OperatorError) as exc:
+            _log.debug("rung of %s nodes rejected: %s", n, exc)
+            if n_nodes is not None:
+                raise
+            last_error = exc
     raise OperatorError(
         f"no workable operator for {space.kind!r} with up to "
         f"{rungs.stop - 1} nodes; last: {last_error}"
@@ -351,7 +346,8 @@ def read_operator(path) -> FsbpOperator:
             f"exactness {report.exactness_residual:.3e}, "
             f"antisymmetry {report.antisymmetry_residual:.3e}, "
             f"min weight {report.min_weight:.3e}, "
-            f"constant residual {report.d_one_residual:.3e}"
+            f"constant residual {report.d_one_residual:.3e}, "
+            f"coherence residual {report.coherence_residual:.3e}"
         )
     return op
 

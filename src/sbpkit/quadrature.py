@@ -10,19 +10,14 @@ spaces), and a minimum-norm least-squares construction on equidistant
 nodes that works for any space.  The rule constructors never judge a
 rule: :func:`verify_exactness` alone does.
 
-A search (:func:`find_positive_rule`, and ``find_operator`` in
-:mod:`sbpkit.operators`) keeps the matrices of the space on the current
-rung's grid, so that a rung's rule check, build and verification evaluate
-the space there once.  Only the latest grid is kept, and only for that
-one call; a direct call of any other function evaluates the space afresh.
-The moments every rule must reproduce are ``space.moments``, computed
-when the space is constructed.
+The space keeps its matrices on the latest grid it was checked on, so
+that a rung's rule check, build and verification evaluate the space there
+once.  The moments every rule must reproduce are ``space.moments``,
+computed when the space is constructed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +26,8 @@ from numpy.polynomial import legendre as _legendre
 from .spaces import (
     FunctionSpace,
     Interval,
-    _pair_products,
+    _on_grid,
     _whole_count,
-    vandermonde,
-    vandermonde_derivative,
 )
 
 __all__ = [
@@ -59,46 +52,6 @@ _SVD_RTOL = 1e-12
 
 class QuadratureError(RuntimeError):
     """No rule with the requested properties could be constructed."""
-
-
-# The current grid of the search in progress, as a list holding at most
-# one (space, node bytes, (V, Vx, Phi)); None outside a search, so direct
-# calls evaluate the space afresh.
-_SEARCH: ContextVar[list | None] = ContextVar("sbpkit_search", default=None)
-
-
-@contextmanager
-def _search_scope():
-    """Open the memo of one search; a search nested in another shares it."""
-    if _SEARCH.get() is not None:
-        yield
-        return
-    token = _SEARCH.set([])
-    try:
-        yield
-    finally:
-        _SEARCH.reset(token)
-
-
-def _on_grid(space: FunctionSpace, nodes: np.ndarray):
-    """Read-only value, derivative and pair-derivative matrices on ``nodes``.
-
-    Inside a search the latest grid's matrices are kept, so asking again
-    for the same space and nodes evaluates nothing.
-    """
-    memo = _SEARCH.get()
-    key = nodes.tobytes()
-    if memo and memo[0][0] is space and memo[0][1] == key:
-        return memo[0][2]
-    V = vandermonde(space, nodes)
-    Vx = vandermonde_derivative(space, nodes)
-    # views, so that no array the space's callables own is frozen
-    mats = tuple(a.view() for a in (V, Vx, _pair_products(V, Vx, space.dim)))
-    for a in mats:
-        a.setflags(write=False)
-    if memo is not None:
-        memo[:] = [(space, key, mats)]
-    return mats
 
 
 @dataclass(frozen=True)
@@ -231,8 +184,8 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
 def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
     """Check a rule against every pair-derivative moment of a space.
 
-    The residuals are recomputed on every call; inside a search the pair
-    rows on the rule's grid are the ones the search already holds.
+    The residuals are recomputed on every call, from the pair rows the
+    space keeps for the rule's grid.
     """
     iv = space.interval
     slack = 1e-12 * iv.width
@@ -289,11 +242,10 @@ def find_positive_rule(
     built.
     """
     rungs = _ladder(space, n_nodes)
-    with _search_scope():
-        for n in rungs:
-            for rule in _candidates(space, n):
-                if verify_exactness(rule, space).ok:
-                    return rule
+    for n in rungs:
+        for rule in _candidates(space, n):
+            if verify_exactness(rule, space).ok:
+                return rule
     counts = f"{rungs.start}" if len(rungs) == 1 else f"{rungs.start}..{rungs[-1]}"
     raise QuadratureError(
         f"no positive exact rule for {space.kind!r} with {counts} nodes"

@@ -138,6 +138,10 @@ class FunctionSpace:
     ``(f_k f_l)'`` and the target of every quadrature rule.  They are
     taken from the values at the interval ends, so that no search
     evaluates the space there again.  Equality and hashing ignore them.
+
+    A space keeps its matrices on the latest grid a rule check, build or
+    verification asked for, for as long as it lives: the callables are
+    pure, so the kept grid saves evaluations and never moves a result.
     """
 
     interval: Interval
@@ -148,6 +152,8 @@ class FunctionSpace:
     dim: int = field(init=False)
     contains_constants: bool = field(init=False)
     moments: np.ndarray = field(init=False, repr=False, compare=False)
+    # (node bytes, (V, Vx, Phi)) of the latest grid; written by _on_grid only
+    _grid: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rule is not None and self.rule not in RULES:
@@ -395,11 +401,22 @@ def rbf_cubic_space(
     Interpolants have the form ``sum_j alpha_j |x - c_j|**3 + beta`` with
     ``sum_j alpha_j = 0``.  The cardinal functions solve the augmented
     symmetric system against unit data; by linearity they sum to one
-    identically.  Centers must be distinct, sorted ascending and include
-    both interval endpoints.
+    identically.  Centers must be a flat list of distinct numbers that
+    includes both interval endpoints; they may come in any order and are
+    sorted here, so ``[1, 0, 0.5]`` builds ``rbf-cubic:centers=0,0.5,1``.
     """
-    c = np.sort(np.asarray(list(centers), dtype=float))
-    if c.ndim != 1 or c.size < 2:
+    try:
+        c = np.asarray(list(centers), dtype=float)
+    except ValueError as exc:  # a ragged nested list, or a center that is text
+        raise ValueError(
+            f"radial centers must be a flat list of numbers: {exc}"
+        ) from None
+    if c.ndim != 1:
+        raise ValueError(
+            f"radial centers must be a flat list of numbers, got shape {c.shape}"
+        )
+    c = np.sort(c)
+    if c.size < 2:
         raise ValueError("need at least two radial centers")
     if np.min(np.diff(c)) <= 0.0:
         raise ValueError("radial centers must be distinct")
@@ -550,6 +567,28 @@ def _pair_products(V: np.ndarray, Vx: np.ndarray, dim: int) -> np.ndarray:
     right *= Vx[:, l]
     rows += right
     return rows.T
+
+
+def _on_grid(space: FunctionSpace, nodes: np.ndarray):
+    """Read-only value, derivative and pair-derivative matrices on ``nodes``.
+
+    The space keeps the latest grid's matrices, so asking again for the
+    same nodes evaluates nothing.  The slot is read once, so a thread
+    that races another on the same space may evaluate a grid again, but
+    never gets another grid's matrices.
+    """
+    key = nodes.tobytes()
+    kept = space._grid
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    V = vandermonde(space, nodes)
+    Vx = vandermonde_derivative(space, nodes)
+    # views, so that no array the space's callables own is frozen
+    mats = tuple(a.view() for a in (V, Vx, _pair_products(V, Vx, space.dim)))
+    for a in mats:
+        a.setflags(write=False)
+    object.__setattr__(space, "_grid", (key, mats))
+    return mats
 
 
 def _numerical_rank(M: np.ndarray) -> int:

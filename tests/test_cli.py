@@ -9,7 +9,8 @@ import pytest
 
 import sbpkit.cli
 import sbpkit.diagnostics
-import sbpkit.quadrature
+import sbpkit.operators
+import sbpkit.spaces
 from sbpkit.cli import _bumpy, main
 
 TRIG1_D = np.array(
@@ -105,6 +106,23 @@ def test_verify_detects_zeroed_entry(tmp_path, capsys):
     out.write_text(json.dumps(data), encoding="utf-8")
     assert main(["verify", str(out)]) == 2
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_verify_prints_the_coherence_residual_that_fails(tmp_path, capsys):
+    # D no longer equals P^-1 Q, while exactness and D 1 stay in tolerance
+    out = tmp_path / "op.json"
+    args = ["build", "--space", "poly:d=3", "--nodes", "4", "--out", str(out)]
+    assert main(args) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data["D"][1][1] += 1e-12
+    out.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    rows = [line.rsplit(maxsplit=1) for line in capsys.readouterr().out.splitlines()]
+    labels = [label for label, _ in rows]
+    i = labels.index("coherence residual")
+    assert labels[i - 1] == "constant residual"
+    assert float(rows[i][1]) > sbpkit.operators.TOL_COHERENCE
 
 
 def test_verify_names_positivity_for_negative_weight(tmp_path, capsys):
@@ -365,13 +383,13 @@ def test_verify_malformed_file_is_usage_error(tmp_path, capsys):
 def _count_grid_evaluations(monkeypatch) -> list[int]:
     """Record the grid size of every value-matrix evaluation of a search."""
     calls = []
-    traced = sbpkit.quadrature.vandermonde
+    traced = sbpkit.spaces.vandermonde
 
     def counting(space, x):
         calls.append(len(x))
         return traced(space, x)
 
-    monkeypatch.setattr(sbpkit.quadrature, "vandermonde", counting)
+    monkeypatch.setattr(sbpkit.spaces, "vandermonde", counting)
     return calls
 
 
@@ -381,7 +399,7 @@ def test_verify_evaluates_the_space_once_on_the_operators_grid(tmp_path, monkeyp
     calls = _count_grid_evaluations(monkeypatch)
     assert main(["verify", str(out)]) == 0
     # verify_sbp and the quadrature check share one evaluation on the grid
-    assert calls.count(8) == 1
+    assert calls == [8]
 
 
 @pytest.mark.parametrize("spec, nodes", [("poly:d=3", 6), ("exp:d=3", 8)])

@@ -377,6 +377,19 @@ def test_convergence_table_resets_between_spaces():
     assert math.isnan(rows[2].order)
 
 
+def test_convergence_table_labels_a_prebuilt_space_by_its_kind():
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+    rows = convergence_table(
+        spec, ["poly:d=1", make_space("poly:d=2", UNIT)], [2, 4], t_final=0.1, cfl=0.4
+    )
+    assert [r.space for r in rows] == ["poly:d=1", "poly:d=1", "poly:d=2", "poly:d=2"]
+    expected = convergence_table(
+        spec, ["poly:d=1", "poly:d=2"], [2, 4], t_final=0.1, cfl=0.4
+    )
+    _assert_rows_equal(rows, expected)
+
+
 def _per_level_rows(spec, spaces, counts, t_final):
     """Rows built level by level, each level against its own reference
     call, and the final nodes of every level in study order."""

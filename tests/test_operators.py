@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import strategies as st
 
 import sbpkit.operators
 import sbpkit.quadrature
+import sbpkit.spaces
 from sbpkit.operators import (
+    TOL_COHERENCE,
     FsbpOperator,
     OperatorError,
     affine_block_operator,
@@ -309,6 +314,20 @@ def test_read_rejects_tampered_file(tmp_path):
         read_operator(path)
 
 
+def test_read_names_the_coherence_residual_that_fails(tmp_path):
+    # D no longer equals P^-1 Q, while exactness and D 1 stay in tolerance
+    path = tmp_path / "op.json"
+    write_operator(find_operator(make_space("poly:d=3")), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["D"][1][1] += 1e-12
+    path.write_text(json.dumps(data), encoding="utf-8")
+    report = verify_sbp(sbpkit.operators._load_unchecked(path))
+    assert report.coherence_residual > TOL_COHERENCE
+    with pytest.raises(OperatorError) as exc:
+        read_operator(path)
+    assert f"coherence residual {report.coherence_residual:.3e}" in str(exc.value)
+
+
 def test_read_rejects_malformed_files(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -525,17 +544,24 @@ def test_build_operator_evaluates_the_space_once():
         calls.append(len(x))
         return base.values(x)
 
-    space = FunctionSpace(
-        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
-    )
+    def recording_space():
+        return FunctionSpace(
+            UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
+        )
+
+    space = recording_space()
     rule = find_positive_rule(space)
     calls.clear()
     op = build_operator(space, rule)
-    # the rule check and the build share one evaluation on the rule's
-    # grid; the pair moments evaluate the space at the two interval ends
-    assert calls.count(rule.n_nodes) == 1
-    assert set(calls) <= {rule.n_nodes, 2}
+    # the space still keeps the grid of the search's last rule check
+    assert calls == []
     assert verify_sbp(op).passed
+    assert calls == []
+    fresh = recording_space()
+    calls.clear()
+    build_operator(fresh, rule)
+    # the rule check and the build share one evaluation on the rule's grid
+    assert calls == [rule.n_nodes]
 
 
 def test_build_operator_rejects_a_rank_deficient_grid(monkeypatch):
@@ -568,11 +594,17 @@ def test_exhausted_ladder_names_the_last_reason():
     assert str(exhausted.value.__cause__) == str(pinned.value)
 
 
+def _forget_grid(space):
+    # empty the space's one-grid slot, so its next check evaluates afresh
+    object.__setattr__(space, "_grid", None)
+
+
 def _memo_free_find_operator(space, n_nodes=None):
-    """The search without the per-search memo.
+    """The search without the space's kept grid.
 
     Every rule builder, rule check, build and verification is called
-    directly, outside any search, so each one evaluates the space afresh.
+    directly, with the space's slot emptied first, so each one evaluates
+    the space afresh.
     """
 
     def rule_for(n):
@@ -584,7 +616,9 @@ def _memo_free_find_operator(space, n_nodes=None):
         if n >= space.dim:
             builders.append(lambda: least_squares_rule(space, n))
         for build in builders:
+            _forget_grid(space)
             rule = build()
+            _forget_grid(space)
             if verify_exactness(rule, space).ok:
                 return rule
         raise QuadratureError(
@@ -592,8 +626,10 @@ def _memo_free_find_operator(space, n_nodes=None):
         )
 
     def verified_build(n):
-        assert sbpkit.quadrature._SEARCH.get() is None
-        op = build_operator(space, rule_for(n))
+        rule = rule_for(n)
+        _forget_grid(space)
+        op = build_operator(space, rule)
+        _forget_grid(space)
         report = verify_sbp(op)
         if not report.passed:
             raise OperatorError(
@@ -679,71 +715,142 @@ def test_find_operator_matches_the_memo_free_search_anywhere(
     _assert_same_search(make_space(kind, interval))
 
 
-def _open_memo():
-    return sbpkit.quadrature._SEARCH.get()
+def _decoy(space, n, skew=1):
+    # an operator of ``space`` on n nodes, equidistant for skew=1; verifying
+    # it moves the space's slot to that grid
+    iv = space.interval
+    nodes = iv.left + iv.width * np.linspace(0.0, 1.0, n) ** skew
+    return FsbpOperator(space, nodes, np.ones(n), np.zeros((n, n)), np.zeros((n, n)))
 
 
-def test_search_memo_lives_for_one_call():
-    base = exponential_space(4, UNIT)
-    seen = []
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["poly", "trig", "exp", "rbf"]),
+    degree=st.integers(1, 6),
+    left=st.floats(-2.0, 2.0),
+    width=st.floats(0.25, 4.0),
+)
+def test_searching_a_space_again_matches_a_fresh_search_anywhere(
+    family, degree, left, width
+):
+    # repeated searches of one space object, with verifications on other
+    # grids in between, find what a search on a fresh copy finds
+    interval = Interval(left, left + width)
+    if family == "rbf":
+        kind = _centers(degree + 2, interval)
+    else:
+        kind = f"{family}:d={2 * degree if family == 'poly' else degree}"
+    space = make_space(kind, interval)
+    # each search follows a verification on a grid of the first rung's
+    # size that no rung visits, then on a grid a rung visits again, and
+    # last on nothing, so the winning grid is still kept
+    first = sbpkit.quadrature._ladder(space, None).start
+    try:
+        ref = find_operator(make_space(kind, interval))
+    except OperatorError as exc:
+        for decoy in (_decoy(space, first, 2), None):
+            if decoy is not None:
+                verify_sbp(decoy)
+            with pytest.raises(OperatorError) as got:
+                find_operator(space)
+            assert str(got.value) == str(exc)
+        return
+    for decoy in (_decoy(space, first, 2), _decoy(space, ref.n_nodes - 1), None):
+        if decoy is not None:
+            verify_sbp(decoy)
+        op = find_operator(space)
+        for name in ("nodes", "p", "Q", "D"):
+            assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
+        assert verify_sbp(op) == verify_sbp(ref)
 
-    def values(x):
-        seen.append(_open_memo())
-        return base.values(x)
 
-    space = FunctionSpace(
-        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
-    )
-    seen.clear()
-    find_operator(space)
-    # one memo for the whole search, the nested rule searches included
-    assert len({id(memo) for memo in seen}) == 1 and seen[0] is not None
-    assert _open_memo() is None
+def test_two_threads_searching_one_space_match_a_serial_search():
+    kind, interval = "exp:d=5", Interval(0.0, np.pi)
+    ref = find_operator(make_space(kind, interval))
+    space = make_space(kind, interval)
+    start = threading.Barrier(2, timeout=60)
+
+    def search(n_nodes):
+        start.wait()
+        # pinned searches in between move the slot under the other thread
+        return [find_operator(space, n) for n in (None, n_nodes, None)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(search, (ref.n_nodes, ref.n_nodes + 1)))
+    finally:
+        sys.setswitchinterval(switch)
+    for n_nodes, ops in zip((ref.n_nodes, ref.n_nodes + 1), results):
+        serial = find_operator(make_space(kind, interval), n_nodes)
+        for op, expected in zip(ops, (ref, serial, ref)):
+            for name in ("nodes", "p", "Q", "D"):
+                assert getattr(op, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def test_space_keeps_only_its_latest_grid():
+    space = exponential_space(4, UNIT)
+    assert space._grid is None
+    op = find_operator(space)
+    # the winning grid outlives the search, on the operator's own space
+    key, mats = space._grid
+    assert key == op.nodes.tobytes() and len(mats) == 3
+    assert op.space is space
     with pytest.raises(QuadratureError):
         find_operator(space, 8)  # pinned failure
-    assert _open_memo() is None
-    with pytest.raises(OperatorError):
-        find_operator(literal_exponential_space(6, UNIT))  # exhausted ladder
-    assert _open_memo() is None
+    assert space._grid[0] == np.linspace(0.0, 1.0, 8).tobytes()
     find_positive_rule(space)
-    assert _open_memo() is None
+    assert space._grid[0] == op.nodes.tobytes() and space._grid[1] is not mats
 
 
-def test_search_memo_keeps_nothing_across_calls():
-    base = trigonometric_space(3, UNIT)
+def test_searching_a_space_again_skips_only_the_kept_grid():
+    def recording_space(base):
+        def values(x):
+            calls.append(len(x))
+            return base.values(x)
+
+        return FunctionSpace(
+            UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
+        )
+
     calls = []
-
-    def values(x):
-        calls.append(len(x))
-        return base.values(x)
-
-    space = FunctionSpace(
-        UNIT, values, base.derivatives, kind=base.kind, rule=base.rule
-    )
+    # trig:d=3 wins on the ladder's first rung, 8 nodes, so a second search
+    # finds that grid still kept
+    space = recording_space(trigonometric_space(3, UNIT))
     counts = []
     for _ in range(2):
         calls.clear()
         find_operator(space)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(list(calls))
+    assert counts == [[8], []]
+    # exp:d=4 wins on the sixth rung, 11 nodes; the first rung evicts it
+    space = recording_space(exponential_space(4, UNIT))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        find_operator(space)
+        counts.append(list(calls))
+    assert counts == [list(range(6, 12))] * 2
 
 
-def test_search_memo_hands_out_read_only_arrays_one_slot_each():
+def test_space_slot_hands_out_read_only_arrays_one_grid_at_a_time():
     space = exponential_space(3, UNIT)
+    other = exponential_space(3, UNIT)
     a, b = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 7)
-    on_grid = sbpkit.quadrature._on_grid
-    with sbpkit.quadrature._search_scope():
-        memo = _open_memo()
-        mats = on_grid(space, a)
-        V = mats[0]
-        assert len(mats) == 3 and not any(m.flags.writeable for m in mats)
-        assert on_grid(space, a.copy()) is mats
-        assert len(memo) == 1 and memo[0][2] is mats
-        on_grid(space, b)
-        # the new grid evicts the old one: the memo holds one grid only
-        assert len(memo) == 1 and memo[0][2] is not mats
-        assert on_grid(space, a)[0] is not V
-    # outside a search every call computes afresh
+    on_grid = sbpkit.spaces._on_grid
+    mats = on_grid(space, a)
+    V = mats[0]
+    assert len(mats) == 3 and not any(m.flags.writeable for m in mats)
+    assert on_grid(space, a.copy()) is mats
+    assert space._grid[0] == a.tobytes() and space._grid[1] is mats
+    # two spaces never share a slot, not even on the same grid
+    assert other._grid is None
+    assert on_grid(other, a) is not mats
+    assert other._grid[1] is not mats and space._grid[1] is mats
+    on_grid(space, b)
+    # the new grid evicts the old one: the slot holds one grid only
+    assert space._grid[0] == b.tobytes() and space._grid[1] is not mats
     assert on_grid(space, a)[0] is not V
 
 
@@ -770,17 +877,20 @@ def test_no_search_evaluates_the_space_at_the_interval_ends():
     assert grids and not any(np.array_equal(x, ends) for x in grids)
 
 
-def test_search_memo_keeps_each_rules_own_verdict():
+def test_space_slot_keeps_each_rules_own_verdict():
     # a trig rung's trapezoid and least-squares candidates share their
-    # nodes; the kept verdict must follow the weights as well
+    # nodes; the kept grid must not carry one rule's verdict to the other
     space = trigonometric_space(3, UNIT)
     rules = [trapezoid_rule(8, UNIT), least_squares_rule(space, 8)]
     np.testing.assert_array_equal(rules[0].nodes, rules[1].nodes)
-    alone = [verify_exactness(rule, space) for rule in rules]
+    alone = []
+    for rule in rules:
+        _forget_grid(space)
+        alone.append(verify_exactness(rule, space))
     assert alone[0] != alone[1]
-    with sbpkit.quadrature._search_scope():
-        shared = [verify_exactness(rule, space) for rule in rules * 2]
+    shared = [verify_exactness(rule, space) for rule in rules * 2]
     assert shared == alone * 2
+    assert space._grid[0] == rules[0].nodes.tobytes()
 
 
 def test_find_operator_evaluates_the_winning_grid_once():

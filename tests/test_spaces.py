@@ -174,6 +174,16 @@ def test_constructor_rejects_bad_parameters():
         rbf_cubic_space([0.1, 0.5, 1.0], iv)
 
 
+def test_rbf_centers_are_sorted_and_must_be_flat():
+    iv = Interval(0.0, 1.0)
+    assert rbf_cubic_space([1.0, 0.0, 0.5], iv).kind == "rbf-cubic:centers=0,0.5,1"
+    flat = "radial centers must be a flat list of numbers"
+    with pytest.raises(ValueError, match=flat + ", got shape \\(2, 2\\)"):
+        rbf_cubic_space([[0.0, 1.0], [0.5, 1.0]], iv)
+    with pytest.raises(ValueError, match=flat + ": "):
+        rbf_cubic_space([[0.0, 1.0], [0.5]], iv)
+
+
 def test_make_space_grammar():
     iv = Interval(0.0, 2.0)
     assert make_space("poly:d=3", iv).dim == 4
