@@ -33,7 +33,16 @@ from .quadrature import (
     find_positive_rule,
     verify_exactness,
 )
-from .spaces import RANK_RTOL, FunctionSpace, Interval, _on_grid, affine_map, make_space
+from .spaces import (
+    RANK_RTOL,
+    FunctionSpace,
+    Interval,
+    _amax,
+    _amin,
+    _on_grid,
+    affine_map,
+    make_space,
+)
 
 __all__ = [
     "OperatorError",
@@ -166,7 +175,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     Y = (RW - U @ Z) / s
     M = U @ X @ U.T + Y @ U.T - U @ Y.T
     QA = 0.5 * (M - M.T)
-    residual = float(np.abs(QA @ F - R).max())
+    residual = float(_amax(np.abs(QA @ F - R)))
     if residual > _BUILD_RESIDUAL_TOL:
         raise OperatorError(
             f"exactness system for {space.kind!r} on {n} nodes is "
@@ -228,13 +237,13 @@ def verify_sbp(op: FsbpOperator) -> SbpReport:
     (when the span contains them) and coherence of D with P^{-1} Q.
     """
     F, Fx, _ = _on_grid(op.space, op.nodes)
-    exactness = float(np.abs(op.D @ F - Fx).max())
+    exactness = float(_amax(np.abs(op.D @ F - Fx)))
     B = _boundary_matrix(op.n_nodes)
-    antisymmetry = float(np.abs(op.Q + op.Q.T - B).max())
-    min_weight = float(op.p.min())
+    antisymmetry = float(_amax(np.abs(op.Q + op.Q.T - B)))
+    min_weight = float(_amin(op.p))
     ones = np.ones(op.n_nodes)
-    d_one = float(np.abs(op.D @ ones).max())
-    coherence = float(np.abs(op.D - op.Q / op.p[:, None]).max())
+    d_one = float(_amax(np.abs(op.D @ ones)))
+    coherence = float(_amax(np.abs(op.D - op.Q / op.p[:, None])))
     passed = (
         exactness <= TOL_EXACTNESS
         and antisymmetry <= TOL_ANTISYMMETRY

@@ -26,6 +26,9 @@ from numpy.polynomial import legendre as _legendre
 from .spaces import (
     FunctionSpace,
     Interval,
+    _all_finite,
+    _amax,
+    _amin,
     _on_grid,
     _whole_count,
 )
@@ -68,9 +71,10 @@ class QuadratureRule:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size < 2:
             raise ValueError("a rule needs at least two nodes")
-        if not np.isfinite(nodes).all() or not np.isfinite(weights).all():
+        if not (_all_finite(nodes) and _all_finite(weights)):
             raise ValueError("nodes and weights must be finite")
-        if np.diff(nodes).min() <= 0.0:
+        # the differences np.diff(nodes) takes
+        if _amin(nodes[1:] - nodes[:-1]) <= 0.0:
             raise ValueError("nodes must be strictly increasing")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -109,14 +113,37 @@ class ExactnessReport:
         return self.exact and self.positive
 
 
+def _equispaced(interval: Interval, n: int) -> np.ndarray:
+    """``np.linspace(interval.left, interval.right, n)``, bit for bit.
+
+    The same steps as numpy's own, without its argument handling: the
+    counts ``0, 1, ..., n - 1`` times the step, plus the left end, with
+    the right end set exactly.  Below two nodes, or when the step
+    underflows to zero, numpy's function itself runs.
+    """
+    left, right = float(interval.left), float(interval.right)
+    step = (right - left) / (n - 1) if n >= 2 else 0.0
+    if step == 0.0:
+        return np.linspace(left, right, n)
+    x = np.arange(n, dtype=float)
+    x *= step
+    x += left
+    x[-1] = right
+    return x
+
+
 def trapezoid_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
-    """Composite trapezoid rule on ``n_nodes`` equidistant nodes."""
+    """Composite trapezoid rule on ``n_nodes`` equidistant nodes.
+
+    The nodes are ``np.linspace(interval.left, interval.right, n_nodes)``.
+    """
     n = _whole_count(n_nodes)
     if n < 2:
         raise ValueError(f"trapezoid rule needs at least 2 nodes, got {n}")
-    nodes = np.linspace(interval.left, interval.right, n)
+    nodes = _equispaced(interval, n)
     h = interval.width / (n - 1)
-    weights = np.full(n, h)
+    weights = np.empty(n)
+    weights.fill(h)
     weights[0] = weights[-1] = 0.5 * h
     return QuadratureRule(nodes, weights)
 
@@ -156,8 +183,9 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     The constraints are one row per pair of basis elements, evaluated on
     the nodes, against the pair moments.  Starting from uniform weights,
     the minimum-norm correction satisfying them is applied, with singular
-    values below ``1e-12`` times the largest discarded.  The rule is
-    returned as built, exact or not and positive or not:
+    values below ``1e-12`` times the largest discarded.  The nodes are
+    ``np.linspace(left, right, n_nodes)`` on the space's interval.  The
+    rule is returned as built, exact or not and positive or not:
     :func:`verify_exactness` judges it.  Raises ``ValueError`` when
     ``n_nodes`` is not a whole number or is below ``dim``.
     """
@@ -167,11 +195,12 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
             f"need at least dim={space.dim} nodes for space {space.kind!r}, got {n}"
         )
     iv = space.interval
-    nodes = np.linspace(iv.left, iv.right, n)
+    nodes = _equispaced(iv, n)
     _, _, Phi = _on_grid(space, nodes)
     m = space.moments
 
-    w = np.full(n, iv.width / n)
+    w = np.empty(n)
+    w.fill(iv.width / n)
     U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
     if s[0] > 0.0:
         r = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
@@ -199,9 +228,9 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
     resid = np.abs(Phi @ rule.weights - m)
     scaled = resid / np.maximum(1.0, np.abs(m))
     return ExactnessReport(
-        max_residual=float(resid.max()),
-        max_scaled_residual=float(scaled.max()),
-        positive=bool((rule.weights > 0.0).all()),
+        max_residual=float(_amax(resid)),
+        max_scaled_residual=float(_amax(scaled)),
+        positive=bool(np.count_nonzero(rule.weights > 0.0) == rule.weights.size),
     )
 
 

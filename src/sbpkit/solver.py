@@ -25,7 +25,15 @@ from typing import Callable
 import numpy as np
 
 from .operators import FsbpOperator, affine_block_operator, find_operator
-from .spaces import UNIT_INTERVAL, FunctionSpace, Interval, _whole_count, make_space
+from .spaces import (
+    UNIT_INTERVAL,
+    FunctionSpace,
+    Interval,
+    _all_finite,
+    _amax,
+    _whole_count,
+    make_space,
+)
 
 __all__ = [
     "InstabilityError",
@@ -179,10 +187,12 @@ class BlockState:
         only freezes ``u``.  Values of another type, shape or dtype go
         through the validating constructor instead.
         """
+        # dtypes such as float64 are singletons, so the identity test
+        # settles the usual case without the slower comparison
         if (
             type(u) is not np.ndarray
             or u.shape != self.u.shape
-            or u.dtype != self.u.dtype
+            or (u.dtype is not self.u.dtype and u.dtype != self.u.dtype)
         ):
             return BlockState(u=u, operator=self.operator, edges=self.edges, t=t)
         u.setflags(write=False)
@@ -289,7 +299,7 @@ def rhs_for(spec: ProblemSpec) -> Callable[[BlockState, float], np.ndarray]:
 
 
 def _check_finite(u: np.ndarray, t: float) -> None:
-    if np.isfinite(u).all():
+    if _all_finite(u):
         return
     bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
     more = f" (and {bad.size - 1} more)" if bad.size > 1 else ""
@@ -357,7 +367,7 @@ class RunResult:
 
 def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
     if spec.kind == "burgers":
-        return max(1.0, float(np.abs(u).max()))
+        return max(1.0, float(_amax(np.abs(u))))
     return spec.wave_speed
 
 

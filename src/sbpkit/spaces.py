@@ -60,6 +60,25 @@ _FD_RTOL = 1e-6
 _FD_SAMPLES = 100
 
 
+# numpy's C reductions, for the checks on the search path and in the time
+# step: the same results as ``a.max()``, ``a.min()`` and ``a.all()``, NaN
+# and empty input included, without the Python layer those methods and
+# np.max/np.all pass through
+def _amax(a) -> np.floating:
+    """``a.max()`` over all axes, as one C call."""
+    return np.maximum.reduce(a, None)
+
+
+def _amin(a) -> np.floating:
+    """``a.min()`` over all axes, as one C call."""
+    return np.minimum.reduce(a, None)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, counted in C."""
+    return bool(np.count_nonzero(np.isfinite(a)) == a.size)
+
+
 def _whole_count(value, what: str = "node count") -> int:
     # a count as an int; int() alone would truncate 7.5 to 7, take True
     # for 1, and its errors for inf and nan would not name the count
@@ -74,7 +93,7 @@ def _whole_count(value, what: str = "node count") -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """Nonempty closed interval ``[left, right]``."""
+    """Nonempty closed interval ``[left, right]`` of finite width."""
 
     left: float
     right: float
@@ -85,6 +104,12 @@ class Interval:
         if not self.left < self.right:
             raise ValueError(
                 f"empty interval: left={self.left!r} is not below right={self.right!r}"
+            )
+        # in Python floats, so that an overflow gives inf and no numpy warning
+        if not math.isfinite(float(self.right) - float(self.left)):
+            raise ValueError(
+                f"interval width overflows: right={self.right!r} minus "
+                f"left={self.left!r} is not a finite number"
             )
 
     @property
@@ -101,7 +126,7 @@ class Interval:
         # the min and max of an array holding NaN are NaN, which fails both
         # comparisons, so non-finite points need no separate check
         return x.size == 0 or bool(
-            x.min() >= self.left - slack and x.max() <= self.right + slack
+            _amin(x) >= self.left - slack and _amax(x) <= self.right + slack
         )
 
 
@@ -372,9 +397,15 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
 
     def product(x, coefs, taylor_terms):
         t = np.asarray(x, dtype=float) - c
-        out = np.vander(t / h, len(coefs), increasing=True) @ coefs
+        # the powers s**0, s**1, ... filled as np.vander(s, increasing=True)
+        # fills them, bit for bit: ones, then a running product along rows
+        powers = np.empty((len(t), len(coefs)))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = (t / h)[:, None]
+        np.multiply.accumulate(powers[:, 1:], out=powers[:, 1:], axis=1)
+        out = powers @ coefs
         far = t < far_field
-        if far.any():
+        if np.count_nonzero(far):
             tf = t[far]
             taylor = sum(tf**k / math.factorial(k) for k in range(taylor_terms))
             # 1/T(h) = degree!/(h**degree * total), taken in logs so that no
@@ -414,6 +445,10 @@ def rbf_cubic_space(
     if c.ndim != 1:
         raise ValueError(
             f"radial centers must be a flat list of numbers, got shape {c.shape}"
+        )
+    if not _all_finite(c):
+        raise ValueError(
+            f"radial centers must be finite, got {c[~np.isfinite(c)][0]}"
         )
     c = np.sort(c)
     if c.size < 2:
@@ -526,7 +561,9 @@ def affine_map(space: FunctionSpace, interval: Interval) -> FunctionSpace:
 
 
 def _validated_grid(space: FunctionSpace, grid) -> np.ndarray:
-    g = np.atleast_1d(np.asarray(grid, dtype=float))
+    g = np.asarray(grid, dtype=float)
+    if g.ndim == 0:  # a single point, as np.atleast_1d would reshape it
+        g = g.reshape(1)
     if g.ndim != 1:
         raise ValueError("grid must be one-dimensional")
     if not space.interval.contains(g):

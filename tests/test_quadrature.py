@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbpkit.quadrature
 from sbpkit.operators import find_operator
@@ -11,6 +13,7 @@ from sbpkit.quadrature import (
     EXACTNESS_RTOL,
     QuadratureError,
     QuadratureRule,
+    _equispaced,
     find_positive_rule,
     gauss_lobatto_rule,
     least_squares_rule,
@@ -31,20 +34,72 @@ UNIT = Interval(0.0, 1.0)
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0, 0.5, 0.5]), np.ones(3))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0, np.nan]), np.ones(2))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0, 1.0]), np.ones(3))
+    # the refusals are test_rule_refusals_keep_their_messages
     rule = QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     assert rule.n_nodes == 2
     assert rule.interval == UNIT
     # arrays are frozen after construction
     with pytest.raises(ValueError):
         rule.nodes[0] = -1.0
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, message",
+    [
+        ([], [], "a rule needs at least two nodes"),
+        ([0.0], [1.0], "a rule needs at least two nodes"),
+        ([0.0, _NAN], [1.0, 1.0], "nodes and weights must be finite"),
+        ([0.0, _INF], [1.0, 1.0], "nodes and weights must be finite"),
+        ([-_INF, 0.0], [1.0, 1.0], "nodes and weights must be finite"),
+        ([0.0, 1.0], [_NAN, 1.0], "nodes and weights must be finite"),
+        ([0.0, 1.0], [1.0, -_INF], "nodes and weights must be finite"),
+        ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], "nodes must be strictly increasing"),
+        ([1.0, 0.0], [1.0, 1.0], "nodes must be strictly increasing"),
+        ([0.0, 1.0], [1.0, 1.0, 1.0], "nodes and weights must be 1-d arrays"),
+    ],
+)
+def test_rule_refusals_keep_their_messages(nodes, weights, message):
+    with pytest.raises(ValueError, match="^" + message):
+        QuadratureRule(np.array(nodes), np.array(weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    left=st.floats(-1e3, 1e3),
+    width=st.floats(1e-6, 1e3),
+    n=st.integers(2, 200),
+)
+def test_equispaced_nodes_are_linspace_byte_for_byte(left, width, n):
+    iv = Interval(left, left + width)
+    expected = np.linspace(iv.left, iv.right, n)
+    assert _equispaced(iv, n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 200])
+@pytest.mark.parametrize(
+    "iv", [Interval(0.0, np.pi), Interval(-1.0, 1.0), Interval(0.0, 5e-324)]
+)
+def test_equispaced_nodes_are_linspace_on_fixed_intervals(iv, n):
+    # the subnormal width gives a zero step, where numpy divides first
+    expected = np.linspace(iv.left, iv.right, n)
+    assert _equispaced(iv, n).tobytes() == expected.tobytes()
+
+
+def test_least_squares_rule_on_one_node_keeps_its_value_error():
+    with pytest.raises(ValueError, match="^a rule needs at least two nodes$"):
+        least_squares_rule(polynomial_space(0, UNIT), 1)
+
+
+def test_exactness_report_positivity_is_a_python_bool():
+    space = polynomial_space(2, UNIT)
+    good = verify_exactness(gauss_lobatto_rule(3, UNIT), space)
+    negative = QuadratureRule(np.array([0.0, 0.5, 1.0]), -np.ones(3))
+    bad = verify_exactness(negative, space)
+    assert good.positive is True
+    assert bad.positive is False
 
 
 def test_trapezoid_weights():

@@ -404,6 +404,27 @@ def test_ssprk33_failure_names_the_stage_time():
     assert calls == [1.0, 1.25]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stage_check_messages_are_unchanged(bad):
+    u = np.ones((5, 4))
+    u[2, 1] = bad
+    with pytest.raises(
+        InstabilityError, match=r"^non-finite solution values in block 2 near t=0\.5$"
+    ):
+        sbpkit.solver._check_finite(u, 0.5)
+    u[4, 3] = bad
+    with pytest.raises(
+        InstabilityError,
+        match=r"^non-finite solution values in block 2 \(and 1 more\) near t=0\.5$",
+    ):
+        sbpkit.solver._check_finite(u, 0.5)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (0, 4), (3, 0)])
+def test_stage_check_passes_finite_and_empty_values(shape):
+    assert sbpkit.solver._check_finite(np.zeros(shape), 0.5) is None
+
+
 def test_ssprk33_failure_names_the_block():
     ref = find_operator(make_space("trig:d=1", UNIT))
     edges = np.linspace(0.0, 1.0, 65)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -122,6 +124,15 @@ def test_vandermonde_rejects_points_outside_interval():
         vandermonde_derivative(space, [-0.2])
 
 
+def test_vandermonde_takes_one_point_as_a_one_node_grid():
+    space = exponential_space(3, Interval(0.0, 1.0))
+    for matrix in (vandermonde, vandermonde_derivative):
+        assert matrix(space, 0.25).tobytes() == matrix(space, [0.25]).tobytes()
+        assert matrix(space, np.float64(0.25)).shape == (1, space.dim)
+    with pytest.raises(ValueError, match="^grid must be one-dimensional$"):
+        vandermonde(space, [[0.25, 0.5]])
+
+
 def test_rbf_cardinal_property():
     """Each radial basis element is one at its own center, zero at the others."""
     centers = [0.0, 0.3, 0.7, 1.0]
@@ -182,6 +193,96 @@ def test_rbf_centers_are_sorted_and_must_be_flat():
         rbf_cubic_space([[0.0, 1.0], [0.5, 1.0]], iv)
     with pytest.raises(ValueError, match=flat + ": "):
         rbf_cubic_space([[0.0, 1.0], [0.5]], iv)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda iv: rbf_cubic_space([0.0, math.nan, 1.0], iv),
+        lambda iv: rbf_cubic_space([math.nan, 0.0, 1.0], iv),
+        lambda iv: make_space("rbf-cubic:centers=0,nan,1", iv),
+    ],
+    ids=["middle", "first", "text"],
+)
+def test_rbf_refuses_a_nan_center_by_name(build):
+    # the sort puts a NaN last, where the distinctness and interval checks
+    # would blame the wrong property
+    with pytest.raises(ValueError, match=r"^radial centers must be finite, got nan$"):
+        build(Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("text, shown", [("inf", "inf"), ("-inf", "-inf")])
+def test_rbf_refuses_an_infinite_center_by_name(text, shown):
+    message = rf"^radial centers must be finite, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        make_space(f"rbf-cubic:centers=0,{text},1", Interval(0.0, 1.0))
+
+
+def test_interval_refuses_a_width_that_overflows():
+    with pytest.raises(ValueError, match="interval width overflows"):
+        Interval(-1e308, 1e308)
+    assert Interval(-8e307, 8e307).width == 1.6e308
+
+
+@pytest.mark.parametrize(
+    "spec", ["poly:d=2", "trig:d=1", "rbf-cubic:centers=-1e308,0,1e308"]
+)
+def test_spaces_on_an_overflowing_interval_fail_for_that_reason(spec):
+    # before the interval refused it, each space failed for another reason:
+    # non-finite values, or a numpy overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"^interval width overflows: "):
+            make_space(spec, Interval(-1e308, 1e308))
+    assert caught == []
+
+
+def _vander_product(space, which):
+    # the former exp evaluation: np.vander(s) @ C, then the far-field tail
+    fn = getattr(space, which)
+    outer = inspect.getclosurevars(fn).nonlocals
+    coefs = outer["C"] if which == "values" else outer["Cx"]
+    taylor_terms = outer["degree"] - (which == "derivatives")
+    inner = inspect.getclosurevars(outer["product"]).nonlocals
+    c, h, degree, total = inner["c"], inner["h"], inner["degree"], inner["total"]
+
+    def product(x):
+        t = np.asarray(x, dtype=float) - c
+        out = np.vander(t / h, len(coefs), increasing=True) @ coefs
+        far = t < inner["far_field"]
+        if far.any():
+            tf = t[far]
+            taylor = sum(tf**k / math.factorial(k) for k in range(taylor_terms))
+            log_norm = math.lgamma(degree + 1) - degree * math.log(h) - math.log(total)
+            out[far, degree] = math.exp(log_norm) * (np.exp(tf) - taylor)
+        return out
+
+    return product
+
+
+@pytest.mark.parametrize("degree", range(1, 18))
+@pytest.mark.parametrize(
+    "iv", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-40.0, 40.0)]
+)
+def test_exp_columns_equal_the_vander_product_bit_for_bit(degree, iv):
+    space = exponential_space(degree, iv)
+    x = np.linspace(iv.left, iv.right, 301)
+    if iv.width > 2.0 * (degree + 1):
+        # the far field, left of the midpoint by more than degree + 1
+        assert np.count_nonzero(x - 0.5 * (iv.left + iv.right) < -(degree + 1.0))
+    for which in ("values", "derivatives"):
+        expected = _vander_product(space, which)(x)
+        assert getattr(space, which)(x).tobytes() == expected.tobytes()
+
+
+def test_exp_one_power_column_equals_the_vander_product_bit_for_bit():
+    # so narrow that the tail is one term: the derivative has one power
+    space = exponential_space(1, Interval(0.0, 1e-19))
+    assert inspect.getclosurevars(space.derivatives).nonlocals["Cx"].shape[0] == 1
+    x = np.array([0.0, 3e-20, 1e-19])
+    for which in ("values", "derivatives"):
+        expected = _vander_product(space, which)(x)
+        assert getattr(space, which)(x).tobytes() == expected.tobytes()
 
 
 def test_make_space_grammar():
