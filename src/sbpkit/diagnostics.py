@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .operators import _study_scope
 from .solver import BlockState, ProblemSpec, _block_count
 from .spaces import FunctionSpace
 
@@ -276,16 +277,18 @@ def convergence_table(
 
     Each entry of ``space_specs`` (a textual kind, or a prebuilt space as
     :func:`~sbpkit.solver.run` takes it) becomes its space on [0, 1] once,
-    before any run, and every level of that entry runs on it; each level
-    still searches its own operator.  Every level of every space runs
-    first; the reference is then evaluated once, on the final nodes of
-    all levels together, so a reference failure (crossing Burgers
-    characteristics) surfaces after the last run.  Observed orders
-    compare consecutive levels of the same entry of ``space_specs``
-    using the norm-weighted error and the block-count ratio.  A problem
-    without a reference solution, a ladder whose block counts are not
-    distinct whole numbers of at least 1, and a space that does not
-    construct are rejected before any run.
+    before any run, and every level of that entry runs on it.  Each level
+    calls :func:`~sbpkit.solver.find_operator` through ``run``, but only
+    an entry's first level walks the rule ladder: the later ones get the
+    operator that search found, which the study keeps until it returns
+    or raises.  Every level of every space runs first; the reference is
+    then evaluated once, on the final nodes of all levels together, so a
+    reference failure (crossing Burgers characteristics) surfaces after
+    the last run.  Observed orders compare consecutive levels of the same
+    entry of ``space_specs`` using the norm-weighted error and the
+    block-count ratio.  A problem without a reference solution, a ladder
+    whose block counts are not distinct whole numbers of at least 1, and
+    a space that does not construct are rejected before any run.
     """
     from .solver import _reference_space, run
 
@@ -299,20 +302,21 @@ def convergence_table(
     if ref is None:
         raise ValueError(f"no reference solution for problem kind {spec.kind!r}")
     spaces = [_reference_space(space) for space in space_specs]
-    states = [
-        [
-            run(
-                spec,
-                space,
-                n_nodes=n_nodes,
-                n_blocks=blocks,
-                t_final=t_final,
-                cfl=cfl,
-            ).state
-            for blocks in counts
+    with _study_scope():
+        states = [
+            [
+                run(
+                    spec,
+                    space,
+                    n_nodes=n_nodes,
+                    n_blocks=blocks,
+                    t_final=t_final,
+                    cfl=cfl,
+                ).state
+                for blocks in counts
+            ]
+            for space in spaces
         ]
-        for space in spaces
-    ]
     nodes = [state.nodes.ravel() for level in states for state in level]
     if not nodes:
         return []

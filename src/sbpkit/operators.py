@@ -19,8 +19,10 @@ significant digits; readers reject files that fail verification.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +77,10 @@ TOL_COHERENCE = 1e-13
 _BUILD_RESIDUAL_TOL = 1e-10
 
 _log = logging.getLogger(__name__)
+
+# operators found by the searches of the running convergence study, keyed
+# by (id(space), n_nodes); None outside a study, see _study_scope
+_STUDY: ContextVar[dict | None] = ContextVar("sbpkit_study", default=None)
 
 
 class OperatorError(RuntimeError):
@@ -204,8 +210,25 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
     keeps for its latest grid, and every rule is checked against the
     moments the space computed when it was constructed.  The space keeps
     the winning grid's matrices after the call.
+
+    Inside a convergence study (:func:`~sbpkit.diagnostics.convergence_table`)
+    the first search of a space object with a given ``n_nodes`` walks the
+    ladder, and every later one in the same study returns that same
+    frozen operator, with one DEBUG record in place of the rung records.
+    This memo holds the results of the study's searches, not the
+    evaluations inside one search; it keeps no failure and is dropped
+    when the study returns or raises.
     """
     rungs = _ladder(space, n_nodes)
+    study = _STUDY.get()
+    if study is not None and (op := study.get((id(space), n_nodes))) is not None:
+        _log.debug(
+            "reusing the %s-node operator this study found for %s; "
+            "its rejected rungs were logged by that search",
+            op.n_nodes,
+            space.kind,
+        )
+        return op
     for n in rungs:
         try:
             rule = find_positive_rule(space, n)
@@ -217,6 +240,8 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
                     f"verification: exactness {report.exactness_residual:.3e}, "
                     f"constant residual {report.d_one_residual:.3e}"
                 )
+            if study is not None:
+                study[id(space), n_nodes] = op
             return op
         except (QuadratureError, OperatorError) as exc:
             _log.debug("rung of %s nodes rejected: %s", n, exc)
@@ -227,6 +252,21 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
         f"no workable operator for {space.kind!r} with up to "
         f"{rungs.stop - 1} nodes; last: {last_error}"
     ) from last_error
+
+
+@contextlib.contextmanager
+def _study_scope():
+    """Share each search's operator among the levels of one study.
+
+    Within the block, :func:`find_operator` keeps every operator it finds,
+    keyed by the space object and the pin as given; the memo holds each
+    space through its operator, so no id is reused while the block runs.
+    """
+    token = _STUDY.set({})
+    try:
+        yield
+    finally:
+        _STUDY.reset(token)
 
 
 def verify_sbp(op: FsbpOperator) -> SbpReport:

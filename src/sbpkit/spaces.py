@@ -280,6 +280,13 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
     if degree < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
     a, b = interval.left, interval.right
+    # in Python floats, so that an overflow gives inf and no numpy warning;
+    # 2*x and a + b are both at most twice the larger end in size
+    if not math.isfinite(2.0 * max(abs(float(a)), abs(float(b)))):
+        raise ValueError(
+            f"polynomial space: the map of [{a!r}, {b!r}] onto [-1, 1] "
+            f"overflows, since twice an end is not a finite number"
+        )
     scale = 2.0 / (b - a)
     coefs = np.eye(degree + 1)
     dcoefs = _legendre.legder(coefs)
@@ -362,6 +369,12 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
         raise ValueError(
             f"exponential-space degree must be <= 17, got {degree}: from degree "
             f"18 on, the power-form Legendre columns lose digits to cancellation"
+        )
+    if not math.isfinite(float(interval.left) + float(interval.right)):
+        raise ValueError(
+            f"exponential space: the midpoint of [{interval.left!r}, "
+            f"{interval.right!r}] overflows, since left + right is not a "
+            f"finite number"
         )
     c = 0.5 * (interval.left + interval.right)
     h = 0.5 * interval.width
@@ -461,6 +474,14 @@ def rbf_cubic_space(
     if abs(c[0] - interval.left) > slack or abs(c[-1] - interval.right) > slack:
         raise ValueError("radial centers must include both interval endpoints")
 
+    # the kernel |x - c|**3 reaches the cube of the spread of centers and
+    # points; cubed in Python floats, so that an overflow gives inf
+    spread = max(float(c[-1]) - float(c[0]), float(interval.width))
+    if not math.isfinite(spread * spread * spread):
+        raise ValueError(
+            f"radial centers spread over {spread!r}, whose cube in the kernel "
+            f"|x - c|**3 is not a finite number"
+        )
     m = c.size
     A = np.zeros((m + 1, m + 1))
     A[:m, :m] = np.abs(c[:, None] - c[None, :]) ** 3

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import sbpkit.operators
 import sbpkit.solver
 from sbpkit.cli import _bumpy
 from sbpkit.diagnostics import (
@@ -390,7 +392,7 @@ def test_convergence_table_labels_a_prebuilt_space_by_its_kind():
     _assert_rows_equal(rows, expected)
 
 
-def _per_level_rows(spec, spaces, counts, t_final):
+def _per_level_rows(spec, spaces, counts, t_final, n_nodes=None):
     """Rows built level by level, each level against its own reference
     call, and the final nodes of every level in study order."""
     ref = reference_solution(spec, t_final)
@@ -398,7 +400,9 @@ def _per_level_rows(spec, spaces, counts, t_final):
     for space in spaces:
         prev = None
         for blocks in counts:
-            state = run(spec, space, n_blocks=blocks, t_final=t_final).state
+            state = run(
+                spec, space, n_nodes=n_nodes, n_blocks=blocks, t_final=t_final
+            ).state
             nodes.append(state.nodes.ravel())
             err = error_report(state, ref)
             order = (
@@ -532,3 +536,144 @@ def test_convergence_table_without_spaces_is_empty():
     ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
     assert convergence_table(spec, [], [1, 2]) == []
+
+
+def _count_builds(monkeypatch):
+    """Record every build_operator call that find_operator makes."""
+    built = []
+    build = sbpkit.operators.build_operator
+
+    def counting(space, rule):
+        built.append(space.kind)
+        return build(space, rule)
+
+    monkeypatch.setattr(sbpkit.operators, "build_operator", counting)
+    return built
+
+
+def _count_searches(monkeypatch):
+    """Record the operator of every find_operator call that run makes."""
+    found = []
+    search = sbpkit.solver.find_operator
+
+    def counting(space, n_nodes=None):
+        found.append(search(space, n_nodes))
+        return found[-1]
+
+    monkeypatch.setattr(sbpkit.solver, "find_operator", counting)
+    return found
+
+
+def _advection():
+    ic = lambda x: np.cos(2 * np.pi * np.asarray(x))
+    return ProblemSpec(kind="advection", domain=UNIT, initial_condition=ic)
+
+
+def test_convergence_table_searches_each_entry_once(monkeypatch):
+    # every level still calls find_operator through run, but only an
+    # entry's first level walks the ladder; the others share its operator
+    spec, spaces, counts = _advection(), ["exp:d=2", "poly:d=2"], [2, 4, 8]
+    expected, _ = _per_level_rows(spec, spaces, counts, 0.1)
+    built, found = _count_builds(monkeypatch), _count_searches(monkeypatch)
+    rows = convergence_table(spec, spaces, counts, t_final=0.1)
+    assert built == spaces
+    assert len(found) == 6
+    assert found[0] is found[1] is found[2]
+    assert found[3] is found[4] is found[5]
+    assert found[0] is not found[3]
+    _assert_rows_equal(rows, expected)
+
+
+def test_convergence_table_with_a_pinned_node_count_matches_per_level_runs():
+    spec, spaces, counts = _advection(), ["exp:d=2", "poly:d=2"], [2, 4, 8]
+    expected, nodes = _per_level_rows(spec, spaces, counts, 0.1, n_nodes=6)
+    rows = convergence_table(spec, spaces, counts, n_nodes=6, t_final=0.1)
+    assert {x.size for x in nodes} == {12, 24, 48}
+    _assert_rows_equal(rows, expected)
+
+
+def test_study_memo_keys_the_pin_as_given():
+    space = make_space("poly:d=2", UNIT)
+    with sbpkit.operators._study_scope():
+        free, pinned = find_operator(space), find_operator(space, 6)
+        assert (free.n_nodes, pinned.n_nodes) == (3, 6)
+        assert find_operator(space) is free
+        assert find_operator(space, 6) is pinned
+
+
+def test_study_memo_does_not_outlive_the_study(monkeypatch):
+    spec, space = _advection(), make_space("poly:d=2", UNIT)
+    built = _count_builds(monkeypatch)
+    convergence_table(spec, [space], [2, 4, 8], t_final=0.1)
+    assert len(built) == 1
+    find_operator(space)
+    assert len(built) == 2
+
+
+def test_study_memo_is_dropped_when_a_run_raises(monkeypatch):
+    spec, space = _advection(), make_space("poly:d=2", UNIT)
+    built = _count_builds(monkeypatch)
+    runs = []
+    real_run = sbpkit.solver.run
+
+    def failing_second(*args, **kwargs):
+        runs.append(kwargs["n_blocks"])
+        if len(runs) == 2:
+            raise RuntimeError("second level fails")
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(sbpkit.solver, "run", failing_second)
+    with pytest.raises(RuntimeError, match="second level fails"):
+        convergence_table(spec, [space], [2, 4, 8], t_final=0.1)
+    assert runs == [2, 4]
+    assert len(built) == 1
+    find_operator(space)
+    assert len(built) == 2
+
+
+def test_a_space_text_given_twice_is_two_spaces_and_two_searches(monkeypatch):
+    # the memo is keyed by the space object, not by its text
+    spec, spaces, counts = _advection(), ["poly:d=2", "poly:d=2"], [2, 4]
+    made = []
+    make = sbpkit.solver.make_space
+
+    def counting_make(text, interval):
+        made.append(make(text, interval))
+        return made[-1]
+
+    monkeypatch.setattr(sbpkit.solver, "make_space", counting_make)
+    built, found = _count_builds(monkeypatch), _count_searches(monkeypatch)
+    rows = convergence_table(spec, spaces, counts, t_final=0.1)
+    assert len(made) == 2 and made[0] is not made[1]
+    assert built == spaces
+    assert [op.space for op in found] == [made[0], made[0], made[1], made[1]]
+    assert found[1] is found[0] and found[2] is not found[0]
+    assert [r.err_p for r in rows[:2]] == [r.err_p for r in rows[2:]]
+
+
+def _reuse_records(caplog):
+    return [
+        r
+        for r in caplog.records
+        if r.name == "sbpkit.operators" and r.msg.startswith("reusing")
+    ]
+
+
+def test_each_reused_level_logs_one_debug_record(caplog):
+    spec, spaces, counts = _advection(), ["exp:d=2", "poly:d=2"], [2, 4, 8]
+    caplog.set_level(logging.DEBUG, logger="sbpkit.operators")
+    convergence_table(spec, spaces, counts, t_final=0.1)
+    records = _reuse_records(caplog)
+    assert len(records) == 4
+    assert all(r.levelno == logging.DEBUG and r.args for r in records)
+    assert [r.getMessage() for r in records[::2]] == [
+        "reusing the 5-node operator this study found for exp:d=2; "
+        "its rejected rungs were logged by that search",
+        "reusing the 3-node operator this study found for poly:d=2; "
+        "its rejected rungs were logged by that search",
+    ]
+
+
+def test_the_study_memo_is_silent_by_default(caplog):
+    convergence_table(_advection(), ["exp:d=2", "poly:d=2"], [2, 4, 8], t_final=0.1)
+    assert [r for r in caplog.records if r.name.startswith("sbpkit")] == []

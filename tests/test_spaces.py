@@ -237,6 +237,57 @@ def test_spaces_on_an_overflowing_interval_fail_for_that_reason(spec):
     assert caught == []
 
 
+_HUGE = Interval(1e308, 1.7e308)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            "poly:d=2",
+            r"^polynomial space: the map of \[1e\+308, 1\.7e\+308\] onto "
+            r"\[-1, 1\] overflows, since twice an end is not a finite number$",
+        ),
+        (
+            "exp:d=2",
+            r"^exponential space: the midpoint of \[1e\+308, 1\.7e\+308\] "
+            r"overflows, since left \+ right is not a finite number$",
+        ),
+        (
+            "rbf-cubic:centers=1e308,1.7e308",
+            r"^radial centers spread over 6\.999999999999999e\+307, whose cube "
+            r"in the kernel \|x - c\|\*\*3 is not a finite number$",
+        ),
+    ],
+    ids=["poly", "exp", "rbf-cubic"],
+)
+def test_spaces_on_a_huge_finite_interval_name_their_overflow(spec, message):
+    # the width is finite, but twice an end (poly), the sum of the ends
+    # (exp) or the cubed spread (rbf-cubic) is not; before, poly and exp
+    # blamed "values of column 0" and rbf-cubic raised numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            make_space(spec, _HUGE)
+
+
+def test_trig_on_a_huge_finite_interval_still_builds():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = make_space("trig:d=1", _HUGE)
+        op = find_operator(space)
+    assert space.dim == 3
+    assert verify_sbp(op).passed
+
+
+def test_overflow_guards_leave_wide_spaces_that_build():
+    # twice 8e307 and the cube of 5.6e102 are still finite
+    assert polynomial_space(2, Interval(0.0, 8e307)).dim == 3
+    assert rbf_cubic_space([0.0, 5.6e102], Interval(0.0, 5.6e102)).dim == 2
+    with pytest.raises(ValueError, match="whose cube in the kernel"):
+        rbf_cubic_space([0.0, 1e103], Interval(0.0, 1e103))
+
+
 def _vander_product(space, which):
     # the former exp evaluation: np.vander(s) @ C, then the far-field tail
     fn = getattr(space, which)
