@@ -137,22 +137,31 @@ class BlockState:
     edges: np.ndarray
     t: float
     s: np.ndarray = field(init=False, repr=False, compare=False)
-    # the per-grid constants of the right sides: D.T, s[:, None], -3 s[:, None]
-    # (the Burgers divisor), s * p[0], and the flat index of each block's
-    # left neighbour's last node (the last block's for block 0, which
-    # closes the periodic chain).  D.T stays the transposed view: np.dot
-    # on it rounds like u @ D.T, and a contiguous copy does not
+    # the per-grid constants of the right sides: D.T, the divisors s and
+    # -3 s (the Burgers one) as contiguous arrays shaped like u, each
+    # block's ratio repeated along its row, s * p[0], and the flat index
+    # of each block's left neighbour's last node (the last block's for
+    # block 0, which closes the periodic chain).  D.T stays the transposed
+    # view: np.dot on it rounds like u @ D.T, and a contiguous copy does
+    # not.  The divisors hold the values of s[:, None] and -3 s[:, None],
+    # so they round alike, but numpy divides by a full-shape array in one
+    # inner loop rather than one short loop per row of a broadcast column
     _DT: np.ndarray = field(init=False, repr=False, compare=False)
-    _s_col: np.ndarray = field(init=False, repr=False, compare=False)
-    _m3s_col: np.ndarray = field(init=False, repr=False, compare=False)
+    _s_div: np.ndarray = field(init=False, repr=False, compare=False)
+    _m3s_div: np.ndarray = field(init=False, repr=False, compare=False)
     _s_p0: np.ndarray = field(init=False, repr=False, compare=False)
     _left_last: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         iv = self.operator.space.interval
         edges = np.array(self.edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValueError(
+                "edges must be a 1-D sequence of at least 2 block edges, "
+                f"got shape {edges.shape}"
+            )
         u = _real_array(self.u, "block state values")
-        if edges.ndim != 1 or u.shape != (edges.size - 1, self.operator.n_nodes):
+        if u.shape != (edges.size - 1, self.operator.n_nodes):
             raise ValueError(
                 f"values of shape {u.shape} do not match {edges.size - 1} "
                 f"blocks of {self.operator.n_nodes} nodes"
@@ -164,18 +173,19 @@ class BlockState:
         s = (edges[1:] - edges[:-1]) / iv.width
         if not s.min() > 0.0:
             raise ValueError("block edges must be strictly increasing")
-        m3s_col = -3.0 * s[:, None]
-        s_p0 = s * self.operator.p[0]
         n_blocks, n = u.shape
+        s_div = np.repeat(s, n).reshape(n_blocks, n)
+        m3s_div = -3.0 * s_div
+        s_p0 = s * self.operator.p[0]
         left_last = np.roll(np.arange(n_blocks), 1) * n + (n - 1)
-        for arr in (u, edges, s, m3s_col, s_p0, left_last):
+        for arr in (u, edges, s, s_div, m3s_div, s_p0, left_last):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "_DT", self.operator.D.T)
-        object.__setattr__(self, "_s_col", s[:, None])
-        object.__setattr__(self, "_m3s_col", m3s_col)
+        object.__setattr__(self, "_s_div", s_div)
+        object.__setattr__(self, "_m3s_div", m3s_div)
         object.__setattr__(self, "_s_p0", s_p0)
         object.__setattr__(self, "_left_last", left_last)
 
@@ -257,12 +267,13 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     its first node.  Returns an array shaped like ``state.u``.
     """
     # scaled and penalised in place on the array allocated here, in the
-    # operation order of -a * (u @ D.T) / s and sigma * a * (u_1 - g) / p_1
+    # operation order of -a * (u @ D.T) / s[:, None] and
+    # sigma * a * (u_1 - g) / p_1; the divisor is s repeated along each row
     a = spec.wave_speed
     u = state.u
     du = np.dot(u, state._DT)
     du *= -a
-    du /= state._s_col
+    du /= state._s_div
     if spec.kind == "advection_source":
         du += spec.source_coefficient * u
     _penalise(du, state, t, spec, spec.effective_sigma * a)
@@ -278,15 +289,16 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     array shaped like ``state.u``.
     """
     # in place on the arrays allocated here, in the operation order of
-    # -((u u) @ D.T + u (u @ D.T)) / (3 s) and (sigma/3) u_1 (u_1 - g) / p_1;
-    # dividing by -3 s rounds exactly like negating and dividing by 3 s
+    # -((u u) @ D.T + u (u @ D.T)) / (3 s[:, None]) and
+    # (sigma/3) u_1 (u_1 - g) / p_1; the divisor is -3 s repeated along each
+    # row, and dividing by -3 s rounds exactly like negating and dividing by 3 s
     u = state.u
     DT = state._DT
     du = np.dot(u * u, DT)
     udu = np.dot(u, DT)
     udu *= u
     du += udu
-    du /= state._m3s_col
+    du /= state._m3s_div
     _penalise(du, state, t, spec, (spec.effective_sigma / 3.0) * u[:, 0])
     return du
 

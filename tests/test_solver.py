@@ -16,6 +16,7 @@ import sbpkit.spaces
 from sbpkit.cli import _bumpy
 from sbpkit.operators import affine_block_operator, find_operator
 from sbpkit.solver import (
+    PROBLEM_KINDS,
     BlockState,
     InstabilityError,
     Interval,
@@ -85,6 +86,19 @@ def test_block_state_refuses_non_finite_edges(edges):
     op = find_operator(make_space("trig:d=1", UNIT))
     u = np.zeros((len(edges) - 1, op.n_nodes))
     with pytest.raises(ValueError, match="^block edges must be finite, got "):
+        BlockState(u=u, operator=op, edges=edges, t=0.0)
+
+
+@pytest.mark.parametrize(
+    "edges, n_blocks, shape",
+    [((0.0,), 0, "(1,)"), ((), 0, "(0,)"), (((0, 1), (1, 2)), 1, "(2, 2)")],
+    ids=["one-edge", "empty", "2-D"],
+)
+def test_block_state_refuses_malformed_edges_by_name(edges, n_blocks, shape):
+    op = find_operator(make_space("trig:d=1", UNIT))
+    u = np.zeros((n_blocks, op.n_nodes))
+    want = f"edges must be a 1-D sequence of at least 2 block edges, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         BlockState(u=u, operator=op, edges=edges, t=0.0)
 
 
@@ -494,6 +508,39 @@ def _stepping_spec(kind: str, periodic: bool) -> ProblemSpec:
     )
 
 
+def _random_edges(n_edges: int, seed: int) -> np.ndarray:
+    """Strictly increasing edges on [0, 1] with seeded random widths."""
+    widths = np.random.default_rng(seed).uniform(0.1, 1.0, n_edges - 1)
+    return np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+
+
+# on a uniform grid every width ratio is the same float, so only a
+# non-uniform one shows a divisor whose rows hold another block's ratio
+@pytest.mark.parametrize(
+    "edges",
+    [(0.0, 0.2, 0.5, 1.0), _random_edges(17, 26)],
+    ids=["3-blocks", "16-random-blocks"],
+)
+@pytest.mark.parametrize("space", ["trig:d=4", "poly:d=16"])
+@pytest.mark.parametrize(
+    "kind, periodic",
+    [(kind, periodic) for kind in PROBLEM_KINDS for periodic in (True, False)],
+)
+def test_rhs_matches_the_recomputing_rhs_on_a_non_uniform_grid(
+    kind, periodic, space, edges
+):
+    spec = _stepping_spec(kind, periodic)
+    ref = find_operator(make_space(space, UNIT))
+    n_blocks = len(edges) - 1
+    u = 1.0 + 0.5 * np.random.default_rng(7).standard_normal((n_blocks, ref.n_nodes))
+    state = BlockState(u=u, operator=ref, edges=edges, t=0.3)
+    assert np.unique(state.s).size > 1
+    rhs = rhs_burgers if kind == "burgers" else rhs_advection
+    got = rhs(state, 0.3, spec)
+    want = _recomputing_rhs_for(spec)(state, 0.3)
+    assert got.tobytes() == want.tobytes()
+
+
 # poly:d=16 has 17 nodes, where D.T as a contiguous copy rounds the
 # products differently from the transposed view
 @pytest.mark.parametrize(
@@ -612,9 +659,18 @@ def test_ssprk33_stage_states_share_the_grid():
         assert stage.edges is state.edges
         assert stage.s is state.s
         assert stage._left_last is state._left_last
+        for name in ("_DT", "_s_div", "_m3s_div", "_s_p0"):
+            assert getattr(stage, name) is getattr(state, name)
         assert not stage.u.flags.writeable
         with pytest.raises(ValueError):
             stage.u[0, 0] = 0.0
+    for name in ("_s_div", "_m3s_div", "_s_p0"):
+        assert not getattr(state, name).flags.writeable
+        with pytest.raises(ValueError):
+            getattr(state, name)[0] = 1.0
+    for name in ("_s_div", "_m3s_div"):
+        assert getattr(state, name).shape == state.u.shape
+        assert getattr(state, name).flags.c_contiguous
     assert [s.t for s in seen] == [0.0, 0.1, 0.05]
     assert out.t == 0.1
 
