@@ -6,9 +6,10 @@ of a product of two elements of F exactly, the integrals being known in
 closed form as boundary product moments.  This module builds such rules:
 the composite trapezoid rule (exact for trigonometric spaces once the
 grid resolves twice the top frequency), Gauss-Lobatto rules (polynomial
-spaces), and a minimum-norm least-squares construction on equidistant
-nodes that works for any space.  The rule constructors never judge a
-rule: :func:`verify_exactness` alone does.
+spaces), and a minimum-norm least-squares correction of a start rule's
+weights that works for any space: on equidistant nodes for every space,
+and on Gauss-Lobatto nodes for spaces that ask for it.  The rule
+constructors never judge a rule: :func:`verify_exactness` alone does.
 
 The space keeps its matrices on the latest grid it was checked on, so
 that a rung's rule check, build and verification evaluate the space there
@@ -177,15 +178,34 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     return QuadratureRule(nodes, half * ref_weights)
 
 
+def _corrected(space: FunctionSpace, start: QuadratureRule) -> QuadratureRule:
+    """``start`` with the minimum-norm weight correction for the pair moments.
+
+    The constraints are one row per pair of basis elements, evaluated on
+    the start's nodes, against the pair moments.  The minimum-norm
+    correction of the start's weights that satisfies them is applied, with
+    singular values below ``1e-12`` times the largest discarded.  The
+    nodes stay the start's.
+    """
+    _, _, Phi = _on_grid(space, start.nodes)
+    w = start.weights
+    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
+    if s[0] > 0.0:
+        r = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
+        lhs_r = Vt[:r]
+        rhs_r = (U[:, :r].T @ space.moments) / s[:r]
+        w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
+    return QuadratureRule(start.nodes, w)
+
+
 def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     """Minimum-norm weights on equidistant nodes for the pair-derivative moments.
 
-    The constraints are one row per pair of basis elements, evaluated on
-    the nodes, against the pair moments.  Starting from uniform weights,
-    the minimum-norm correction satisfying them is applied, with singular
-    values below ``1e-12`` times the largest discarded.  The nodes are
-    ``np.linspace(left, right, n_nodes)`` on the space's interval.  The
-    rule is returned as built, exact or not and positive or not:
+    The uniform weights ``width / n_nodes`` on
+    ``np.linspace(left, right, n_nodes)`` over the space's interval get
+    the minimum-norm correction that makes them reproduce the pair
+    moments, as far as the pair rows on those nodes allow.  The rule is
+    returned as built, exact or not and positive or not:
     :func:`verify_exactness` judges it.  Raises ``ValueError`` when
     ``n_nodes`` is not a whole number or is below ``dim``.
     """
@@ -195,19 +215,9 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
             f"need at least dim={space.dim} nodes for space {space.kind!r}, got {n}"
         )
     iv = space.interval
-    nodes = _equispaced(iv, n)
-    _, _, Phi = _on_grid(space, nodes)
-    m = space.moments
-
     w = np.empty(n)
     w.fill(iv.width / n)
-    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
-    if s[0] > 0.0:
-        r = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
-        lhs_r = Vt[:r]
-        rhs_r = (U[:, :r].T @ m) / s[:r]
-        w = w + lhs_r.T @ (rhs_r - lhs_r @ w)
-    return QuadratureRule(nodes, w)
+    return _corrected(space, QuadratureRule(_equispaced(iv, n), w))
 
 
 def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessReport:
@@ -247,13 +257,15 @@ def _ladder(space: FunctionSpace, n_nodes: int | None) -> range:
 
 
 def _candidates(space: FunctionSpace, n: int):
-    # built on demand, so a passing closed form skips the least-squares rule
+    # built on demand, so a passing candidate skips the ones after it
     if space.rule == "trapezoid":
         yield trapezoid_rule(n, space.interval)
     elif space.rule == "gauss-lobatto":
         yield gauss_lobatto_rule(n, space.interval)
     if n >= space.dim:
         yield least_squares_rule(space, n)
+        if space.rule == "lobatto-least-squares":
+            yield _corrected(space, gauss_lobatto_rule(n, space.interval))
 
 
 def find_positive_rule(
@@ -265,10 +277,11 @@ def find_positive_rule(
     runs over 25 node counts from ``dim`` for ``"gauss-lobatto"`` and from
     ``dim + 1`` otherwise; a given ``n_nodes`` pins it to that one count.
     For each node count, the closed-form rule the space names comes first
-    (trapezoid or Gauss-Lobatto), then the least-squares construction,
-    each built only when the ones before it fail.  The first candidate
-    that :func:`verify_exactness` finds exact and positive is returned as
-    built.
+    (trapezoid or Gauss-Lobatto), then the equispaced least-squares rule,
+    then, for ``"lobatto-least-squares"``, the least-squares weights on
+    Gauss-Lobatto nodes; each is built only when the ones before it fail.
+    The first candidate that :func:`verify_exactness` finds exact and
+    positive is returned as built.
     """
     rungs = _ladder(space, n_nodes)
     for n in rungs:

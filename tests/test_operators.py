@@ -34,6 +34,7 @@ from sbpkit.quadrature import (
     ExactnessReport,
     QuadratureError,
     QuadratureRule,
+    _corrected,
     find_positive_rule,
     gauss_lobatto_rule,
     least_squares_rule,
@@ -615,6 +616,10 @@ def _memo_free_find_operator(space, n_nodes=None):
             builders.append(lambda: gauss_lobatto_rule(n, space.interval))
         if n >= space.dim:
             builders.append(lambda: least_squares_rule(space, n))
+            if space.rule == "lobatto-least-squares":
+                builders.append(
+                    lambda: _corrected(space, gauss_lobatto_rule(n, space.interval))
+                )
         for build in builders:
             _forget_grid(space)
             rule = build()
@@ -697,22 +702,33 @@ def test_find_operator_matches_the_memo_free_search(kind, interval):
         _assert_same_search(space, n_nodes)
 
 
+# a family with a degree; exp degrees run to 8, whose 7 and 8 are found at
+# 10 to 14 nodes on these widths
+_FAMILY_DEGREE = st.sampled_from(["poly", "trig", "exp", "rbf"]).flatmap(
+    lambda family: st.tuples(
+        st.just(family), st.integers(1, 8 if family == "exp" else 6)
+    )
+)
+
+
+def _drawn_kind(family_degree, interval):
+    family, degree = family_degree
+    if family == "rbf":
+        return _centers(degree + 2, interval)
+    return f"{family}:d={2 * degree if family == 'poly' else degree}"
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    family=st.sampled_from(["poly", "trig", "exp", "rbf"]),
-    degree=st.integers(1, 6),
+    family_degree=_FAMILY_DEGREE,
     left=st.floats(-2.0, 2.0),
     width=st.floats(0.25, 4.0),
 )
 def test_find_operator_matches_the_memo_free_search_anywhere(
-    family, degree, left, width
+    family_degree, left, width
 ):
     interval = Interval(left, left + width)
-    if family == "rbf":
-        kind = _centers(degree + 2, interval)
-    else:
-        kind = f"{family}:d={2 * degree if family == 'poly' else degree}"
-    _assert_same_search(make_space(kind, interval))
+    _assert_same_search(make_space(_drawn_kind(family_degree, interval), interval))
 
 
 def _decoy(space, n, skew=1):
@@ -725,21 +741,17 @@ def _decoy(space, n, skew=1):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    family=st.sampled_from(["poly", "trig", "exp", "rbf"]),
-    degree=st.integers(1, 6),
+    family_degree=_FAMILY_DEGREE,
     left=st.floats(-2.0, 2.0),
     width=st.floats(0.25, 4.0),
 )
 def test_searching_a_space_again_matches_a_fresh_search_anywhere(
-    family, degree, left, width
+    family_degree, left, width
 ):
     # repeated searches of one space object, with verifications on other
     # grids in between, find what a search on a fresh copy finds
     interval = Interval(left, left + width)
-    if family == "rbf":
-        kind = _centers(degree + 2, interval)
-    else:
-        kind = f"{family}:d={2 * degree if family == 'poly' else degree}"
+    kind = _drawn_kind(family_degree, interval)
     space = make_space(kind, interval)
     # each search follows a verification on a grid of the first rung's
     # size that no rung visits, then on a grid a rung visits again, and
@@ -798,8 +810,9 @@ def test_space_keeps_only_its_latest_grid():
     assert key == op.nodes.tobytes() and len(mats) == 3
     assert op.space is space
     with pytest.raises(QuadratureError):
-        find_operator(space, 8)  # pinned failure
-    assert space._grid[0] == np.linspace(0.0, 1.0, 8).tobytes()
+        find_operator(space, 7)  # pinned failure
+    # its last candidate, the Gauss-Lobatto one
+    assert space._grid[0] == gauss_lobatto_rule(7, UNIT).nodes.tobytes()
     find_positive_rule(space)
     assert space._grid[0] == op.nodes.tobytes() and space._grid[1] is not mats
 
@@ -824,14 +837,16 @@ def test_searching_a_space_again_skips_only_the_kept_grid():
         find_operator(space)
         counts.append(list(calls))
     assert counts == [[8], []]
-    # exp:d=4 wins on the sixth rung, 11 nodes; the first rung evicts it
+    # exp:d=4 wins on the third rung, with 8 Gauss-Lobatto nodes after the
+    # equispaced ones; each rung tries both grids, and the first rung
+    # evicts the winner
     space = recording_space(exponential_space(4, UNIT))
     counts = []
     for _ in range(2):
         calls.clear()
         find_operator(space)
         counts.append(list(calls))
-    assert counts == [list(range(6, 12))] * 2
+    assert counts == [[6, 6, 7, 7, 8, 8]] * 2
 
 
 def test_space_slot_hands_out_read_only_arrays_one_grid_at_a_time():
@@ -956,23 +971,51 @@ def test_find_operator_finds_the_eleven_center_rbf_space(interval):
 @pytest.mark.parametrize(
     "kind, interval, expected",
     [
-        ("exp:d=6", UNIT, 19),
-        ("exp:d=5", Interval(0.0, np.pi), 20),
-        ("exp:d=4", Interval(-1.0, 1.0), 14),
-        ("exp:d=4", UNIT, 11),
+        ("exp:d=6", UNIT, 10),
+        ("exp:d=5", Interval(0.0, np.pi), 10),
+        ("exp:d=4", Interval(-1.0, 1.0), 9),
+        ("exp:d=4", UNIT, 8),
     ],
 )
 def test_find_operator_finds_the_former_exp_failures(kind, interval, expected):
     # the literal columns 1, x, ..., exp(x) found none of these (exp:d=4 on
-    # [0, 1] only at 24 nodes); the Legendre-plus-tail columns span the same
+    # [0, 1] only at 24 nodes); the Legendre-plus-tail columns span the same,
+    # and the Gauss-Lobatto candidate finds them on fewer nodes than the
+    # equispaced one
     op = find_operator(make_space(kind, interval))
     assert op.n_nodes == expected
     assert verify_sbp(op).passed
 
 
+def test_mapped_exp_space_keeps_its_gauss_lobatto_candidate():
+    mapped = affine_map(make_space("exp:d=5"), Interval(2.0, 3.0))
+    assert mapped.rule == "lobatto-least-squares"
+    # the equispaced rule alone needs 15 nodes
+    op = find_operator(mapped)
+    assert op.n_nodes == 9
+    np.testing.assert_array_equal(
+        op.nodes, gauss_lobatto_rule(9, mapped.interval).nodes
+    )
+
+
+@pytest.mark.parametrize(
+    "interval", [UNIT, Interval(-1.0, 1.0), Interval(0.0, np.pi)]
+)
+@pytest.mark.parametrize("kind", ["exp:d=1", "exp:d=2"])
+def test_low_degree_exp_operators_stay_on_the_equispaced_rule(kind, interval):
+    # the equispaced candidate comes first, so these operators (criterion
+    # 1's golden matrix, the Burgers study's exp:d=2) keep their grids
+    space = make_space(kind, interval)
+    op = find_operator(space)
+    rule = least_squares_rule(space, op.n_nodes)
+    assert op.nodes.tobytes() == rule.nodes.tobytes()
+    assert op.p.tobytes() == rule.weights.tobytes()
+
+
 def test_exp_degree_nine_exhausts_the_ladder_with_its_reason():
-    # the equispaced least-squares rule needs 36 nodes, one past the ladder
-    space = make_space("exp:d=9", UNIT)
+    # on this wide interval the first rule is at 36 nodes, one past the
+    # ladder (on [0, 1] the Gauss-Lobatto candidate finds one at 13)
+    space = make_space("exp:d=9", Interval(0.0, 200.0))
     with pytest.raises(OperatorError) as exc:
         find_operator(space)
     assert str(exc.value) == (
