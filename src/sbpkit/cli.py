@@ -53,15 +53,15 @@ def _bumpy(x):
     return 1.0 + 0.5 * (sin * sin * sin) + 0.25 * (cos2 * cos2 * cos)
 
 
-#: per-problem defaults: initial data, domain, boundary handling, t_final;
-#: its keys are the --problem choices
+#: per-problem defaults: kind, source coefficient, initial data, domain,
+#: inflow value (None: periodic), t_final; its keys are the --problem choices
 _PROBLEM_SETUP = {
-    "advection": dict(ic=_oscillatory, domain=(0.0, 1.0), periodic=True,
-                      inflow=None, tfinal=1.0),
-    "advection-source": dict(ic=_ones, domain=(0.0, np.pi), periodic=False,
-                             inflow=1.0, tfinal=3.5),
-    "burgers": dict(ic=_bumpy, domain=(0.0, 1.0), periodic=True,
-                    inflow=None, tfinal=0.01),
+    "advection": dict(kind="advection", source=0.0, ic=_oscillatory,
+                      domain=(0.0, 1.0), inflow=None, tfinal=1.0),
+    "advection-source": dict(kind="advection", source=2.0, ic=_ones,
+                             domain=(0.0, np.pi), inflow=1.0, tfinal=3.5),
+    "burgers": dict(kind="burgers", source=0.0, ic=_bumpy,
+                    domain=(0.0, 1.0), inflow=None, tfinal=0.01),
 }
 
 
@@ -270,14 +270,13 @@ def _problem_spec(args) -> tuple[ProblemSpec, float]:
     if args.inflow is not None and not np.isfinite(args.inflow):
         raise ValueError(f"--inflow must be finite, got {args.inflow}")
     # --periodic wins over --inflow, and --inflow over the table
-    periodic = args.periodic or (setup["periodic"] and args.inflow is None)
-    inflow_value = setup["inflow"] if args.inflow is None else args.inflow
+    g = setup["inflow"] if args.inflow is None else args.inflow
     spec = ProblemSpec(
-        kind=args.problem.replace("-", "_"),
+        kind=setup["kind"],
         domain=Interval(*(args.domain or setup["domain"])),
         initial_condition=setup["ic"],
-        periodic=periodic,
-        inflow=None if periodic else (lambda t, g=inflow_value: g),
+        inflow=None if args.periodic or g is None else (lambda t, g=g: g),
+        source_coefficient=setup["source"],
         sigma=args.sigma,
     )
     tfinal = args.tfinal if args.tfinal is not None else setup["tfinal"]

@@ -211,12 +211,12 @@ def reference_solution(
     """
     u0 = spec.initial_condition
     dom = spec.domain
-    if spec.kind in ("advection", "advection_source"):
+    if spec.kind == "advection":
         a = spec.wave_speed
-        c = spec.source_coefficient if spec.kind == "advection_source" else 0.0
+        c = spec.source_coefficient
 
         def ref(x):
-            if spec.periodic:
+            if spec.inflow is None:
                 return np.exp(c * t) * exact_advection(u0, a, t, x, dom)
             x = np.asarray(x, dtype=float)
             xi = x - a * t
@@ -237,7 +237,7 @@ def reference_solution(
 
         return ref
 
-    if spec.kind == "burgers" and spec.periodic:
+    if spec.inflow is None:
 
         def u0_periodic(xi):
             return u0(_wrap(np.asarray(xi, dtype=float), dom))

@@ -1,19 +1,20 @@
 """Multi-block semidiscretizations with boundary and coupling penalties.
 
-Three model problems are supported on a partition of the domain into
+Two model problems are supported on a partition of the domain into
 contiguous blocks, each carrying an affinely mapped copy of one reference
 operator.  The state stacks the blocks into one ``(n_blocks, n)`` array
 next to that reference operator, so every block is handled by the same
 array operations:
 
-* linear advection ``u_t + a u_x = 0``,
-* advection with a linear source ``u_t + a u_x = c u``,
+* linear advection with a linear source ``u_t + a u_x = c u`` (no
+  source when ``c = 0``),
 * Burgers' equation in split form ``u_t + (1/3)(u u_x + (u^2)_x) = 0``.
 
 Boundary data enters weakly through a penalty at the first node of each
 block; interface coupling passes the rightmost value of the left
-neighbour, and periodic runs close the chain.  Time stepping is the
-three-stage third-order strong-stability-preserving Runge-Kutta scheme.
+neighbour, and without inflow data the last block closes the chain.
+Time stepping is the three-stage third-order strong-stability-preserving
+Runge-Kutta scheme.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
     "run",
 ]
 
-PROBLEM_KINDS = ("advection", "advection_source", "burgers")
+PROBLEM_KINDS = ("advection", "burgers")
 
 
 class InstabilityError(RuntimeError):
@@ -66,13 +67,15 @@ def _real_array(values, what: str) -> np.ndarray:
 class ProblemSpec:
     """Model problem: equation kind, domain, data and penalty strength.
 
-    ``initial_condition`` maps node arrays to values.  Periodic problems
-    ignore ``inflow``; otherwise ``inflow`` supplies the weak boundary
-    data g(t) at the left end.  ``sigma`` of ``None`` picks the default
-    penalty strength (1 for the advection kinds, 2 for Burgers).
+    ``initial_condition`` maps node arrays to values.  ``inflow`` of
+    ``None`` makes the problem periodic; otherwise it supplies the weak
+    boundary data g(t) at the left end.  Advection adds the source
+    ``c u`` for a nonzero ``c = source_coefficient``; Burgers ignores it.
+    ``sigma`` of ``None`` picks the default penalty strength (1 for
+    advection, 2 for Burgers).  The numbers must be finite, not booleans.
 
     A given ``sigma`` must make the inflow penalty dissipative:
-    ``sigma > 1/2`` for the advection kinds, whose boundary energy rate
+    ``sigma > 1/2`` for advection, whose boundary energy rate
     ``a(u_0^2 - u_N^2 - 2 sigma u_0^2 + 2 sigma u_0 g)`` is then bounded
     by the data, and ``sigma >= 1`` for Burgers, whose rate
     ``(2/3)(sigma u_0^2 g - (sigma - 1) u_0^3 - u_N^3)`` is otherwise
@@ -86,10 +89,9 @@ class ProblemSpec:
     kind: str
     domain: Interval
     initial_condition: Callable[[np.ndarray], np.ndarray]
-    periodic: bool = True
     inflow: Callable[[float], float] | None = None
     wave_speed: float = 1.0
-    source_coefficient: float = 2.0
+    source_coefficient: float = 0.0
     sigma: float | None = None
 
     def __post_init__(self) -> None:
@@ -97,8 +99,12 @@ class ProblemSpec:
             raise ValueError(
                 f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}"
             )
+        if not isinstance(self.domain, Interval):
+            raise ValueError(f"domain must be an Interval, got {self.domain!r}")
         for name in ("wave_speed", "source_coefficient", "sigma"):
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {value}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma is not None:
@@ -110,8 +116,6 @@ class ProblemSpec:
                 )
         if self.kind != "burgers" and not self.wave_speed > 0.0:
             raise ValueError("advection requires a positive wave speed")
-        if not self.periodic and self.inflow is None:
-            raise ValueError("non-periodic problems need inflow boundary data")
 
     @property
     def effective_sigma(self) -> float:
@@ -245,12 +249,12 @@ def _penalise(du, state: BlockState, t: float, spec: ProblemSpec, scale) -> None
     """Subtract ``scale (u_1 - g) / p_1`` from each block's first value in ``du``.
 
     ``g`` is the left neighbour's last value, or for the first block the
-    inflow data (the last block's last value when periodic).
+    inflow data (the last block's last value when there is none).
     """
     # in place on the datum array taken here; the penalty goes through a
     # column view, which du[:, 0] -= pen would write back a second time
     pen = state.u.take(state._left_last)
-    if not spec.periodic:
+    if spec.inflow is not None:
         pen[0] = spec.inflow(t)
     np.subtract(state.u[:, 0], pen, out=pen)
     pen *= scale
@@ -260,11 +264,11 @@ def _penalise(du, state: BlockState, t: float, spec: ProblemSpec, scale) -> None
 
 
 def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
-    """Semidiscrete right-hand side for the advection kinds.
+    """Semidiscrete right-hand side for advection.
 
-    Each block computes ``-a D_i u_i`` (plus ``c u_i`` for the source
-    kind) and adds the boundary penalty ``-sigma a (u_1 - g) / p_1`` at
-    its first node.  Returns an array shaped like ``state.u``.
+    Each block computes ``-a D_i u_i`` (plus ``c u_i`` for a nonzero
+    source ``c``) and adds the penalty ``-sigma a (u_1 - g) / p_1`` at its
+    first node.  Returns an array shaped like ``state.u``.
     """
     # scaled and penalised in place on the array allocated here, in the
     # operation order of -a * (u @ D.T) / s[:, None] and
@@ -274,7 +278,7 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     du = np.dot(u, state._DT)
     du *= -a
     du /= state._s_div
-    if spec.kind == "advection_source":
+    if spec.source_coefficient:
         du += spec.source_coefficient * u
     _penalise(du, state, t, spec, spec.effective_sigma * a)
     return du
@@ -424,9 +428,9 @@ def run(
     largest wave speed, refreshed every step for Burgers, and the final
     step is shortened to land on ``t_final`` exactly.  Mass and energy
     are recorded after every step.  The initial values must be finite,
-    and a non-periodic problem's inflow is
-    sampled at 65 times of ``[0, t_final]`` before the first step and
-    must be finite there (both nonnegative for Burgers).
+    and the inflow, if any, is sampled at 65 times of ``[0, t_final]``
+    before the first step and must be finite there (both nonnegative for
+    Burgers).
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
@@ -454,7 +458,7 @@ def run(
 
     if spec.kind == "burgers" and float(np.min(u)) < -1e-12:
         raise ValueError("Burgers runs require nonnegative initial data")
-    if not spec.periodic:
+    if spec.inflow is not None:
         ts = np.linspace(0.0, t_final, 65)
         g = np.array([float(spec.inflow(t)) for t in ts])
         _require_finite("inflow", g, "t", ts)

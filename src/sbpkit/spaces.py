@@ -25,6 +25,7 @@ used by the quadrature and operator builders.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -96,12 +97,17 @@ def _whole_count(value, what: str = "node count") -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """Nonempty closed interval ``[left, right]`` of finite width."""
+    """Nonempty closed interval ``[left, right]`` of finite width and real ends."""
 
     left: float
     right: float
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, numbers.Real) for v in (self.left, self.right)):
+            raise ValueError(
+                "interval endpoints must be real numbers, "
+                f"got left={self.left!r}, right={self.right!r}"
+            )
         if not (np.isfinite(self.left) and np.isfinite(self.right)):
             raise ValueError("interval endpoints must be finite")
         if not self.left < self.right:

@@ -251,7 +251,6 @@ def test_criterion_4_semidiscrete_identities():
             kind="advection",
             domain=UNIT,
             initial_condition=np.sin,
-            periodic=False,
             inflow=lambda t, g=g: g,
             wave_speed=a,
             sigma=sigma,
@@ -262,7 +261,6 @@ def test_criterion_4_semidiscrete_identities():
             kind="burgers",
             domain=UNIT,
             initial_condition=np.sin,
-            periodic=False,
             inflow=lambda t, g=g: g,
             sigma=sigma,
         )
@@ -355,11 +353,11 @@ def test_criterion_6_time_integrator_order():
 def test_criterion_7_forced_advection_comparison():
     start = time.perf_counter()
     spec = ProblemSpec(
-        kind="advection_source",
+        kind="advection",
         domain=Interval(0.0, np.pi),
         initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        periodic=False,
         inflow=lambda t: 1.0,
+        source_coefficient=2.0,
     )
     ref = reference_solution(spec, 3.5)
     results = {}

@@ -283,11 +283,11 @@ def test_reference_solution_forced_boundary_layer():
     """With constant inflow the source problem settles on exp growth in x."""
     dom = Interval(0.0, np.pi)
     spec = ProblemSpec(
-        kind="advection_source",
+        kind="advection",
         domain=dom,
         initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        periodic=False,
         inflow=lambda t: 1.0,
+        source_coefficient=2.0,
     )
     ref = reference_solution(spec, 3.5)
     x = np.linspace(0.0, np.pi, 9)
@@ -299,7 +299,6 @@ def test_reference_solution_missing_for_burgers_inflow():
         kind="burgers",
         domain=UNIT,
         initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        periodic=False,
         inflow=lambda t: 1.0,
     )
     assert reference_solution(spec, 0.1) is None
@@ -356,7 +355,6 @@ def test_convergence_table_rejects_a_missing_reference_before_running(monkeypatc
         kind="burgers",
         domain=UNIT,
         initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        periodic=False,
         inflow=lambda t: 1.0,
     )
 
@@ -449,11 +447,11 @@ def test_convergence_table_matches_per_level_reports_with_inflow():
     # the inflow reference takes each boundary-entered point in a loop; a
     # space listed twice restarts its order chain
     spec = ProblemSpec(
-        kind="advection_source",
+        kind="advection",
         domain=Interval(0.0, np.pi),
         initial_condition=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        periodic=False,
         inflow=lambda t: 1.0,
+        source_coefficient=2.0,
     )
     spaces, counts, t_final = ["poly:d=2", "exp:d=2", "poly:d=2"], [2, 4], 1.0
     expected, _ = _per_level_rows(spec, spaces, counts, t_final)

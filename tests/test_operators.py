@@ -1023,3 +1023,12 @@ def test_exp_degree_nine_exhausts_the_ladder_with_its_reason():
         "last: no positive exact rule for 'exp:d=9' with 35 nodes"
     )
     assert find_operator(space, 36).n_nodes == 36
+
+
+@pytest.mark.parametrize("field", ["p", "Q", "D"])
+def test_operator_refuses_inconsistent_array_shapes(field):
+    op = find_operator(polynomial_space(2, UNIT))
+    arrays = {"nodes": op.nodes, "p": op.p, "Q": op.Q, "D": op.D}
+    arrays[field] = arrays[field][:-1]
+    with pytest.raises(ValueError, match="^inconsistent operator array shapes$"):
+        FsbpOperator(space=op.space, **arrays)

@@ -30,6 +30,11 @@ from sbpkit.spaces import make_space
 
 UNIT = Interval(0.0, 1.0)
 
+#: the model problems as (kind, source coefficient): advection without
+#: and with its source, and Burgers; the ids are the CLI problem names
+_PROBLEMS = [("advection", 0.0), ("advection", 2.0), ("burgers", 0.0)]
+_PROBLEM_IDS = ["advection", "advection-source", "burgers"]
+
 
 def _single_block_state(space_text: str, u: np.ndarray) -> BlockState:
     op = find_operator(make_space(space_text, UNIT))
@@ -48,7 +53,7 @@ def test_problem_spec_validation():
         ProblemSpec(
             kind="advection", domain=UNIT, initial_condition=np.sin, wave_speed=0.0
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ProblemSpec(
             kind="advection", domain=UNIT, initial_condition=np.sin, periodic=False
         )
@@ -62,6 +67,57 @@ def test_problem_spec_validation():
         ).effective_sigma
         == 0.6
     )
+
+
+def test_problem_spec_states_the_boundary_and_the_source_once():
+    assert PROBLEM_KINDS == ("advection", "burgers")
+    with pytest.raises(ValueError, match="unknown problem kind 'advection_source'"):
+        ProblemSpec(kind="advection_source", domain=UNIT, initial_condition=np.sin)
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
+    assert spec.inflow is None and spec.source_coefficient == 0.0
+
+
+def test_an_advection_source_coefficient_is_applied():
+    state = _linear_state([2.0, 3.0])
+    plain, forced = (
+        ProblemSpec(
+            kind="advection",
+            domain=UNIT,
+            initial_condition=np.sin,
+            inflow=lambda t: 5.0,
+            source_coefficient=c,
+        )
+        for c in (0.0, 3.0)
+    )
+    du = rhs_advection(state, 0.0, forced) - rhs_advection(state, 0.0, plain)
+    np.testing.assert_allclose(du[0], [6.0, 9.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1.0), [0.0, 1.0], None])
+def test_problem_spec_refuses_a_domain_that_is_not_an_interval(domain):
+    with pytest.raises(ValueError) as exc:
+        ProblemSpec(kind="advection", domain=domain, initial_condition=np.sin)
+    assert str(exc.value) == f"domain must be an Interval, got {domain!r}"
+
+
+@pytest.mark.parametrize("value", [True, np.True_])
+@pytest.mark.parametrize("field", ["wave_speed", "source_coefficient", "sigma"])
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_problem_spec_refuses_boolean_parameters(kind, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got True$"):
+        ProblemSpec(
+            kind=kind, domain=UNIT, initial_condition=np.sin, **{field: value}
+        )
+
+
+def test_run_refuses_an_initial_condition_of_the_wrong_length():
+    spec = ProblemSpec(
+        kind="advection", domain=UNIT, initial_condition=lambda x: np.sin(x[:-1])
+    )
+    with pytest.raises(
+        ValueError, match="^initial condition must return one value per node$"
+    ):
+        run(spec, "trig:d=1", n_blocks=2, t_final=0.1)
 
 
 def test_block_state_validates_its_grid():
@@ -139,7 +195,6 @@ def test_advection_rhs_two_node_example():
         kind="advection",
         domain=UNIT,
         initial_condition=np.sin,
-        periodic=False,
         inflow=lambda t: 5.0,
     )
     du = rhs_advection(state, 0.0, spec)
@@ -159,7 +214,6 @@ def test_burgers_rhs_two_node_example():
         kind="burgers",
         domain=UNIT,
         initial_condition=np.sin,
-        periodic=False,
         inflow=lambda t: 1.0,
         sigma=2.0,
     )
@@ -177,7 +231,6 @@ def test_burgers_rhs_vanishes_on_matched_constant():
         kind="burgers",
         domain=UNIT,
         initial_condition=np.sin,
-        periodic=False,
         inflow=lambda t: 2.0,
     )
     du = rhs_burgers(state, 0.0, spec)
@@ -196,7 +249,6 @@ def test_advection_mass_rate_identity():
                 kind="advection",
                 domain=UNIT,
                 initial_condition=np.sin,
-                periodic=False,
                 inflow=lambda t, g=g: g,
                 wave_speed=1.5,
             )
@@ -219,7 +271,6 @@ def test_advection_energy_rate_identity():
                 kind="advection",
                 domain=UNIT,
                 initial_condition=np.sin,
-                periodic=False,
                 inflow=lambda t, g=g: g,
                 sigma=sigma,
             )
@@ -246,7 +297,6 @@ def test_advection_energy_bound():
                 kind="advection",
                 domain=UNIT,
                 initial_condition=np.sin,
-                periodic=False,
                 inflow=lambda t, g=g: g,
                 sigma=sigma,
             )
@@ -268,7 +318,6 @@ def test_burgers_energy_rate_identity():
                 kind="burgers",
                 domain=UNIT,
                 initial_condition=np.sin,
-                periodic=False,
                 inflow=lambda t, g=g: g,
                 sigma=sigma,
             )
@@ -305,17 +354,17 @@ def _per_block_rhs(state: BlockState, t: float, spec: ProblemSpec) -> list:
     """The right-hand side as a loop over mapped block operators.
 
     Each block applies its own ``affine_block_operator`` copy and takes
-    its boundary datum from the left neighbour, the inflow data or, when
-    periodic, the last block.
+    its boundary datum from the left neighbour, the inflow data or, without
+    inflow data, the last block.
     """
     sigma = spec.effective_sigma
     a = spec.wave_speed
-    c = spec.source_coefficient if spec.kind == "advection_source" else 0.0
+    c = spec.source_coefficient
     out = []
     for i, (u, op) in enumerate(zip(state.u, state.operators)):
         if i > 0:
             g = state.u[i - 1][-1]
-        elif spec.periodic:
+        elif spec.inflow is None:
             g = state.u[-1][-1]
         else:
             g = spec.inflow(t)
@@ -331,8 +380,12 @@ def _per_block_rhs(state: BlockState, t: float, spec: ProblemSpec) -> list:
 
 @pytest.mark.parametrize("n_blocks", [1, 3, 64])
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("kind", ["advection", "advection_source", "burgers"])
-def test_stacked_rhs_matches_per_block_loop(kind, periodic, n_blocks):
+@pytest.mark.parametrize(
+    "kind, source",
+    [("advection", 0.0), ("advection", 0.7), ("burgers", 0.0)],
+    ids=_PROBLEM_IDS,
+)
+def test_stacked_rhs_matches_per_block_loop(kind, source, periodic, n_blocks):
     rng = np.random.default_rng(57)
     ref = find_operator(make_space("exp:d=2", UNIT))
     domain = Interval(-0.5, 1.5)
@@ -340,10 +393,9 @@ def test_stacked_rhs_matches_per_block_loop(kind, periodic, n_blocks):
         kind=kind,
         domain=domain,
         initial_condition=np.sin,
-        periodic=periodic,
         inflow=None if periodic else (lambda t: 1.0 + 0.5 * np.sin(3.0 * t)),
         wave_speed=1.3,
-        source_coefficient=0.7,
+        source_coefficient=source,
         sigma=1.5,
     )
     edges = np.linspace(domain.left, domain.right, n_blocks + 1)
@@ -483,14 +535,14 @@ def _recomputing_rhs_for(spec):
         u, s, op = state.u, state.s, state.operator
         g = np.empty(u.shape[0])
         g[1:] = u[:-1, -1]
-        g[0] = u[-1, -1] if spec.periodic else spec.inflow(t)
+        g[0] = u[-1, -1] if spec.inflow is None else spec.inflow(t)
         if spec.kind == "burgers":
             DT = op.D.T
             du = -((u * u) @ DT + u * (u @ DT)) / (3.0 * s[:, None])
             du[:, 0] -= (sigma / 3.0) * u[:, 0] * (u[:, 0] - g) / (s * op.p[0])
             return du
         du = (-a * (u @ op.D.T)) / s[:, None]
-        if spec.kind == "advection_source":
+        if spec.source_coefficient:
             du += spec.source_coefficient * u
         du[:, 0] -= sigma * a * (u[:, 0] - g) / (s * op.p[0])
         return du
@@ -498,13 +550,13 @@ def _recomputing_rhs_for(spec):
     return rhs
 
 
-def _stepping_spec(kind: str, periodic: bool) -> ProblemSpec:
+def _stepping_spec(kind: str, source: float, periodic: bool) -> ProblemSpec:
     return ProblemSpec(
         kind=kind,
         domain=UNIT,
         initial_condition=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x),
-        periodic=periodic,
         inflow=None if periodic else (lambda t: 1.0 + 0.3 * np.sin(5.0 * t)),
+        source_coefficient=source,
     )
 
 
@@ -523,13 +575,13 @@ def _random_edges(n_edges: int, seed: int) -> np.ndarray:
 )
 @pytest.mark.parametrize("space", ["trig:d=4", "poly:d=16"])
 @pytest.mark.parametrize(
-    "kind, periodic",
-    [(kind, periodic) for kind in PROBLEM_KINDS for periodic in (True, False)],
+    "kind, source, periodic",
+    [(kind, c, periodic) for kind, c in _PROBLEMS for periodic in (True, False)],
 )
 def test_rhs_matches_the_recomputing_rhs_on_a_non_uniform_grid(
-    kind, periodic, space, edges
+    kind, source, periodic, space, edges
 ):
-    spec = _stepping_spec(kind, periodic)
+    spec = _stepping_spec(kind, source, periodic)
     ref = find_operator(make_space(space, UNIT))
     n_blocks = len(edges) - 1
     u = 1.0 + 0.5 * np.random.default_rng(7).standard_normal((n_blocks, ref.n_nodes))
@@ -555,18 +607,18 @@ def test_rhs_matches_the_recomputing_rhs_on_a_non_uniform_grid(
     ids=["1", "10", "64", "1-poly:d=16", "10-poly:d=16"],
 )
 @pytest.mark.parametrize(
-    "kind, periodic",
+    "kind, source, periodic",
     [
-        ("advection", True),
-        ("advection_source", False),
-        ("burgers", True),
-        ("burgers", False),
+        ("advection", 0.0, True),
+        ("advection", 2.0, False),
+        ("burgers", 0.0, True),
+        ("burgers", 0.0, False),
     ],
 )
 def test_run_matches_the_replace_based_step(
-    monkeypatch, kind, periodic, n_blocks, space
+    monkeypatch, kind, source, periodic, n_blocks, space
 ):
-    spec = _stepping_spec(kind, periodic)
+    spec = _stepping_spec(kind, source, periodic)
     got = run(spec, space, n_blocks=n_blocks, t_final=0.1)
     with monkeypatch.context() as m:
         m.setattr(sbpkit.solver, "ssprk33_step", _replace_ssprk33_step)
@@ -589,7 +641,7 @@ def test_run_validates_the_grid_a_fixed_number_of_times(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(BlockState, "__post_init__", counting)
-    spec = _stepping_spec("advection", True)
+    spec = _stepping_spec("advection", 0.0, True)
     per_run = []
     for t_final in (0.02, 0.2):
         calls.clear()
@@ -731,14 +783,14 @@ def test_run_records_the_final_time_as_a_float():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("kind", ["advection", "advection_source", "burgers"])
-def test_run_refuses_non_finite_inflow_by_name(kind, bad):
+@pytest.mark.parametrize("kind, source", _PROBLEMS, ids=_PROBLEM_IDS)
+def test_run_refuses_non_finite_inflow_by_name(kind, source, bad):
     spec = ProblemSpec(
         kind=kind,
         domain=UNIT,
         initial_condition=lambda x: np.ones_like(x),
-        periodic=False,
         inflow=lambda t: bad if t > 0.05 else 1.0,
+        source_coefficient=source,
     )
     with pytest.raises(ValueError, match=rf"^inflow must be finite, got {bad} at t=0\.05"):
         run(spec, "trig:d=1", t_final=0.1)
@@ -789,27 +841,40 @@ def test_run_lands_exactly_on_final_time():
     "field, value",
     [("wave_speed", math.inf), ("source_coefficient", math.nan), ("sigma", -math.inf)],
 )
-@pytest.mark.parametrize("kind", ["advection_source", "burgers"])
-def test_problem_spec_refuses_non_finite_parameters(kind, field, value):
+@pytest.mark.parametrize(
+    "kind, source", _PROBLEMS[1:], ids=_PROBLEM_IDS[1:]
+)
+def test_problem_spec_refuses_non_finite_parameters(kind, source, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-        ProblemSpec(kind=kind, domain=UNIT, initial_condition=np.sin, **{field: value})
+        ProblemSpec(
+            kind=kind,
+            domain=UNIT,
+            initial_condition=np.sin,
+            **{"source_coefficient": source, field: value},
+        )
 
 
 @pytest.mark.parametrize(
-    "kind, sigma, bound",
+    "kind, source, sigma, bound",
     [
-        ("advection", -1.0, "exceed 1/2"),
-        ("advection", 0.25, "exceed 1/2"),
-        ("advection", 0.5, "exceed 1/2"),
-        ("advection_source", 0.5, "exceed 1/2"),
-        ("burgers", 0.5, "be at least 1"),
+        ("advection", 0.0, -1.0, "exceed 1/2"),
+        ("advection", 0.0, 0.25, "exceed 1/2"),
+        ("advection", 0.0, 0.5, "exceed 1/2"),
+        ("advection", 2.0, 0.5, "exceed 1/2"),
+        ("burgers", 0.0, 0.5, "be at least 1"),
     ],
 )
-def test_problem_spec_refuses_anti_dissipative_sigma(kind, sigma, bound):
+def test_problem_spec_refuses_anti_dissipative_sigma(kind, source, sigma, bound):
     with pytest.raises(
         ValueError, match=f"^sigma must {bound} for '{kind}', got {sigma}$"
     ):
-        ProblemSpec(kind=kind, domain=UNIT, initial_condition=np.sin, sigma=sigma)
+        ProblemSpec(
+            kind=kind,
+            domain=UNIT,
+            initial_condition=np.sin,
+            source_coefficient=source,
+            sigma=sigma,
+        )
 
 
 def test_a_blow_up_raises_instability_error_not_a_warning():
@@ -832,7 +897,6 @@ def test_run_rejects_negative_burgers_data():
         kind="burgers",
         domain=UNIT,
         initial_condition=lambda x: np.ones_like(x),
-        periodic=False,
         inflow=lambda t: -1.0,
     )
     with pytest.raises(ValueError):

@@ -196,6 +196,39 @@ def test_rbf_centers_are_sorted_and_must_be_flat():
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: rbf_cubic_space([-1, 0.5, 1]),
+            "radial centers must lie inside the interval",
+        ),
+        (
+            lambda: make_space("rbf-cubic:c=0,1"),
+            "rbf-cubic takes a single parameter centers",
+        ),
+        (
+            lambda: make_space("rbf-cubic:centers=0,a,1"),
+            "malformed center list '0,a,1'",
+        ),
+    ],
+    ids=["outside", "parameter", "center-text"],
+)
+def test_rbf_refusals_name_their_reason(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_an_all_zero_basis_is_refused_with_its_rank():
+    zero = lambda x: np.zeros((np.size(x), 2))
+    with pytest.raises(ValueError) as exc:
+        FunctionSpace(Interval(0.0, 1.0), zero, zero, kind="zero")
+    assert str(exc.value) == (
+        "basis of kind 'zero' is numerically linearly dependent (rank 0 < 2)"
+    )
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda iv: rbf_cubic_space([0.0, math.nan, 1.0], iv),
@@ -216,6 +249,19 @@ def test_rbf_refuses_an_infinite_center_by_name(text, shown):
     message = rf"^radial centers must be finite, got {shown}$"
     with pytest.raises(ValueError, match=message):
         make_space(f"rbf-cubic:centers=0,{text},1", Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "left, right", [("0", "1"), (None, 1), (1j, 2)], ids=["text", "none", "complex"]
+)
+def test_interval_refuses_ends_that_are_not_real_numbers(left, right):
+    message = (
+        "interval endpoints must be real numbers, "
+        f"got left={left!r}, right={right!r}"
+    )
+    with pytest.raises(ValueError) as exc:
+        Interval(left, right)
+    assert str(exc.value) == message
 
 
 def test_interval_refuses_a_width_that_overflows():
