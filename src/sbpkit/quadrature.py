@@ -20,6 +20,7 @@ computed when the space is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
@@ -149,18 +150,10 @@ def trapezoid_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
-    """Gauss-Lobatto rule with ``n_nodes`` nodes, endpoints included.
-
-    Interior nodes are the roots of the derivative of the Legendre
-    polynomial of degree ``n_nodes - 1``, computed as the eigenvalues of
-    the symmetric tridiagonal Jacobi matrix of the weight ``1 - x**2``
-    (Golub & Welsch, 1969).  Exact for polynomials of degree up to
-    ``2*n_nodes - 3``.
-    """
-    n = _whole_count(n_nodes)
-    if n < 2:
-        raise ValueError(f"Gauss-Lobatto rule needs at least 2 nodes, got {n}")
+@lru_cache(maxsize=128)
+def _reference_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the n-node rule on [-1, 1], as its nodes shifted by 1 and its weights,
+    # shared read-only by every call of one node count
     k = np.arange(1.0, n - 2)
     jacobi = np.zeros((n - 2, n - 2))
     i = np.arange(n - 3)
@@ -172,8 +165,29 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     c[-1] = 1.0  # Legendre polynomial of degree n - 1
     pvals = _legendre.legval(ref_nodes, c)
     ref_weights = 2.0 / (n * (n - 1) * pvals**2)
+    shifted = ref_nodes + 1.0
+    shifted.setflags(write=False)
+    ref_weights.setflags(write=False)
+    return shifted, ref_weights
+
+
+def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
+    """Gauss-Lobatto rule with ``n_nodes`` nodes, endpoints included.
+
+    Interior nodes are the roots of the derivative of the Legendre
+    polynomial of degree ``n_nodes - 1``, computed as the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the weight ``1 - x**2``
+    (Golub & Welsch, 1969).  Exact for polynomials of degree up to
+    ``2*n_nodes - 3``.  The reference rule on [-1, 1] is computed once
+    per node count per process, read-only, and mapped affinely onto
+    ``interval`` on every call.
+    """
+    n = _whole_count(n_nodes)
+    if n < 2:
+        raise ValueError(f"Gauss-Lobatto rule needs at least 2 nodes, got {n}")
+    shifted, ref_weights = _reference_lobatto(n)
     half = 0.5 * interval.width
-    nodes = interval.left + half * (ref_nodes + 1.0)
+    nodes = interval.left + half * shifted
     nodes[-1] = interval.right
     return QuadratureRule(nodes, half * ref_weights)
 

@@ -69,8 +69,10 @@ class ProblemSpec:
 
     ``initial_condition`` maps node arrays to values.  ``inflow`` of
     ``None`` makes the problem periodic; otherwise it supplies the weak
-    boundary data g(t) at the left end.  Advection adds the source
-    ``c u`` for a nonzero ``c = source_coefficient``; Burgers ignores it.
+    boundary data g(t) at the left end; both must be callable.  Advection
+    adds the source ``c u`` for a nonzero ``c = source_coefficient``.
+    Burgers has no source and its wave speed is ``u``, so it refuses a
+    nonzero ``source_coefficient`` and a ``wave_speed`` other than 1.0.
     ``sigma`` of ``None`` picks the default penalty strength (1 for
     advection, 2 for Burgers).  The numbers must be finite, not booleans.
 
@@ -101,6 +103,14 @@ class ProblemSpec:
             )
         if not isinstance(self.domain, Interval):
             raise ValueError(f"domain must be an Interval, got {self.domain!r}")
+        if not callable(self.initial_condition):
+            raise ValueError(
+                f"initial_condition must be callable, got {self.initial_condition!r}"
+            )
+        if self.inflow is not None and not callable(self.inflow):
+            raise ValueError(
+                f"inflow must be None (periodic) or callable, got {self.inflow!r}"
+            )
         for name in ("wave_speed", "source_coefficient", "sigma"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
@@ -114,7 +124,17 @@ class ProblemSpec:
                 raise ValueError(
                     f"sigma must {bound} for {self.kind!r}, got {self.sigma}"
                 )
-        if self.kind != "burgers" and not self.wave_speed > 0.0:
+        if self.kind == "burgers":
+            if self.source_coefficient != 0.0:
+                raise ValueError(
+                    "source_coefficient must be 0 for 'burgers', "
+                    f"got {self.source_coefficient}"
+                )
+            if self.wave_speed != 1.0:
+                raise ValueError(
+                    f"wave_speed must be 1.0 for 'burgers', got {self.wave_speed}"
+                )
+        elif not self.wave_speed > 0.0:
             raise ValueError("advection requires a positive wave speed")
 
     @property

@@ -97,13 +97,20 @@ def _whole_count(value, what: str = "node count") -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """Nonempty closed interval ``[left, right]`` of finite width and real ends."""
+    """Nonempty closed interval ``[left, right]`` of finite width.
+
+    The ends must be real numbers, and not booleans.
+    """
 
     left: float
     right: float
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, numbers.Real) for v in (self.left, self.right)):
+        # a bool is a numbers.Real, but True is no interval end
+        if not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in (self.left, self.right)
+        ):
             raise ValueError(
                 "interval endpoints must be real numbers, "
                 f"got left={self.left!r}, right={self.right!r}"

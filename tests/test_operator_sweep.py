@@ -80,3 +80,32 @@ def test_compare_ends_with_the_tally(sweep, tmp_path, capsys):
     assert lines[-1] == sweep.tally(OLD, NEW)
     assert sweep.main(["--compare", str(paths[0]), str(paths[0])]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == sweep.tally(OLD, OLD)
+
+
+def test_reverse_runs_the_same_searches_backwards(sweep, monkeypatch, tmp_path):
+    import sbpkit
+
+    families = ["poly:d=1", "exp:d=1", "rbf-cubic:m=3"]
+    monkeypatch.setattr(sweep, "FAMILIES", families)
+    monkeypatch.setattr(sweep, "INTERVALS", ((0.0, 1.0), (-1.0, 1.0)))
+    calls = []
+    find_operator = sbpkit.find_operator
+
+    def recorded(space, n_nodes=None):
+        calls.append((space.kind, space.interval.left, n_nodes))
+        return find_operator(space, n_nodes)
+
+    monkeypatch.setattr(sbpkit, "find_operator", recorded)
+
+    def searches_and_file(*flags):
+        calls.clear()
+        out = tmp_path / f"sweep{len(flags)}.json"
+        assert sweep.main([*flags, "--out", str(out)]) == 0
+        return list(calls), out.read_bytes()
+
+    forward, forward_file = searches_and_file()
+    backward, backward_file = searches_and_file("--reverse")
+    assert len(forward) == 3 * 2 * 4
+    assert [pin for *_, pin in forward[:4]] == [None, 4, 8, 64]
+    assert backward == forward[::-1]
+    assert backward_file == forward_file

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from sbpkit.quadrature import (
     QuadratureError,
     QuadratureRule,
     _equispaced,
+    _reference_lobatto,
     find_positive_rule,
     gauss_lobatto_rule,
     least_squares_rule,
@@ -125,8 +128,66 @@ def test_gauss_lobatto_small_cases():
     np.testing.assert_allclose(three.weights, [1 / 3, 4 / 3, 1 / 3], atol=1e-14)
     unit3 = gauss_lobatto_rule(3, UNIT)
     np.testing.assert_allclose(unit3.weights, [1 / 6, 2 / 3, 1 / 6], atol=1e-14)
-    with pytest.raises(ValueError):
+    message = "^Gauss-Lobatto rule needs at least 2 nodes, got 1$"
+    with pytest.raises(ValueError, match=message):
         gauss_lobatto_rule(1, ref)
+
+
+def _uncached_gauss_lobatto(n: int, interval: Interval):
+    # the Golub-Welsch construction as it ran on every call before the
+    # reference rule was cached: the reference for byte-identity
+    k = np.arange(1.0, n - 2)
+    jacobi = np.zeros((n - 2, n - 2))
+    i = np.arange(n - 3)
+    jacobi[i + 1, i] = jacobi[i, i + 1] = np.sqrt(
+        k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    )
+    ref_nodes = np.concatenate(([-1.0], np.linalg.eigvalsh(jacobi), [1.0]))
+    c = np.zeros(n)
+    c[-1] = 1.0
+    pvals = np.polynomial.legendre.legval(ref_nodes, c)
+    ref_weights = 2.0 / (n * (n - 1) * pvals**2)
+    half = 0.5 * interval.width
+    nodes = interval.left + half * (ref_nodes + 1.0)
+    nodes[-1] = interval.right
+    return nodes, half * ref_weights
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [Interval(-1.0, 1.0), UNIT, Interval(0.0, math.pi), Interval(1e5, 1e5 + 1)],
+    ids=["reference", "unit", "pi", "far"],
+)
+def test_gauss_lobatto_rule_is_the_uncached_construction_byte_for_byte(interval):
+    for n in range(2, 81):
+        nodes, weights = _uncached_gauss_lobatto(n, interval)
+        # twice, so that the second call is served from the cache
+        for _ in range(2):
+            rule = gauss_lobatto_rule(n, interval)
+            assert rule.nodes.tobytes() == nodes.tobytes(), n
+            assert rule.weights.tobytes() == weights.tobytes(), n
+
+
+def test_gauss_lobatto_reference_rule_is_read_only_and_computed_once(monkeypatch):
+    for n in (2, 3, 9, 64):
+        for array in _reference_lobatto(n):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    gauss_lobatto_rule(11, UNIT)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    wide = gauss_lobatto_rule(11, Interval(-2.0, 5.0))
+    assert calls == []
+    assert wide.nodes[0] == -2.0 and wide.nodes[-1] == 5.0
+    # the rule's own arrays are new ones, not the cached reference
+    assert not np.shares_memory(wide.weights, _reference_lobatto(11)[1])
 
 
 def test_gauss_lobatto_monomial_exactness():

@@ -110,6 +110,48 @@ def test_problem_spec_refuses_boolean_parameters(kind, field, value):
         )
 
 
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_problem_spec_refuses_problem_data_that_is_not_callable(kind):
+    with pytest.raises(ValueError) as exc:
+        ProblemSpec(kind=kind, domain=UNIT, initial_condition=np.zeros(3))
+    assert str(exc.value).startswith("initial_condition must be callable, got array(")
+    for inflow in (1.0, "0.5", np.float64(0.5)):
+        with pytest.raises(ValueError) as exc:
+            ProblemSpec(
+                kind=kind, domain=UNIT, initial_condition=np.sin, inflow=inflow
+            )
+        assert str(exc.value) == (
+            f"inflow must be None (periodic) or callable, got {inflow!r}"
+        )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("source_coefficient", 3.0),
+        ("source_coefficient", -1e-300),
+        ("wave_speed", 5.0),
+        ("wave_speed", -1.0),
+    ],
+)
+def test_burgers_refuses_the_fields_it_has_no_use_for(field, value):
+    only = {"source_coefficient": "0", "wave_speed": "1.0"}[field]
+    with pytest.raises(ValueError) as exc:
+        ProblemSpec(
+            kind="burgers", domain=UNIT, initial_condition=np.sin, **{field: value}
+        )
+    assert str(exc.value) == f"{field} must be {only} for 'burgers', got {value}"
+    # the defaults, and the same values given as other number types, build
+    spec = ProblemSpec(
+        kind="burgers",
+        domain=UNIT,
+        initial_condition=np.sin,
+        wave_speed=1,
+        source_coefficient=-0.0,
+    )
+    assert (spec.wave_speed, spec.source_coefficient) == (1.0, 0.0)
+
+
 def test_run_refuses_an_initial_condition_of_the_wrong_length():
     spec = ProblemSpec(
         kind="advection", domain=UNIT, initial_condition=lambda x: np.sin(x[:-1])
@@ -394,7 +436,7 @@ def test_stacked_rhs_matches_per_block_loop(kind, source, periodic, n_blocks):
         domain=domain,
         initial_condition=np.sin,
         inflow=None if periodic else (lambda t: 1.0 + 0.5 * np.sin(3.0 * t)),
-        wave_speed=1.3,
+        wave_speed=1.3 if kind == "advection" else 1.0,
         source_coefficient=source,
         sigma=1.5,
     )

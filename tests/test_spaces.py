@@ -252,7 +252,9 @@ def test_rbf_refuses_an_infinite_center_by_name(text, shown):
 
 
 @pytest.mark.parametrize(
-    "left, right", [("0", "1"), (None, 1), (1j, 2)], ids=["text", "none", "complex"]
+    "left, right",
+    [("0", "1"), (None, 1), (1j, 2), (True, 2), (0, np.True_), (False, True)],
+    ids=["text", "none", "complex", "bool", "numpy-bool", "bools"],
 )
 def test_interval_refuses_ends_that_are_not_real_numbers(left, right):
     message = (

@@ -22,6 +22,14 @@ one file has, and exits 1 if there is any, like ``diff``.  Its last line
 tallies the moves by kind: a failure that became an operator and the
 reverse, an operator on fewer, more or the same number of nodes, a
 failure whose message changed, and a key that only one file has.
+
+``--reverse`` runs the same searches in reverse order (families, then
+intervals, then pins).  Comparing its result file with a forward sweep
+of the same tree shows any search whose result depends on what ran
+earlier in the process, such as through a cache or a space's kept grid::
+
+    python3 tools/operator_sweep.py --reverse --out reverse.json
+    python3 tools/operator_sweep.py --compare change.json reverse.json
 """
 
 from __future__ import annotations
@@ -71,13 +79,19 @@ def _failure(exc: BaseException) -> dict:
     }
 
 
-def sweep() -> dict:
-    """Result entry of every search, keyed by space, interval and pin."""
+def sweep(reverse: bool = False) -> dict:
+    """Result entry of every search, keyed by space, interval and pin.
+
+    ``reverse`` walks the families, the intervals and the pins in reverse
+    order; the entries are the same unless a search depends on what ran
+    before it in the process.
+    """
     import sbpkit
 
+    walk = reversed if reverse else iter
     results = {}
-    for label in FAMILIES:
-        for left, right in INTERVALS:
+    for label in walk(FAMILIES):
+        for left, right in walk(INTERVALS):
             where = f"{label} on [{left:.17g}, {right:.17g}]"
             try:
                 space = sbpkit.make_space(
@@ -93,7 +107,7 @@ def sweep() -> dict:
                 "dim+6": space.dim + 6,
                 "64": 64,
             }
-            for pin, n_nodes in pins.items():
+            for pin, n_nodes in walk(pins.items()):
                 try:
                     op = sbpkit.find_operator(space, n_nodes)
                 except Exception as exc:  # recorded, so the sweep goes on
@@ -152,6 +166,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="source directory holding the sbpkit package")
     parser.add_argument("--out", type=Path, default=None,
                         help="write the results here instead of standard output")
+    parser.add_argument("--reverse", action="store_true",
+                        help="search the families, intervals and pins in "
+                             "reverse order (the result file is the same "
+                             "unless a search depends on call order)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                         help="list the keys that moved between two result files")
     args = parser.parse_args(argv)
@@ -168,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if moved else 0
 
     sys.path.insert(0, str(args.src.resolve()))
-    text = json.dumps(sweep(), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(sweep(args.reverse), indent=1, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
