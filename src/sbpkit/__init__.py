@@ -41,7 +41,6 @@ from .operators import (
     OperatorError,
     SbpReport,
     affine_block_operator,
-    apply,
     build_operator,
     find_operator,
     read_operator,

@@ -19,13 +19,12 @@ from .diagnostics import convergence_table, error_report, reference_solution
 from .operators import (
     OperatorError,
     find_operator,
-    rule_of,
     verify_sbp,
     write_operator,
     _fmt,
     _load_unchecked,
 )
-from .quadrature import QuadratureError, verify_exactness
+from .quadrature import QuadratureError, QuadratureRule, verify_exactness
 from .solver import InstabilityError, Interval, ProblemSpec, run
 from .spaces import make_space
 
@@ -243,7 +242,7 @@ def _cmd_verify(args) -> int:
     op = _load_unchecked(args.opfile)
     # both checks share the space's one evaluation on the grid
     report = verify_sbp(op)
-    exact = verify_exactness(rule_of(op), op.space)
+    exact = verify_exactness(QuadratureRule(op.nodes, op.p), op.space)
     print(f"exactness residual     {report.exactness_residual:.3e}")
     print(f"antisymmetry residual  {report.antisymmetry_residual:.3e}")
     print(f"min weight             {report.min_weight:.6g}")

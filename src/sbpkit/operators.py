@@ -53,9 +53,7 @@ __all__ = [
     "build_operator",
     "find_operator",
     "verify_sbp",
-    "apply",
     "affine_block_operator",
-    "rule_of",
     "write_operator",
     "read_operator",
     "TOL_EXACTNESS",
@@ -301,14 +299,6 @@ def verify_sbp(op: FsbpOperator) -> SbpReport:
     )
 
 
-def apply(op: FsbpOperator, u: np.ndarray) -> np.ndarray:
-    """Differentiate nodal values: ``D @ u``."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.n_nodes,):
-        raise ValueError(f"expected {op.n_nodes} nodal values, got shape {u.shape}")
-    return op.D @ u
-
-
 def affine_block_operator(op: FsbpOperator, interval: Interval) -> FsbpOperator:
     """Transplant an operator onto another interval.
 
@@ -329,11 +319,6 @@ def affine_block_operator(op: FsbpOperator, interval: Interval) -> FsbpOperator:
         Q=op.Q.copy(),
         D=op.D / s,
     )
-
-
-def rule_of(op: FsbpOperator) -> QuadratureRule:
-    """The quadrature rule an operator carries in its norm weights."""
-    return QuadratureRule(op.nodes.copy(), op.p.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +369,35 @@ def write_operator(op: FsbpOperator, path) -> None:
 def read_operator(path) -> FsbpOperator:
     """Load and verify an operator file.
 
-    Raises ``ValueError`` for malformed files and
-    :class:`OperatorError` when the stored matrices fail verification.
+    The stored matrices must pass :func:`verify_sbp` and the norm weights
+    :func:`~sbpkit.quadrature.verify_exactness` as a rule on the nodes,
+    the two checks ``sbpkit verify`` makes.  Raises ``ValueError`` for
+    malformed files and :class:`OperatorError` when a check fails.
     """
     op = _load_unchecked(path)
     report = verify_sbp(op)
-    if not report.passed:
+    try:
+        exact = verify_exactness(QuadratureRule(op.nodes, op.p), op.space)
+    except ValueError as exc:  # nodes out of order or off the domain
+        raise ValueError(f"operator file {path}: {exc}") from exc
+    if not (report.passed and exact.ok):
         raise OperatorError(
             f"operator file {path} fails verification: "
             f"exactness {report.exactness_residual:.3e}, "
             f"antisymmetry {report.antisymmetry_residual:.3e}, "
             f"min weight {report.min_weight:.3e}, "
             f"constant residual {report.d_one_residual:.3e}, "
-            f"coherence residual {report.coherence_residual:.3e}"
+            f"coherence residual {report.coherence_residual:.3e}, "
+            f"quadrature residual {exact.max_scaled_residual:.3e}"
         )
     return op
+
+
+def _holds_text_or_bool(value) -> bool:
+    # float() and asarray take "1" and True as numbers
+    if isinstance(value, list):
+        return any(_holds_text_or_bool(item) for item in value)
+    return isinstance(value, (str, bool))
 
 
 def _load_unchecked(path) -> FsbpOperator:
@@ -415,10 +414,13 @@ def _load_unchecked(path) -> FsbpOperator:
     domain = data["domain"]
     if not (isinstance(domain, list) and len(domain) == 2):
         raise ValueError(f"operator file {path}: domain must be [left, right]")
+    numeric = required[1:]
     try:
+        if any(_holds_text_or_bool(data[key]) for key in numeric):
+            raise ValueError("got text or a boolean")
         left, right = float(domain[0]), float(domain[1])
         nodes, weights, Q, D = (
-            np.asarray(data[key], dtype=float) for key in ("nodes", "weights", "Q", "D")
+            np.asarray(data[key], dtype=float) for key in numeric[1:]
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(

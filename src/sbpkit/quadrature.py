@@ -87,22 +87,16 @@ class QuadratureRule:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    @property
-    def interval(self) -> Interval:
-        return Interval(float(self.nodes[0]), float(self.nodes[-1]))
-
 
 @dataclass(frozen=True)
 class ExactnessReport:
     """Outcome of checking a rule against a space.
 
-    ``max_residual`` is the largest absolute pair-derivative residual,
-    ``max_scaled_residual`` the same after dividing each residual by
-    ``max(1, |moment|)``, and ``positive`` whether all weights are
-    strictly positive.
+    ``max_scaled_residual`` is the largest absolute pair-derivative
+    residual after dividing each residual by ``max(1, |moment|)``, and
+    ``positive`` whether all weights are strictly positive.
     """
 
-    max_residual: float
     max_scaled_residual: float
     positive: bool
 
@@ -252,7 +246,6 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
     resid = np.abs(Phi @ rule.weights - m)
     scaled = resid / np.maximum(1.0, np.abs(m))
     return ExactnessReport(
-        max_residual=float(_amax(resid)),
         max_scaled_residual=float(_amax(scaled)),
         positive=bool(np.count_nonzero(rule.weights > 0.0) == rule.weights.size),
     )

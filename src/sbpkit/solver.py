@@ -73,8 +73,10 @@ class ProblemSpec:
     adds the source ``c u`` for a nonzero ``c = source_coefficient``.
     Burgers has no source and its wave speed is ``u``, so it refuses a
     nonzero ``source_coefficient`` and a ``wave_speed`` other than 1.0.
-    ``sigma`` of ``None`` picks the default penalty strength (1 for
-    advection, 2 for Burgers).  The numbers must be finite, not booleans.
+    ``sigma`` of ``None`` is stored as the default penalty strength (1
+    for advection, 2 for Burgers) and a given one as a float, so
+    ``spec.sigma`` is always the number the penalty uses.  The numbers
+    must be finite, not booleans.
 
     A given ``sigma`` must make the inflow penalty dissipative:
     ``sigma > 1/2`` for advection, whose boundary energy rate
@@ -117,14 +119,16 @@ class ProblemSpec:
                 raise ValueError(f"{name} must be a number, got {value}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.sigma is not None:
-            burgers = self.kind == "burgers"
-            if not (self.sigma >= 1.0 if burgers else self.sigma > 0.5):
-                bound = "be at least 1" if burgers else "exceed 1/2"
-                raise ValueError(
-                    f"sigma must {bound} for {self.kind!r}, got {self.sigma}"
-                )
-        if self.kind == "burgers":
+        burgers = self.kind == "burgers"
+        if self.sigma is None:
+            object.__setattr__(self, "sigma", 2.0 if burgers else 1.0)
+        if not (self.sigma >= 1.0 if burgers else self.sigma > 0.5):
+            bound = "be at least 1" if burgers else "exceed 1/2"
+            raise ValueError(
+                f"sigma must {bound} for {self.kind!r}, got {self.sigma}"
+            )
+        object.__setattr__(self, "sigma", float(self.sigma))
+        if burgers:
             if self.source_coefficient != 0.0:
                 raise ValueError(
                     "source_coefficient must be 0 for 'burgers', "
@@ -136,12 +140,6 @@ class ProblemSpec:
                 )
         elif not self.wave_speed > 0.0:
             raise ValueError("advection requires a positive wave speed")
-
-    @property
-    def effective_sigma(self) -> float:
-        if self.sigma is not None:
-            return float(self.sigma)
-        return 2.0 if self.kind == "burgers" else 1.0
 
 
 @dataclass(frozen=True)
@@ -300,7 +298,7 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     du /= state._s_div
     if spec.source_coefficient:
         du += spec.source_coefficient * u
-    _penalise(du, state, t, spec, spec.effective_sigma * a)
+    _penalise(du, state, t, spec, spec.sigma * a)
     return du
 
 
@@ -323,7 +321,7 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     udu *= u
     du += udu
     du /= state._m3s_div
-    _penalise(du, state, t, spec, (spec.effective_sigma / 3.0) * u[:, 0])
+    _penalise(du, state, t, spec, (spec.sigma / 3.0) * u[:, 0])
     return du
 
 

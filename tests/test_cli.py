@@ -136,6 +136,45 @@ def test_verify_names_positivity_for_negative_weight(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", [0.0, 3e-10, -3e-10, 6e-10, -6e-10])
+def test_read_operator_refuses_what_verify_refuses(tmp_path, capsys, factor):
+    # weights scaled by 1 + factor, with D = Q / p, keep verify_sbp within
+    # its tolerances but move the norm's quadrature residual to about
+    # |factor|, past EXACTNESS_RTOL (a factor of 1e-10 lands within 1e-17
+    # of the gate, too close to rely on across BLAS builds)
+    out = tmp_path / "op.json"
+    args = ["build", "--space", "poly:d=3", "--nodes", "8", "--out", str(out)]
+    assert main(args) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    p = np.array(data["weights"]) * (1.0 + factor)
+    data["weights"] = p.tolist()
+    data["D"] = (np.array(data["Q"]) / p[:, None]).tolist()
+    out.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["verify", str(out)])
+    try:
+        sbpkit.operators.read_operator(out)
+    except sbpkit.operators.OperatorError as exc:
+        assert "quadrature residual" in str(exc)
+        refused = True
+    else:
+        refused = False
+    assert refused == (rc != 0)
+    assert rc == (0 if factor == 0.0 else 2)
+
+
+def test_verify_refuses_text_for_numbers(tmp_path, capsys):
+    out = tmp_path / "op.json"
+    main(["build", "--space", "trig:d=1", "--nodes", "4", "--out", str(out)])
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data["nodes"] = [str(x) for x in data["nodes"]]
+    out.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    message = f"error: operator file {out}: domain and arrays must hold numbers"
+    assert err.startswith(message)
+
+
 def test_run_writes_expected_csv_columns(tmp_path):
     rc = main(
         ["run", "--problem", "advection", "--space", "trig:d=1", "--blocks", "2",
@@ -272,6 +311,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         (["run", "--space", "trig:d=1"], {"domain": 1}, "domain"),
         (["run"], {"space": ["exp:d=2"]}, "space"),
         (["run", "--space", "trig:d=1"], {"periodic": 1}, "periodic"),
+        (["run", "--space", "trig:d=1"], {"cfl": "fast"}, "cfl"),
     ],
 )
 def test_config_file_rejects_wrong_typed_values(tmp_path, capsys, command, config, key):
@@ -285,6 +325,58 @@ def test_config_file_rejects_wrong_typed_values(tmp_path, capsys, command, confi
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config ") and f"option {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_config_file_refuses_an_unknown_problem(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "heat"}), encoding="utf-8")
+    rc = main(["run", "--space", "trig:d=1", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: option 'problem' must be one of ")
+
+
+def test_config_file_lists_fill_fixed_arity_and_repeatable_options(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": [0, 2]}), encoding="utf-8")
+    rc = main(
+        ["run", "--problem", "advection", "--space", "trig:d=1", "--tfinal", "0",
+         "--config", str(cfg), "--out", str(tmp_path / "run")]
+    )
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "run" / "solution.csv")
+    assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 2.0
+
+    cfg.write_text(json.dumps({"space": ["trig:d=1", "poly:d=2"]}), encoding="utf-8")
+    rc = main(
+        ["convergence", "--problem", "advection-source", "--blocks", "2", "4",
+         "--tfinal", "0.1", "--config", str(cfg), "--out", str(tmp_path / "conv")]
+    )
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "conv" / "convergence.csv")
+    assert [row[0] for row in rows] == ["trig:d=1"] * 2 + ["poly:d=2"] * 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config"),
+        ("{not json", "cannot read config"),
+        ("[1, 2]", "must hold a JSON object"),
+    ],
+)
+def test_config_file_refuses_unreadable_or_non_object_files(
+    tmp_path, capsys, text, message
+):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text, encoding="utf-8")
+    rc = main(["run", "--problem", "advection", "--space", "trig:d=1",
+               "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config {cfg}" in err and message in err
     assert "Traceback" not in err
 
 
@@ -371,9 +463,16 @@ def test_convergence_rejects_a_repeated_block_count(tmp_path, capsys):
     assert not (tmp_path / "convergence.csv").exists()
 
 
-def test_verify_malformed_file_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    ["5", json.dumps({"space": "poly:d=1", "domain": [0.0], "nodes": [0.0, 1.0],
+                      "weights": [0.5, 0.5], "Q": [[-0.5, 0.5], [-0.5, 0.5]],
+                      "D": [[-1.0, 1.0], [-1.0, 1.0]]})],
+    ids=["not-an-object", "one-ended-domain"],
+)
+def test_verify_malformed_file_is_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "op.json"
-    bad.write_text("5", encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: operator file {bad}")

@@ -22,11 +22,9 @@ from sbpkit.operators import (
     FsbpOperator,
     OperatorError,
     affine_block_operator,
-    apply,
     build_operator,
     find_operator,
     read_operator,
-    rule_of,
     verify_sbp,
     write_operator,
 )
@@ -174,21 +172,19 @@ def test_linear_operator_annihilates_constants_exactly():
     assert verify_sbp(op).d_one_residual == 0.0
 
 
-def test_apply_differentiates_span_members():
+def test_d_differentiates_span_members():
     space = trigonometric_space(1, UNIT)
     op = build_operator(space, trapezoid_rule(4, UNIT))
     u = np.sin(2 * np.pi * op.nodes)
-    du = apply(op, u)
+    du = op.D @ u
     np.testing.assert_allclose(du, 2 * np.pi * np.cos(2 * np.pi * op.nodes), atol=1e-8)
-    np.testing.assert_allclose(apply(op, np.ones(4)), 0.0, atol=1e-10)
+    np.testing.assert_allclose(op.D @ np.ones(4), 0.0, atol=1e-10)
 
 
-def test_apply_linear_example_and_shape_check():
+def test_d_linear_example():
     space = polynomial_space(1, UNIT)
     op = build_operator(space, find_positive_rule(space))
-    np.testing.assert_allclose(apply(op, [2.0, 3.0]), [1.0, 1.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        apply(op, np.ones(3))
+    np.testing.assert_allclose(op.D @ [2.0, 3.0], [1.0, 1.0], atol=1e-12)
 
 
 def test_affine_block_operator_scaling():
@@ -212,7 +208,7 @@ def test_affine_block_operator_stays_verified():
     w = 2 * np.pi / 0.5
     u = np.sin(w * (mapped.nodes - 2.0))
     np.testing.assert_allclose(
-        apply(mapped, u), w * np.cos(w * (mapped.nodes - 2.0)), atol=1e-7
+        mapped.D @ u, w * np.cos(w * (mapped.nodes - 2.0)), atol=1e-7
     )
 
 
@@ -351,10 +347,41 @@ def test_read_rejects_malformed_files(tmp_path):
         json.dumps({**fields, "domain": [None, 1.0]}),
         json.dumps({**fields, "nodes": {"a": 1}}),
         json.dumps({**fields, "Q": [[-0.5, 0.5], [-0.5, None]]}),
+        json.dumps({**fields, "nodes": [1.0, 0.0]}),
+        json.dumps({**fields, "nodes": [0.0, 0.5]}),
     ):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(str(bad))):
             read_operator(bad)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("domain", [False, True]),
+        ("nodes", ["0", "1"]),
+        ("weights", [0.5, "0.5"]),
+        ("Q", [[-0.5, 0.5], ["-0.5", 0.5]]),
+        ("D", [[-1.0, True], [-1.0, True]]),
+    ],
+)
+def test_read_refuses_text_and_booleans_for_numbers(tmp_path, key, value):
+    # each file loads as the valid linear operator once the entry is cast
+    fields = {
+        "space": "poly:d=1",
+        "domain": [0.0, 1.0],
+        "nodes": [0.0, 1.0],
+        "weights": [0.5, 0.5],
+        "Q": [[-0.5, 0.5], [-0.5, 0.5]],
+        "D": [[-1.0, 1.0], [-1.0, 1.0]],
+    }
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    assert read_operator(path).n_nodes == 2
+    path.write_text(json.dumps({**fields, key: value}), encoding="utf-8")
+    message = f"operator file {path}: domain and arrays must hold numbers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_operator(path)
 
 
 def test_write_refuses_mapped_operators(tmp_path):
@@ -365,12 +392,10 @@ def test_write_refuses_mapped_operators(tmp_path):
         write_operator(mapped, tmp_path / "mapped.json")
 
 
-def test_rule_of_reproduces_the_quadrature():
-    from sbpkit.quadrature import verify_exactness
-
+def test_norm_weights_reproduce_the_quadrature():
     space = exponential_space(2, UNIT)
     op = find_operator(space)
-    rule = rule_of(op)
+    rule = QuadratureRule(op.nodes, op.p)
     assert verify_exactness(rule, space).ok
     np.testing.assert_allclose(rule.weights, op.p)
 
@@ -413,7 +438,7 @@ def _dense_reference(space, rule):
 )
 def test_closed_form_build_matches_dense_least_squares(kind):
     op = find_operator(make_space(kind, UNIT))
-    Q_ref, _ = _dense_reference(op.space, rule_of(op))
+    Q_ref, _ = _dense_reference(op.space, QuadratureRule(op.nodes, op.p))
     np.testing.assert_allclose(op.Q, Q_ref, rtol=0.0, atol=1e-10)
 
 
@@ -571,7 +596,7 @@ def test_build_operator_rejects_a_rank_deficient_grid(monkeypatch):
     monkeypatch.setattr(
         sbpkit.operators,
         "verify_exactness",
-        lambda rule, space: ExactnessReport(0.0, 0.0, True),
+        lambda rule, space: ExactnessReport(0.0, True),
     )
     space = trigonometric_space(1, UNIT)
     rule = QuadratureRule(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))

@@ -58,13 +58,18 @@ def test_problem_spec_validation():
             kind="advection", domain=UNIT, initial_condition=np.sin, periodic=False
         )
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
-    assert spec.effective_sigma == 1.0
+    assert spec.sigma == 1.0
+    assert spec == ProblemSpec(
+        kind="advection", domain=UNIT, initial_condition=np.sin, sigma=1.0
+    )
     burgers = ProblemSpec(kind="burgers", domain=UNIT, initial_condition=np.sin)
-    assert burgers.effective_sigma == 2.0
+    assert burgers.sigma == 2.0
+    given = ProblemSpec(kind="burgers", domain=UNIT, initial_condition=np.sin, sigma=3)
+    assert type(given.sigma) is float
     assert (
         ProblemSpec(
             kind="advection", domain=UNIT, initial_condition=np.sin, sigma=0.6
-        ).effective_sigma
+        ).sigma
         == 0.6
     )
 
@@ -399,7 +404,7 @@ def _per_block_rhs(state: BlockState, t: float, spec: ProblemSpec) -> list:
     its boundary datum from the left neighbour, the inflow data or, without
     inflow data, the last block.
     """
-    sigma = spec.effective_sigma
+    sigma = spec.sigma
     a = spec.wave_speed
     c = spec.source_coefficient
     out = []
@@ -570,7 +575,7 @@ def _replace_ssprk33_step(rhs_fn, state, dt):
 def _recomputing_rhs_for(spec):
     """The right-hand sides as they were before the state carried its
     per-block constants: ``s[:, None]`` and ``s * p[0]`` on every call."""
-    sigma = spec.effective_sigma
+    sigma = spec.sigma
     a = spec.wave_speed
 
     def rhs(state, t):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from sbpkit.operators import apply, find_operator, verify_sbp
+from sbpkit.operators import find_operator, verify_sbp
 from sbpkit.spaces import (
     FunctionSpace,
     Interval,
@@ -790,7 +790,7 @@ def test_user_space_yields_a_verified_operator():
     assert verify_sbp(op).passed
     x = op.nodes
     np.testing.assert_allclose(
-        apply(op, np.sin(np.pi * x)), np.pi * np.cos(np.pi * x), atol=1e-8
+        op.D @ np.sin(np.pi * x), np.pi * np.cos(np.pi * x), atol=1e-8
     )
 
 
