@@ -22,9 +22,9 @@ from .operators import (
     verify_sbp,
     write_operator,
     _fmt,
-    _load_unchecked,
+    _load_and_check,
 )
-from .quadrature import QuadratureError, QuadratureRule, verify_exactness
+from .quadrature import QuadratureError
 from .solver import InstabilityError, Interval, ProblemSpec, run
 from .spaces import make_space
 
@@ -239,10 +239,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    op = _load_unchecked(args.opfile)
-    # both checks share the space's one evaluation on the grid
-    report = verify_sbp(op)
-    exact = verify_exactness(QuadratureRule(op.nodes, op.p), op.space)
+    _, report, exact = _load_and_check(args.opfile)
     print(f"exactness residual     {report.exactness_residual:.3e}")
     print(f"antisymmetry residual  {report.antisymmetry_residual:.3e}")
     print(f"min weight             {report.min_weight:.6g}")

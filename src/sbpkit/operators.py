@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .quadrature import (
+    ExactnessReport,
     QuadratureError,
     QuadratureRule,
     _ladder,
@@ -374,12 +375,7 @@ def read_operator(path) -> FsbpOperator:
     the two checks ``sbpkit verify`` makes.  Raises ``ValueError`` for
     malformed files and :class:`OperatorError` when a check fails.
     """
-    op = _load_unchecked(path)
-    report = verify_sbp(op)
-    try:
-        exact = verify_exactness(QuadratureRule(op.nodes, op.p), op.space)
-    except ValueError as exc:  # nodes out of order or off the domain
-        raise ValueError(f"operator file {path}: {exc}") from exc
+    op, report, exact = _load_and_check(path)
     if not (report.passed and exact.ok):
         raise OperatorError(
             f"operator file {path} fails verification: "
@@ -391,6 +387,23 @@ def read_operator(path) -> FsbpOperator:
             f"quadrature residual {exact.max_scaled_residual:.3e}"
         )
     return op
+
+
+def _load_and_check(path) -> tuple[FsbpOperator, SbpReport, ExactnessReport]:
+    """The operator in ``path`` with its :func:`verify_sbp` report and its
+    norm weights' :func:`~sbpkit.quadrature.verify_exactness` report.
+
+    A grid the checks cannot evaluate (nodes out of order or off the
+    domain) raises ``ValueError`` naming the file.
+    """
+    op = _load_unchecked(path)
+    try:
+        # both checks share the space's one evaluation on the grid
+        report = verify_sbp(op)
+        exact = verify_exactness(QuadratureRule(op.nodes, op.p), op.space)
+    except ValueError as exc:
+        raise ValueError(f"operator file {path}: {exc}") from exc
+    return op, report, exact
 
 
 def _holds_text_or_bool(value) -> bool:

@@ -159,17 +159,18 @@ class BlockState:
     edges: np.ndarray
     t: float
     s: np.ndarray = field(init=False, repr=False, compare=False)
-    # the per-grid constants of the right sides: D.T, the divisors s and
-    # -3 s (the Burgers one) as contiguous arrays shaped like u, each
-    # block's ratio repeated along its row, s * p[0], and the flat index
-    # of each block's left neighbour's last node (the last block's for
-    # block 0, which closes the periodic chain).  D.T stays the transposed
-    # view: np.dot on it rounds like u @ D.T, and a contiguous copy does
-    # not.  The divisors hold the values of s[:, None] and -3 s[:, None],
+    # the per-grid constants of the right sides: D.T, the divisors -s
+    # (advection, which keeps the sign of -a there) and -3 s (Burgers) as
+    # contiguous arrays shaped like u, each block's ratio repeated along
+    # its row, s * p[0], and the flat index of each block's left
+    # neighbour's last node (the last block's for block 0, which closes
+    # the periodic chain).  D.T stays the transposed view: np.dot on it
+    # rounds like u @ D.T, and a contiguous copy does not.  The divisors
+    # hold the values of -s[:, None] and -3 s[:, None]; negation is exact,
     # so they round alike, but numpy divides by a full-shape array in one
     # inner loop rather than one short loop per row of a broadcast column
     _DT: np.ndarray = field(init=False, repr=False, compare=False)
-    _s_div: np.ndarray = field(init=False, repr=False, compare=False)
+    _ms_div: np.ndarray = field(init=False, repr=False, compare=False)
     _m3s_div: np.ndarray = field(init=False, repr=False, compare=False)
     _s_p0: np.ndarray = field(init=False, repr=False, compare=False)
     _left_last: np.ndarray = field(init=False, repr=False, compare=False)
@@ -196,17 +197,17 @@ class BlockState:
         if not s.min() > 0.0:
             raise ValueError("block edges must be strictly increasing")
         n_blocks, n = u.shape
-        s_div = np.repeat(s, n).reshape(n_blocks, n)
-        m3s_div = -3.0 * s_div
+        ms_div = -np.repeat(s, n).reshape(n_blocks, n)
+        m3s_div = 3.0 * ms_div
         s_p0 = s * self.operator.p[0]
         left_last = np.roll(np.arange(n_blocks), 1) * n + (n - 1)
-        for arr in (u, edges, s, s_div, m3s_div, s_p0, left_last):
+        for arr in (u, edges, s, ms_div, m3s_div, s_p0, left_last):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "_DT", self.operator.D.T)
-        object.__setattr__(self, "_s_div", s_div)
+        object.__setattr__(self, "_ms_div", ms_div)
         object.__setattr__(self, "_m3s_div", m3s_div)
         object.__setattr__(self, "_s_p0", s_p0)
         object.__setattr__(self, "_left_last", left_last)
@@ -267,7 +268,8 @@ def _penalise(du, state: BlockState, t: float, spec: ProblemSpec, scale) -> None
     """Subtract ``scale (u_1 - g) / p_1`` from each block's first value in ``du``.
 
     ``g`` is the left neighbour's last value, or for the first block the
-    inflow data (the last block's last value when there is none).
+    inflow data (the last block's last value when there is none).  A
+    ``scale`` of ``None`` stands for exactly 1.0 and multiplies nothing.
     """
     # in place on the datum array taken here; the penalty goes through a
     # column view, which du[:, 0] -= pen would write back a second time
@@ -275,7 +277,8 @@ def _penalise(du, state: BlockState, t: float, spec: ProblemSpec, scale) -> None
     if spec.inflow is not None:
         pen[0] = spec.inflow(t)
     np.subtract(state.u[:, 0], pen, out=pen)
-    pen *= scale
+    if scale is not None:
+        pen *= scale
     pen /= state._s_p0
     col = du[:, 0]
     col -= pen
@@ -288,17 +291,21 @@ def rhs_advection(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     source ``c``) and adds the penalty ``-sigma a (u_1 - g) / p_1`` at its
     first node.  Returns an array shaped like ``state.u``.
     """
-    # scaled and penalised in place on the array allocated here, in the
-    # operation order of -a * (u @ D.T) / s[:, None] and
-    # sigma * a * (u_1 - g) / p_1; the divisor is s repeated along each row
+    # scaled and penalised in place on the array allocated here, bit for
+    # bit -a * (u @ D.T) / s[:, None] and sigma * a * (u_1 - g) / p_1: the
+    # divisor is -s repeated along each row, and negation is exact, so
+    # (a x) / (-s) rounds like (-a x) / s; a product with exactly 1.0
+    # (a = 1, or sigma * a = 1) returns its operand, so it is skipped
     a = spec.wave_speed
     u = state.u
     du = np.dot(u, state._DT)
-    du *= -a
-    du /= state._s_div
+    if a != 1.0:
+        du *= a
+    du /= state._ms_div
     if spec.source_coefficient:
         du += spec.source_coefficient * u
-    _penalise(du, state, t, spec, spec.sigma * a)
+    scale = spec.sigma * a
+    _penalise(du, state, t, spec, None if scale == 1.0 else scale)
     return du
 
 

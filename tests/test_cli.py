@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -477,6 +478,34 @@ def test_verify_malformed_file_is_usage_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"error: operator file {bad}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("route", ["read_operator", "verify"])
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (lambda x: [x[1], x[0], *x[2:]], "nodes must be strictly increasing"),
+        (lambda x: [*x[:-1], 1.5], "grid node outside interval [0.0, 1.0]"),
+    ],
+    ids=["nodes-out-of-order", "node-off-the-domain"],
+)
+def test_malformed_grid_names_the_file(tmp_path, capsys, move, message, route):
+    out = tmp_path / "op.json"
+    args = ["build", "--space", "poly:d=2", "--nodes", "5", "--out", str(out)]
+    assert main(args) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data["nodes"] = move(data["nodes"])
+    out.write_text(json.dumps(data), encoding="utf-8")
+    named = f"operator file {out}: {message}"
+    if route == "read_operator":
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            sbpkit.operators.read_operator(out)
+        return
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}\n"
+    assert captured.out == ""
 
 
 def _count_grid_evaluations(monkeypatch) -> list[int]:

@@ -597,14 +597,39 @@ def _recomputing_rhs_for(spec):
     return rhs
 
 
-def _stepping_spec(kind: str, source: float, periodic: bool) -> ProblemSpec:
+def _stepping_spec(
+    kind: str,
+    source: float,
+    periodic: bool,
+    wave_speed: float = 1.0,
+    sigma: float | None = None,
+) -> ProblemSpec:
     return ProblemSpec(
         kind=kind,
         domain=UNIT,
         initial_condition=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x),
         inflow=None if periodic else (lambda t: 1.0 + 0.3 * np.sin(5.0 * t)),
+        wave_speed=wave_speed,
         source_coefficient=source,
+        sigma=sigma,
     )
+
+
+def _stepping_cases(cases) -> list:
+    """``(kind, source, periodic)`` cases at ``a = 1`` and the default sigma,
+    plus one advection case at ``a = 1.3``, ``sigma = 1.5``.
+
+    At the defaults the advection right side skips its products by
+    exactly 1.0; the last case takes the branches that multiply by ``a``
+    and by ``sigma * a``.
+    """
+    params = [
+        pytest.param(*case, 1.0, None, id="-".join(map(str, case))) for case in cases
+    ]
+    params.append(
+        pytest.param("advection", 2.0, False, 1.3, 1.5, id="advection-a1.3-sigma1.5")
+    )
+    return params
 
 
 def _random_edges(n_edges: int, seed: int) -> np.ndarray:
@@ -622,13 +647,15 @@ def _random_edges(n_edges: int, seed: int) -> np.ndarray:
 )
 @pytest.mark.parametrize("space", ["trig:d=4", "poly:d=16"])
 @pytest.mark.parametrize(
-    "kind, source, periodic",
-    [(kind, c, periodic) for kind, c in _PROBLEMS for periodic in (True, False)],
+    "kind, source, periodic, wave_speed, sigma",
+    _stepping_cases(
+        [(kind, c, periodic) for kind, c in _PROBLEMS for periodic in (True, False)]
+    ),
 )
 def test_rhs_matches_the_recomputing_rhs_on_a_non_uniform_grid(
-    kind, source, periodic, space, edges
+    kind, source, periodic, wave_speed, sigma, space, edges
 ):
-    spec = _stepping_spec(kind, source, periodic)
+    spec = _stepping_spec(kind, source, periodic, wave_speed, sigma)
     ref = find_operator(make_space(space, UNIT))
     n_blocks = len(edges) - 1
     u = 1.0 + 0.5 * np.random.default_rng(7).standard_normal((n_blocks, ref.n_nodes))
@@ -654,18 +681,20 @@ def test_rhs_matches_the_recomputing_rhs_on_a_non_uniform_grid(
     ids=["1", "10", "64", "1-poly:d=16", "10-poly:d=16"],
 )
 @pytest.mark.parametrize(
-    "kind, source, periodic",
-    [
-        ("advection", 0.0, True),
-        ("advection", 2.0, False),
-        ("burgers", 0.0, True),
-        ("burgers", 0.0, False),
-    ],
+    "kind, source, periodic, wave_speed, sigma",
+    _stepping_cases(
+        [
+            ("advection", 0.0, True),
+            ("advection", 2.0, False),
+            ("burgers", 0.0, True),
+            ("burgers", 0.0, False),
+        ]
+    ),
 )
 def test_run_matches_the_replace_based_step(
-    monkeypatch, kind, source, periodic, n_blocks, space
+    monkeypatch, kind, source, periodic, wave_speed, sigma, n_blocks, space
 ):
-    spec = _stepping_spec(kind, source, periodic)
+    spec = _stepping_spec(kind, source, periodic, wave_speed, sigma)
     got = run(spec, space, n_blocks=n_blocks, t_final=0.1)
     with monkeypatch.context() as m:
         m.setattr(sbpkit.solver, "ssprk33_step", _replace_ssprk33_step)
@@ -758,16 +787,16 @@ def test_ssprk33_stage_states_share_the_grid():
         assert stage.edges is state.edges
         assert stage.s is state.s
         assert stage._left_last is state._left_last
-        for name in ("_DT", "_s_div", "_m3s_div", "_s_p0"):
+        for name in ("_DT", "_ms_div", "_m3s_div", "_s_p0"):
             assert getattr(stage, name) is getattr(state, name)
         assert not stage.u.flags.writeable
         with pytest.raises(ValueError):
             stage.u[0, 0] = 0.0
-    for name in ("_s_div", "_m3s_div", "_s_p0"):
+    for name in ("_ms_div", "_m3s_div", "_s_p0"):
         assert not getattr(state, name).flags.writeable
         with pytest.raises(ValueError):
             getattr(state, name)[0] = 1.0
-    for name in ("_s_div", "_m3s_div"):
+    for name in ("_ms_div", "_m3s_div"):
         assert getattr(state, name).shape == state.u.shape
         assert getattr(state, name).flags.c_contiguous
     assert [s.t for s in seen] == [0.0, 0.1, 0.05]
