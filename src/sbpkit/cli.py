@@ -8,6 +8,7 @@ preloaded from a JSON config file via --config; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -217,12 +218,13 @@ def _finish_args(args: argparse.Namespace) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+    # a field is quoted only when it needs it, such as a space text with commas
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [v if isinstance(v, str) else _fmt(v) for v in row] for row in rows
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cmd_build(args) -> int:
@@ -295,12 +297,8 @@ def _cmd_run(args) -> int:
     )
     wallclock = time.perf_counter() - start
 
-    _write_csv(
-        outdir / "diagnostics.csv",
-        ["t", "mass", "energy"],
-        [[rec.t, rec.mass, rec.energy] for rec in result.history],
-    )
-
+    # every output is computed before the first file is written, so a
+    # failing reference leaves an output directory as it was
     ref = reference_solution(spec, tfinal)
     nodes = result.state.nodes.ravel()
     uref = (
@@ -308,15 +306,20 @@ def _cmd_run(args) -> int:
         if ref is not None
         else np.full(nodes.size, np.nan)
     )
+    # reuse the reference values already evaluated on these nodes; NaN
+    # values (no reference) give NaN norms
+    err = error_report(result.state, lambda _nodes: uref)
+
+    _write_csv(
+        outdir / "diagnostics.csv",
+        ["t", "mass", "energy"],
+        [[rec.t, rec.mass, rec.energy] for rec in result.history],
+    )
     rows = [
         [x, v, vr, abs(v - vr)]
         for x, v, vr in zip(nodes, result.state.u.ravel(), uref)
     ]
     _write_csv(outdir / "solution.csv", ["x", "u", "u_ref", "abs_err"], rows)
-
-    # reuse the reference values already evaluated on these nodes; NaN
-    # values (no reference) give NaN norms
-    err = error_report(result.state, lambda _nodes: uref)
     _write_csv(
         outdir / "summary.csv",
         ["err_P", "err_2", "err_max", "steps", "wallclock_s"],

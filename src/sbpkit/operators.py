@@ -106,7 +106,8 @@ class FsbpOperator:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.nodes.size
-        if self.p.shape != (n,) or self.Q.shape != (n, n) or self.D.shape != (n, n):
+        shapes = (self.nodes.ndim, self.p.shape, self.Q.shape, self.D.shape)
+        if shapes != (1, (n,), (n, n), (n, n)):
             raise ValueError("inconsistent operator array shapes")
 
     @property
@@ -372,8 +373,8 @@ def read_operator(path) -> FsbpOperator:
 
     The stored matrices must pass :func:`verify_sbp` and the norm weights
     :func:`~sbpkit.quadrature.verify_exactness` as a rule on the nodes,
-    the two checks ``sbpkit verify`` makes.  Raises ``ValueError`` for
-    malformed files and :class:`OperatorError` when a check fails.
+    the two checks ``sbpkit verify`` makes.  A malformed file raises
+    ``ValueError`` naming it, a failed check :class:`OperatorError`.
     """
     op, report, exact = _load_and_check(path)
     if not (report.passed and exact.ok):
@@ -393,11 +394,40 @@ def _load_and_check(path) -> tuple[FsbpOperator, SbpReport, ExactnessReport]:
     """The operator in ``path`` with its :func:`verify_sbp` report and its
     norm weights' :func:`~sbpkit.quadrature.verify_exactness` report.
 
-    A grid the checks cannot evaluate (nodes out of order or off the
-    domain) raises ``ValueError`` naming the file.
+    Reading, parsing, building and checking share one guard: every
+    ``ValueError`` on the way (no JSON object, a missing field, text,
+    booleans or non-finite entries where numbers belong, a space or
+    domain that does not construct, inconsistent shapes, nodes out of
+    order or off the domain) is raised again naming the file once.
     """
-    op = _load_unchecked(path)
     try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("must hold a JSON object")
+        required = ("space", "domain", "nodes", "weights", "Q", "D")
+        missing = [key for key in required if key not in data]
+        if missing:
+            raise ValueError(f"misses fields: {missing}")
+        kind, domain = data["space"], data["domain"]
+        if not isinstance(kind, str):
+            raise ValueError(f"space must be text, got {kind!r}")
+        if not (isinstance(domain, list) and len(domain) == 2):
+            raise ValueError("domain must be [left, right]")
+        numeric = required[1:]
+        try:
+            if any(_holds_text_or_bool(data[key]) for key in numeric):
+                raise ValueError("got text or a boolean")
+            left, right = float(domain[0]), float(domain[1])
+            nodes, weights, Q, D = (
+                np.asarray(data[key], dtype=float) for key in numeric[1:]
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"domain and arrays must hold numbers ({exc})") from exc
+        # asarray turns a null entry (None) into nan without complaint
+        if not all(np.all(np.isfinite(a)) for a in (nodes, weights, Q, D)):
+            raise ValueError("arrays must hold finite numbers")
+        space = make_space(kind, Interval(left, right))
+        op = FsbpOperator(space=space, nodes=nodes, p=weights, Q=Q, D=D)
         # both checks share the space's one evaluation on the grid
         report = verify_sbp(op)
         exact = verify_exactness(QuadratureRule(op.nodes, op.p), op.space)
@@ -411,41 +441,3 @@ def _holds_text_or_bool(value) -> bool:
     if isinstance(value, list):
         return any(_holds_text_or_bool(item) for item in value)
     return isinstance(value, (str, bool))
-
-
-def _load_unchecked(path) -> FsbpOperator:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"operator file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"operator file {path} must hold a JSON object")
-    required = ("space", "domain", "nodes", "weights", "Q", "D")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ValueError(f"operator file {path} misses fields: {missing}")
-    domain = data["domain"]
-    if not (isinstance(domain, list) and len(domain) == 2):
-        raise ValueError(f"operator file {path}: domain must be [left, right]")
-    numeric = required[1:]
-    try:
-        if any(_holds_text_or_bool(data[key]) for key in numeric):
-            raise ValueError("got text or a boolean")
-        left, right = float(domain[0]), float(domain[1])
-        nodes, weights, Q, D = (
-            np.asarray(data[key], dtype=float) for key in numeric[1:]
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"operator file {path}: domain and arrays must hold numbers ({exc})"
-        ) from exc
-    # asarray turns a null entry (None) into nan without complaint
-    if not all(np.all(np.isfinite(a)) for a in (nodes, weights, Q, D)):
-        raise ValueError(f"operator file {path}: arrays must hold finite numbers")
-    space = make_space(str(data["space"]), Interval(left, right))
-    if nodes.ndim != 1 or weights.shape != nodes.shape:
-        raise ValueError(f"operator file {path}: bad nodes/weights shapes")
-    n = nodes.size
-    if Q.shape != (n, n) or D.shape != (n, n):
-        raise ValueError(f"operator file {path}: bad matrix shapes")
-    return FsbpOperator(space=space, nodes=nodes, p=weights, Q=Q, D=D)

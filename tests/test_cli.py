@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 
@@ -25,9 +26,8 @@ TRIG1_D = np.array(
 
 
 def _read_csv(path):
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
     return header, rows
 
 
@@ -401,6 +401,34 @@ def test_convergence_table_output(tmp_path):
     assert errs[("exp:d=2", 6)] < errs[("poly:d=2", 6)]
 
 
+def test_convergence_csv_quotes_a_space_text_with_commas(tmp_path):
+    space = "rbf-cubic:centers=0,0.5,1"
+    rc = main(["convergence", "--problem", "advection", "--space", space,
+               "--blocks", "2", "4", "--tfinal", "0.1", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "convergence.csv", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["space", "I", "err_P", "err_2", "err_max", "order"]
+    # DictReader files the fields past the header under the key None
+    assert [len(row) for row in rows] == [6, 6] and all(None not in r for r in rows)
+    assert [row["space"] for row in rows] == [space, space]
+    assert [row["I"] for row in rows] == ["2", "4"]
+
+
+def test_failed_run_leaves_the_previous_outputs_as_they_were(tmp_path, capsys):
+    args = ["run", "--problem", "burgers", "--space", "poly:d=3",
+            "--blocks", "8", "--out", str(tmp_path)]
+    assert main([*args, "--tfinal", "0.01"]) == 0
+    names = ("diagnostics.csv", "solution.csv", "summary.csv")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    capsys.readouterr()
+    # the run itself succeeds; its reference fails once characteristics cross
+    assert main([*args, "--tfinal", "0.2"]) == 1
+    assert "characteristics cross before t=0.2" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--sigma", "nan"), ("--inflow", "nan"), ("--inflow", "inf")]
 )
@@ -508,6 +536,73 @@ def test_malformed_grid_names_the_file(tmp_path, capsys, move, message, route):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("route", ["read_operator", "verify"])
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda d: "{not json", None),
+        (lambda d: [1, 2], "must hold a JSON object"),
+        (lambda d: {k: v for k, v in d.items() if k != "Q"}, "misses fields: ['Q']"),
+        (lambda d: {**d, "space": 5}, "space must be text, got 5"),
+        (lambda d: {**d, "space": None}, "space must be text, got None"),
+        (lambda d: {**d, "space": "spline:d=2"}, "unknown space kind 'spline'"),
+        (
+            lambda d: {**d, "domain": [1, 0]},
+            "empty interval: left=1.0 is not below right=0.0",
+        ),
+        (
+            lambda d: {**d, "weights": ["0.1", *d["weights"][1:]]},
+            "domain and arrays must hold numbers (got text or a boolean)",
+        ),
+        (
+            lambda d: {**d, "Q": [[None, *d["Q"][0][1:]], *d["Q"][1:]]},
+            "arrays must hold finite numbers",
+        ),
+        (lambda d: {**d, "nodes": [d["nodes"]]}, "inconsistent operator array shapes"),
+        (lambda d: {**d, "Q": d["Q"][:-1]}, "inconsistent operator array shapes"),
+        (
+            lambda d: {**d, "nodes": [d["nodes"][1], d["nodes"][0], *d["nodes"][2:]]},
+            "nodes must be strictly increasing",
+        ),
+        (
+            lambda d: {**d, "nodes": [*d["nodes"][:-1], 1.5]},
+            "grid node outside interval [0.0, 1.0]",
+        ),
+    ],
+    ids=[
+        "not-json", "not-an-object", "missing-field", "space-number",
+        "space-null", "unknown-space", "reversed-domain", "text-number",
+        "null-entry", "nodes-2d", "wrong-Q-shape", "nodes-out-of-order",
+        "node-off-the-domain",
+    ],
+)
+def test_malformed_operator_file_names_the_file_once(
+    tmp_path, capsys, spoil, message, route
+):
+    # each case spoils one part of a valid poly:d=2 file; a str is raw text
+    out = tmp_path / "op.json"
+    space = sbpkit.spaces.make_space("poly:d=2")
+    sbpkit.operators.write_operator(sbpkit.operators.find_operator(space, 5), out)
+    doc = spoil(json.loads(out.read_text(encoding="utf-8")))
+    out.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    if route == "read_operator":
+        with pytest.raises(ValueError) as exc:
+            sbpkit.operators.read_operator(out)
+        text = str(exc.value)
+    else:
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+        text = captured.err[len("error: "):-1]
+    prefix = f"operator file {out}: "
+    assert text.startswith(prefix)
+    assert text.count(str(out)) == 1 and text.count("operator file") == 1
+    if message is not None:
+        assert text == prefix + message
+
+
 def _count_grid_evaluations(monkeypatch) -> list[int]:
     """Record the grid size of every value-matrix evaluation of a search."""
     calls = []
@@ -555,8 +650,7 @@ def test_verify_refuses_wrongly_shaped_arrays(tmp_path, capsys, field, value):
     capsys.readouterr()
     assert main(["verify", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: operator file {out}: bad ")
-    assert "shapes" in err
+    assert err == f"error: operator file {out}: inconsistent operator array shapes\n"
 
 
 def test_run_without_a_reference_writes_nan_errors(tmp_path, capsys):

@@ -318,7 +318,7 @@ def test_read_names_the_coherence_residual_that_fails(tmp_path):
     data = json.loads(path.read_text(encoding="utf-8"))
     data["D"][1][1] += 1e-12
     path.write_text(json.dumps(data), encoding="utf-8")
-    report = verify_sbp(sbpkit.operators._load_unchecked(path))
+    report = sbpkit.operators._load_and_check(path)[1]
     assert report.coherence_residual > TOL_COHERENCE
     with pytest.raises(OperatorError) as exc:
         read_operator(path)
@@ -1050,10 +1050,20 @@ def test_exp_degree_nine_exhausts_the_ladder_with_its_reason():
     assert find_operator(space, 36).n_nodes == 36
 
 
-@pytest.mark.parametrize("field", ["p", "Q", "D"])
-def test_operator_refuses_inconsistent_array_shapes(field):
+@pytest.mark.parametrize(
+    "field, reshape",
+    [
+        ("p", lambda a: a[:-1]),
+        ("Q", lambda a: a[:-1]),
+        ("D", lambda a: a[:-1]),
+        # one row of nodes has the right size, but is no grid
+        ("nodes", lambda a: a[None, :]),
+    ],
+    ids=["p", "Q", "D", "nodes-2d"],
+)
+def test_operator_refuses_inconsistent_array_shapes(field, reshape):
     op = find_operator(polynomial_space(2, UNIT))
     arrays = {"nodes": op.nodes, "p": op.p, "Q": op.Q, "D": op.D}
-    arrays[field] = arrays[field][:-1]
+    arrays[field] = reshape(arrays[field])
     with pytest.raises(ValueError, match="^inconsistent operator array shapes$"):
         FsbpOperator(space=op.space, **arrays)

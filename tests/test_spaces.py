@@ -195,6 +195,13 @@ def test_rbf_centers_are_sorted_and_must_be_flat():
         rbf_cubic_space([[0.0, 1.0], [0.5]], iv)
 
 
+def test_rbf_refuses_centers_too_close_to_solve_for():
+    # 1e-120 is distinct from 0, but its cubed distances vanish beside 1,
+    # so two rows of the interpolation system coincide
+    with pytest.raises(ValueError, match="^singular radial interpolation system: "):
+        rbf_cubic_space([0.0, 1e-120, 1.0])
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
