@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -72,8 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each command, by name."""
+    """The top-level parser and the parser of each command, by name.
+
+    Built once per process, on first use, and shared by every ``main``
+    call: parsing never changes a parser, and config values go to the
+    namespace, not to the parser's defaults.
+    """
     parser = _Parser(prog="sbpkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

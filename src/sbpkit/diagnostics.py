@@ -87,7 +87,19 @@ def energy(state: BlockState) -> float:
 
 
 def _wrap(x: np.ndarray, domain) -> np.ndarray:
-    return domain.left + np.mod(x - domain.left, domain.width)
+    """``x`` wrapped into ``domain``, bit for bit
+    ``left + np.mod(x - left, width)``.
+
+    numpy's remainder loop takes ``fmod``, adds the width to a negative
+    remainder and writes a zero remainder as +0.0, and also computes a
+    floor quotient that it throws away.  Here the same steps run without
+    the quotient: one added array holds the width where the remainder is
+    negative and 0.0 elsewhere, and adding 0.0 turns -0.0 into +0.0.
+    """
+    left, width = domain.left, domain.width
+    m = np.fmod(x - left, width)
+    m += np.where(m < 0.0, width, 0.0)
+    return left + m
 
 
 def exact_advection(
@@ -122,7 +134,8 @@ def burgers_reference(
     a bracket around ``x`` until it encloses the foot (at most 60
     times).  A conservative guard then samples the slope of ``u0`` at 64
     points of each point's own bracket and raises once
-    ``t max|u0'| >= 1``, when characteristics may cross.  A safeguarded
+    ``|t| max|u0'| >= 1``, when characteristics may cross (forwards or,
+    for a negative ``t``, backwards in time).  A safeguarded
     Newton iteration runs on the points not yet converged: a Newton step
     is taken only strictly inside the point's bracket, bisection
     otherwise, until the residual is at most 1e-12 (at most 200 steps).
@@ -164,7 +177,7 @@ def burgers_reference(
         up = u0((grid + hs).ravel()).reshape(grid.shape)
         um = u0((grid - hs).ravel()).reshape(grid.shape)
         steepest = np.max(np.abs((up - um) / (2.0 * hs)), axis=1)
-        if np.any(t * steepest >= 1.0):
+        if np.any(abs(t) * steepest >= 1.0):
             raise ValueError(
                 f"characteristics cross before t={t:.6g}; "
                 "no smooth reference exists"

@@ -229,8 +229,13 @@ class BlockState:
         ):
             return BlockState(u=u, operator=self.operator, edges=self.edges, t=t)
         u.setflags(write=False)
+        # installing one copy of the fields as __dict__ is cheaper than
+        # filling the new state's empty __dict__ from them
+        fields = self.__dict__.copy()
+        fields["u"] = u
+        fields["t"] = t
         new = object.__new__(BlockState)
-        new.__dict__.update(self.__dict__, u=u, t=t)
+        object.__setattr__(new, "__dict__", fields)
         return new
 
     @property
@@ -378,23 +383,24 @@ def ssprk33_step(
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     t, u0 = state.t, state.u
+    t_end, t_mid = t + dt, t + 0.5 * dt
 
     u1 = u0 + dt * rhs_fn(state, t)
     _check_finite(u1, t)
 
-    k = rhs_fn(state._on_same_grid(u1, t + dt), t + dt)
+    k = rhs_fn(state._on_same_grid(u1, t_end), t_end)
     u2 = u1 + dt * k
     u2 *= 0.25
     u2 += 0.75 * u0
-    _check_finite(u2, t + dt)
+    _check_finite(u2, t_end)
 
-    k = rhs_fn(state._on_same_grid(u2, t + 0.5 * dt), t + 0.5 * dt)
+    k = rhs_fn(state._on_same_grid(u2, t_mid), t_mid)
     u3 = u2 + dt * k
     u3 *= 2.0
     u3 += u0
     u3 /= 3.0
-    _check_finite(u3, t + 0.5 * dt)
-    return state._on_same_grid(u3, t + dt)
+    _check_finite(u3, t_mid)
+    return state._on_same_grid(u3, t_end)
 
 
 @dataclass(frozen=True)
@@ -404,12 +410,6 @@ class RunResult:
     state: BlockState
     history: tuple
     steps: int
-
-
-def _max_wave_speed(spec: ProblemSpec, u: np.ndarray) -> float:
-    if spec.kind == "burgers":
-        return max(1.0, float(_amax(np.abs(u))))
-    return spec.wave_speed
 
 
 def _require_finite(what: str, v: np.ndarray, name: str, at: np.ndarray) -> None:
@@ -494,22 +494,24 @@ def run(
     rhs_fn = rhs_for(spec)
     spacing = float(np.min(np.diff(nodes, axis=1)))
 
-    history = [DiagnosticsRecord(t=0.0, mass=mass(state), energy=energy(state))]
+    history = [DiagnosticsRecord(0.0, mass(state), energy(state))]
     steps = 0
-    tiny = 1e-12 * max(1.0, t_final)
+    end = t_final - 1e-12 * max(1.0, t_final)
+    # the advection wave speed is constant, so its step is too
+    fixed_dt = None if spec.kind == "burgers" else cfl * spacing / spec.wave_speed
     # a blow-up overflows on its way to inf or nan; every stage is checked
     # for finite values, so it raises InstabilityError, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while state.t < t_final - tiny:
-            dt = cfl * spacing / _max_wave_speed(spec, state.u)
-            last = state.t + dt >= t_final - tiny
+        while state.t < end:
+            dt = fixed_dt
+            if dt is None:  # Burgers: the wave speed is max|u|, at least 1
+                dt = cfl * spacing / max(1.0, float(_amax(np.abs(state.u))))
+            last = state.t + dt >= end
             if last:
                 dt = t_final - state.t
             state = ssprk33_step(rhs_fn, state, dt)
             if last:
                 state = state._on_same_grid(state.u, t_final)
             steps += 1
-            history.append(
-                DiagnosticsRecord(t=state.t, mass=mass(state), energy=energy(state))
-            )
+            history.append(DiagnosticsRecord(state.t, mass(state), energy(state)))
     return RunResult(state=state, history=tuple(history), steps=steps)

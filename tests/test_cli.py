@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,67 @@ def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_the_parser_is_built_once_per_process_on_first_use():
+    assert sbpkit.cli._build_parser() is sbpkit.cli._build_parser()
+    # a fresh interpreter imports the module without building the parser
+    src = str(Path(sbpkit.cli.__file__).parents[1])
+    probe = (
+        "import sbpkit.cli as c; "
+        "print(c._build_parser.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_a_config_file_does_not_carry_over_to_the_next_call(tmp_path, monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    monkeypatch.setitem(sbpkit.cli._COMMANDS, "run", record)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"problem": "burgers", "space": "trig:d=1", "tfinal": 0.5,
+                    "cfl": 0.25, "sigma": 3.0, "blocks": 4}),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--problem", "advection", "--space", "poly:d=2"]) == 0
+    with_config, without = seen
+    assert (with_config["tfinal"], with_config["cfl"], with_config["sigma"]) == (
+        0.5, 0.25, 3.0
+    )
+    assert with_config["blocks"] == 4
+    assert without == {
+        "command": "run", "config": None, "problem": "advection",
+        "domain": None, "nodes": None, "tfinal": None, "cfl": 0.5,
+        "sigma": None, "periodic": None, "inflow": None, "out": Path("."),
+        "space": "poly:d=2", "blocks": 1,
+    }
+
+
+def test_a_usage_error_leaves_the_next_call_as_it_was(tmp_path, capsys):
+    good = ["build", "--space", "trig:d=1", "--nodes", "4",
+            "--out", str(tmp_path / "op.json")]
+    assert main(good) == 0
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--space", "trig:d=1", "--nodes", "four"])
+    assert exc.value.code == 1
+    assert main(["build", "--space", "trig:d=1"]) == 1
+    capsys.readouterr()
+    assert main(good) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_build_then_verify_round_trip(tmp_path):

@@ -13,6 +13,7 @@ import sbpkit.solver
 from sbpkit.cli import _bumpy
 from sbpkit.diagnostics import (
     ConvergenceRow,
+    _wrap,
     burgers_reference,
     convergence_table,
     energy,
@@ -74,6 +75,45 @@ def test_exact_advection_transport():
     # a quarter period shifts the profile right
     got = exact_advection(u0, 1.0, 0.25, x, UNIT)
     np.testing.assert_allclose(got, u0(x - 0.25), atol=1e-12)
+
+
+def _np_mod_wrap(x, domain):
+    """The periodic wrap as numpy's remainder computes it."""
+    return domain.left + np.mod(x - domain.left, domain.width)
+
+
+@pytest.mark.parametrize(
+    "left, right, rounds_up",
+    # on [0.3, 0.7] a difference x - 0.3 near a multiple of the width is
+    # a multiple of ulp(0.3) = ulp(0.4), so m + width never rounds up
+    [(0.0, 1.0, True), (0.0, np.pi, True), (-1.0, 2.5, True), (0.3, 0.7, False)],
+)
+def test_wrap_matches_np_mod_bit_for_bit(left, right, rounds_up):
+    dom = Interval(left, right)
+    w = dom.width
+    k = np.arange(-3.0, 4.0)
+    below = np.nextafter(k * w, -np.inf)
+    x = np.concatenate(
+        [
+            [0.0, -0.0, -1e-300, 1e-300, 1e6, -1e6, 1e6 + 0.1, -1234567.89],
+            [np.nan, left, right],
+            k * w,  # exact multiples of the width
+            left + k * w,
+            below,  # just below a multiple
+            left + below,
+            np.nextafter(left + k * w, -np.inf),
+            np.random.default_rng(7).uniform(-5.0 * w, 5.0 * w, 200),
+        ]
+    )
+    oracle = _np_mod_wrap(x, dom)
+    # some remainder m < 0 is so small that m + width rounds up to the width
+    assert np.any(np.mod(x - left, w) == w) == rounds_up
+    assert np.array_equal(_wrap(x, dom).view(np.int64), oracle.view(np.int64))
+    with np.errstate(invalid="ignore"):
+        inf = np.array([np.inf, -np.inf])
+        assert np.array_equal(
+            _wrap(inf, dom).view(np.int64), _np_mod_wrap(inf, dom).view(np.int64)
+        )
 
 
 def test_burgers_reference_constant_and_linear_data():
@@ -240,6 +280,17 @@ def test_burgers_reference_crossing_message():
         burgers_reference(_smooth, np.linspace(0.0, 1.0, 5), 0.5)
     with pytest.raises(ValueError, match="characteristics cross"):
         _trace_burgers_point(_smooth, 0.5, 0.5)
+
+
+def test_burgers_reference_guards_a_negative_time():
+    # |t| max|u0'| = 0.5 * pi > 1: traced backwards, the characteristics
+    # cross too, and the guard must not take the sign of t as a pass
+    with pytest.raises(ValueError, match="characteristics cross before t=-0.5"):
+        burgers_reference(_smooth, np.linspace(0.0, 1.0, 9), -0.5)
+    # below the threshold a negative time still solves
+    x = np.linspace(0.0, 1.0, 9)
+    u = burgers_reference(_smooth, x, -0.05)
+    assert np.max(np.abs(_smooth(x + 0.05 * u) - u)) <= 1e-10
 
 
 def test_burgers_reference_bracket_failure_message():
