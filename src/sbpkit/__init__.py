@@ -65,7 +65,6 @@ from .diagnostics import (
     convergence_table,
     energy,
     error_report,
-    exact_advection,
     mass,
     reference_solution,
 )

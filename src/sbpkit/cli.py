@@ -293,6 +293,10 @@ def _cmd_run(args) -> int:
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
 
+    # a reference that refuses its data does so before the run; every
+    # output is computed before the first file is written, so a failing
+    # reference leaves an output directory as it was
+    ref = reference_solution(spec, tfinal)
     start = time.perf_counter()
     result = run(
         spec,
@@ -304,9 +308,6 @@ def _cmd_run(args) -> int:
     )
     wallclock = time.perf_counter() - start
 
-    # every output is computed before the first file is written, so a
-    # failing reference leaves an output directory as it was
-    ref = reference_solution(spec, tfinal)
     nodes = result.state.nodes.ravel()
     uref = (
         np.asarray(ref(nodes), dtype=float)

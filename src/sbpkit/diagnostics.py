@@ -29,7 +29,6 @@ __all__ = [
     "ConvergenceRow",
     "mass",
     "energy",
-    "exact_advection",
     "burgers_reference",
     "reference_solution",
     "error_report",
@@ -102,20 +101,9 @@ def _wrap(x: np.ndarray, domain) -> np.ndarray:
     return left + m
 
 
-def exact_advection(
-    u0: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    t: float,
-    x: np.ndarray,
-    domain,
-) -> np.ndarray:
-    """Initial data transported periodically with speed ``a`` for time ``t``.
-
-    The foot of each characteristic is wrapped back into the domain.
-    """
-    xi = _wrap(np.asarray(x, dtype=float) - a * t, domain)
-    return np.asarray(u0(xi), dtype=float)
-
+#: periodic Burgers data may differ by this much, relative to
+#: max(1, |u0|), between the two domain ends
+_PERIODIC_TOL = 1e-8
 
 #: points per slice of the pre-shock guard, which samples 64 points of
 #: each bracket; slicing keeps its temporaries to a few thousand values
@@ -220,25 +208,31 @@ def reference_solution(
     """Closed-form (or characteristic) solution of a model problem at time t.
 
     Returns None for configurations without a usable reference
-    (Burgers with inflow boundary data).
+    (Burgers with inflow boundary data).  For ``t != 0`` periodic Burgers
+    data must take one value at both domain ends, or this raises
+    ``ValueError``: the jump where the domain wraps is a shock from t = 0.
     """
     u0 = spec.initial_condition
     dom = spec.domain
     if spec.kind == "advection":
         a = spec.wave_speed
         c = spec.source_coefficient
+        growth = np.exp(c * t)
+        if spec.inflow is None:
 
-        def ref(x):
-            if spec.inflow is None:
-                return np.exp(c * t) * exact_advection(u0, a, t, x, dom)
+            def periodic(x):
+                xi = _wrap(np.asarray(x, dtype=float) - a * t, dom)
+                return growth * np.asarray(u0(xi), dtype=float)
+
+            return periodic
+
+        def inflow(x):
             x = np.asarray(x, dtype=float)
             xi = x - a * t
             inside = xi >= dom.left
             vals = np.empty_like(x)
             if np.any(inside):
-                vals[inside] = np.exp(c * t) * np.asarray(
-                    u0(xi[inside]), dtype=float
-                )
+                vals[inside] = growth * np.asarray(u0(xi[inside]), dtype=float)
             if np.any(~inside):
                 # characteristic entered through the left boundary
                 entry_delay = (x[~inside] - dom.left) / a
@@ -248,16 +242,24 @@ def reference_solution(
                 vals[~inside] = np.exp(c * entry_delay) * g
             return vals
 
-        return ref
+        return inflow
 
-    if spec.inflow is None:
+    if spec.inflow is not None:
+        return None
+    if t != 0.0:
+        ul, ur = np.asarray(u0(np.array([dom.left, dom.right])), dtype=float)
+        if abs(ul - ur) > _PERIODIC_TOL * max(1.0, abs(ul), abs(ur)):
+            raise ValueError(
+                "periodic Burgers data must take one value at both ends of "
+                f"[{dom.left:.6g}, {dom.right:.6g}], got u0={ul:.6g} and "
+                f"u0={ur:.6g}; the jump where the domain wraps is a shock "
+                "from t=0, so no smooth reference exists"
+            )
 
-        def u0_periodic(xi):
-            return u0(_wrap(np.asarray(xi, dtype=float), dom))
+    def u0_periodic(xi):
+        return u0(_wrap(np.asarray(xi, dtype=float), dom))
 
-        return lambda x: burgers_reference(u0_periodic, x, t)
-
-    return None
+    return lambda x: burgers_reference(u0_periodic, x, t)
 
 
 def error_report(
@@ -299,7 +301,8 @@ def convergence_table(
     reference failure (crossing Burgers characteristics) surfaces after
     the last run.  Observed orders compare consecutive levels of the same
     entry of ``space_specs`` using the norm-weighted error and the
-    block-count ratio.  A problem without a reference solution, a ladder
+    block-count ratio.  A problem without a reference solution (or with
+    periodic Burgers data that is not periodic on its domain), a ladder
     whose block counts are not distinct whole numbers of at least 1, and
     a space that does not construct are rejected before any run.
     """

@@ -44,7 +44,6 @@ __all__ = [
     "RunResult",
     "rhs_advection",
     "rhs_burgers",
-    "rhs_for",
     "ssprk33_step",
     "run",
 ]
@@ -191,6 +190,8 @@ class BlockState:
             )
         if not np.isfinite(edges).all():
             raise ValueError(f"block edges must be finite, got {edges}")
+        if isinstance(self.t, (bool, np.bool_)):
+            raise ValueError(f"t must be a number, got {self.t}")
         if not math.isfinite(self.t):
             raise ValueError(f"t must be finite, got {self.t}")
         s = (edges[1:] - edges[:-1]) / iv.width
@@ -337,13 +338,6 @@ def rhs_burgers(state: BlockState, t: float, spec: ProblemSpec) -> np.ndarray:
     return du
 
 
-def rhs_for(spec: ProblemSpec) -> Callable[[BlockState, float], np.ndarray]:
-    """Bind a problem to its right-hand-side function of (state, t)."""
-    if spec.kind == "burgers":
-        return lambda state, t: rhs_burgers(state, t, spec)
-    return lambda state, t: rhs_advection(state, t, spec)
-
-
 def _check_finite(u: np.ndarray, t: float) -> None:
     if _all_finite(u):
         return
@@ -380,6 +374,8 @@ def ssprk33_step(
     side's own output is never written to: it may be a state's read-only
     values.
     """
+    if isinstance(dt, (bool, np.bool_)):
+        raise ValueError(f"dt must be a number, got {dt}")
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     t, u0 = state.t, state.u
@@ -491,7 +487,9 @@ def run(
             raise ValueError("Burgers runs require nonnegative inflow data")
 
     state = state._on_same_grid(u.reshape(nodes.shape), 0.0)
-    rhs_fn = rhs_for(spec)
+    # read from the module here, once, so a patched rhs_* applies to the run
+    rhs = rhs_burgers if spec.kind == "burgers" else rhs_advection
+    rhs_fn = lambda st, t: rhs(st, t, spec)
     spacing = float(np.min(np.diff(nodes, axis=1)))
 
     history = [DiagnosticsRecord(0.0, mass(state), energy(state))]

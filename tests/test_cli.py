@@ -16,6 +16,7 @@ import pytest
 import sbpkit.cli
 import sbpkit.diagnostics
 import sbpkit.operators
+import sbpkit.solver
 import sbpkit.spaces
 from sbpkit.cli import _bumpy, main
 
@@ -523,6 +524,35 @@ def test_convergence_refuses_a_burgers_inflow_before_any_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: no reference solution for problem kind 'burgers'\n"
     assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, outputs",
+    [
+        ("run", ["--blocks", "4"], ("diagnostics.csv", "solution.csv", "summary.csv")),
+        ("convergence", ["--blocks", "2", "4"], ("convergence.csv",)),
+    ],
+)
+def test_a_periodic_burgers_reference_refuses_data_that_is_not_periodic(
+    tmp_path, capsys, monkeypatch, command, extra, outputs
+):
+    args = [command, "--problem", "burgers", "--space", "poly:d=2", *extra,
+            "--tfinal", "0.05", "--out", str(tmp_path)]
+    # _bumpy has period 1/2: [0, 0.5] is periodic, [0, 0.3] jumps where it wraps
+    assert main([*args, "--domain", "0", "0.5"]) == 0
+    before = {name: (tmp_path / name).read_bytes() for name in outputs}
+    capsys.readouterr()
+    calls = []
+    for module in (sbpkit.cli, sbpkit.solver):
+        monkeypatch.setattr(module, "run", lambda *a, **k: calls.append(a))
+    assert main([*args, "--domain", "0", "0.3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: periodic Burgers data must take one value at both ends of "
+        "[0, 0.3], got u0=1.25 and u0=0.811821; the jump where the domain "
+        "wraps is a shock from t=0, so no smooth reference exists\n"
+    )
+    assert calls == []
+    assert {name: (tmp_path / name).read_bytes() for name in outputs} == before
 
 
 def test_run_refuses_an_anti_dissipative_sigma(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from sbpkit.diagnostics import (
     convergence_table,
     energy,
     error_report,
-    exact_advection,
     mass,
     reference_solution,
 )
@@ -64,16 +64,13 @@ def test_mass_of_constant_equals_interval_width():
 
 def test_exact_advection_transport():
     u0 = lambda x: np.sin(2 * np.pi * np.asarray(x))
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=u0)
     x = np.linspace(0.0, 1.0, 33)
     # a full period returns the initial data
-    np.testing.assert_allclose(
-        exact_advection(u0, 1.0, 1.0, x, UNIT), u0(x), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        exact_advection(u0, 1.0, 0.0, x, UNIT), u0(x), atol=1e-12
-    )
+    np.testing.assert_allclose(reference_solution(spec, 1.0)(x), u0(x), atol=1e-12)
+    np.testing.assert_allclose(reference_solution(spec, 0.0)(x), u0(x), atol=1e-12)
     # a quarter period shifts the profile right
-    got = exact_advection(u0, 1.0, 0.25, x, UNIT)
+    got = reference_solution(spec, 0.25)(x)
     np.testing.assert_allclose(got, u0(x - 0.25), atol=1e-12)
 
 
@@ -353,6 +350,131 @@ def test_reference_solution_missing_for_burgers_inflow():
         inflow=lambda t: 1.0,
     )
     assert reference_solution(spec, 0.1) is None
+
+
+def _former_exact_advection(u0, a, t, x, domain):
+    """The periodic advection reference as a public function of its own,
+    before ``reference_solution`` chose its closure once per call."""
+    xi = _wrap(np.asarray(x, dtype=float) - a * t, domain)
+    return np.asarray(u0(xi), dtype=float)
+
+
+def _former_reference_solution(spec, t):
+    """``reference_solution`` as it re-tested the inflow and recomputed
+    ``exp(c t)`` on every evaluation; the oracle of the bit-identity test."""
+    u0 = spec.initial_condition
+    dom = spec.domain
+    if spec.kind == "advection":
+        a = spec.wave_speed
+        c = spec.source_coefficient
+
+        def ref(x):
+            if spec.inflow is None:
+                return np.exp(c * t) * _former_exact_advection(u0, a, t, x, dom)
+            x = np.asarray(x, dtype=float)
+            xi = x - a * t
+            inside = xi >= dom.left
+            vals = np.empty_like(x)
+            if np.any(inside):
+                vals[inside] = np.exp(c * t) * np.asarray(
+                    u0(xi[inside]), dtype=float
+                )
+            if np.any(~inside):
+                entry_delay = (x[~inside] - dom.left) / a
+                g = np.array([float(spec.inflow(t - d)) for d in entry_delay])
+                vals[~inside] = np.exp(c * entry_delay) * g
+            return vals
+
+        return ref
+
+    if spec.inflow is None:
+
+        def u0_periodic(xi):
+            return u0(_wrap(np.asarray(xi, dtype=float), dom))
+
+        return lambda x: burgers_reference(u0_periodic, x, t)
+
+    return None
+
+
+def _wavy(x):
+    return 1.0 + 0.5 * np.cos(2 * np.pi * np.asarray(x)) + 0.25 * np.sin(7.0 * x)
+
+
+_REFERENCE_CASES = {
+    # (kind, domain, wave speed, source, inflow, t > 0)
+    **{
+        f"advection-c{c:g}-a{a:g}-[{left:g},{right:.3g}]": (
+            "advection", (left, right), a, c, None, 0.37
+        )
+        for c, a in ((0.0, 1.0), (2.0, 1.0), (0.0, 1.3))
+        for left, right in ((0.0, 1.0), (-0.5, 0.5), (0.0, np.pi))
+    },
+    "advection-inflow-source": (
+        "advection", (0.0, 1.0), 1.3, 2.0, lambda t: 1.0 + 0.3 * np.sin(5.0 * t), 0.5
+    ),
+    "burgers-[0.25,1.25]": ("burgers", (0.25, 1.25), 1.0, 0.0, None, 0.01),
+}
+
+
+@pytest.mark.parametrize("at_zero", [True, False], ids=["t0", "t"])
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_reference_solution_is_bit_identical_to_the_former_closures(case, at_zero):
+    kind, (left, right), a, c, inflow, t = _REFERENCE_CASES[case]
+    spec = ProblemSpec(
+        kind=kind,
+        domain=Interval(left, right),
+        initial_condition=_bumpy if kind == "burgers" else _wavy,
+        inflow=inflow,
+        wave_speed=a,
+        source_coefficient=c,
+    )
+    t = 0.0 if at_zero else t
+    rng = np.random.default_rng(34)
+    x = np.concatenate(
+        (np.linspace(left, right, 41), rng.uniform(left, right, 64))
+    )
+    got = reference_solution(spec, t)(x)
+    want = _former_reference_solution(spec, t)(x)
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "domain, t",
+    [((0.0, 1.0), 0.01), ((0.25, 1.25), 0.01), ((0.0, 0.5), 0.01), ((0.0, 0.3), 0.0)],
+)
+def test_periodic_burgers_reference_accepts_data_periodic_on_its_domain(domain, t):
+    spec = ProblemSpec(kind="burgers", domain=Interval(*domain), initial_condition=_bumpy)
+    x = np.linspace(*domain, 9)
+    assert np.isfinite(reference_solution(spec, t)(x)).all()
+
+
+def test_periodic_burgers_reference_refuses_data_that_is_not_periodic():
+    # _bumpy has period 1/2, so it jumps where [0, 0.3] wraps
+    spec = ProblemSpec(
+        kind="burgers", domain=Interval(0.0, 0.3), initial_condition=_bumpy
+    )
+    want = (
+        "periodic Burgers data must take one value at both ends of [0, 0.3], "
+        "got u0=1.25 and u0=0.811821; the jump where the domain wraps is a "
+        "shock from t=0, so no smooth reference exists"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        reference_solution(spec, 0.05)
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        reference_solution(spec, -0.05)
+
+
+def test_periodic_burgers_reference_tolerates_a_rounding_gap_at_the_ends():
+    # ends 1e-9 apart on values of order 10 lie within 1e-8 max(1, |u0|)
+    u0 = lambda x: 10.0 + 1e-9 * np.asarray(x) + 0.1 * np.sin(2 * np.pi * x)
+    spec = ProblemSpec(kind="burgers", domain=UNIT, initial_condition=u0)
+    assert reference_solution(spec, 0.01) is not None
+    gap = lambda x: 10.0 + 1e-6 * np.asarray(x) + 0.1 * np.sin(2 * np.pi * x)
+    spec = ProblemSpec(kind="burgers", domain=UNIT, initial_condition=gap)
+    with pytest.raises(ValueError, match="one value at both ends"):
+        reference_solution(spec, 0.01)
 
 
 def test_error_report_zero_error():

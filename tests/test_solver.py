@@ -205,11 +205,21 @@ def test_block_state_refuses_malformed_edges_by_name(edges, n_blocks, shape):
         BlockState(u=u, operator=op, edges=edges, t=0.0)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_block_state_refuses_a_non_finite_time(t):
+@pytest.mark.parametrize(
+    "t, reason",
+    [
+        (math.nan, "be finite"),
+        (math.inf, "be finite"),
+        (-math.inf, "be finite"),
+        # numpy adds booleans as a logical or, so such a time never advances
+        (True, "be a number"),
+        (np.True_, "be a number"),
+    ],
+)
+def test_block_state_refuses_a_non_finite_time(t, reason):
     op = find_operator(make_space("trig:d=1", UNIT))
     u = np.zeros((1, op.n_nodes))
-    with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+    with pytest.raises(ValueError, match=f"^t must {reason}, got {t}$"):
         BlockState(u=u, operator=op, edges=(0.0, 1.0), t=t)
 
 
@@ -487,8 +497,12 @@ def test_ssprk33_flags_nonfinite_states():
         ssprk33_step(blowup, state, 0.1)
 
 
-@pytest.mark.parametrize("dt", [math.nan, math.inf])
-def test_ssprk33_refuses_a_non_finite_dt(dt):
+@pytest.mark.parametrize(
+    "dt, reason",
+    [(math.nan, "be finite"), (math.inf, "be finite"),
+     (True, "be a number"), (np.True_, "be a number")],
+)
+def test_ssprk33_refuses_a_non_finite_dt(dt, reason):
     # a bad step size is the caller's error, not an instability
     state = _linear_state([1.0, 1.0])
     calls = []
@@ -497,7 +511,7 @@ def test_ssprk33_refuses_a_non_finite_dt(dt):
         calls.append(t)
         return -s.u
 
-    with pytest.raises(ValueError, match=rf"^dt must be finite, got {dt}$"):
+    with pytest.raises(ValueError, match=rf"^dt must {reason}, got {dt}$"):
         ssprk33_step(rhs, state, dt)
     assert calls == []
 
@@ -698,7 +712,12 @@ def test_run_matches_the_replace_based_step(
     got = run(spec, space, n_blocks=n_blocks, t_final=0.1)
     with monkeypatch.context() as m:
         m.setattr(sbpkit.solver, "ssprk33_step", _replace_ssprk33_step)
-        m.setattr(sbpkit.solver, "rhs_for", _recomputing_rhs_for)
+        for name in ("rhs_advection", "rhs_burgers"):
+            m.setattr(
+                sbpkit.solver,
+                name,
+                lambda state, t, spec: _recomputing_rhs_for(spec)(state, t),
+            )
         want = run(spec, space, n_blocks=n_blocks, t_final=0.1)
     assert got.steps == want.steps > 0
     np.testing.assert_array_equal(got.state.u, want.state.u)
