@@ -28,7 +28,7 @@ from .operators import (
 )
 from .quadrature import QuadratureError
 from .solver import InstabilityError, Interval, ProblemSpec, run
-from .spaces import make_space
+from .spaces import _real, make_space
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,10 +272,8 @@ def _cmd_verify(args) -> int:
 
 def _problem_spec(args) -> tuple[ProblemSpec, float]:
     setup = _PROBLEM_SETUP[args.problem]
-    if args.inflow is not None and not np.isfinite(args.inflow):
-        raise ValueError(f"--inflow must be finite, got {args.inflow}")
     # --periodic wins over --inflow, and --inflow over the table
-    g = setup["inflow"] if args.inflow is None else args.inflow
+    g = setup["inflow"] if args.inflow is None else _real(args.inflow, "--inflow")
     spec = ProblemSpec(
         kind=setup["kind"],
         domain=Interval(*(args.domain or setup["domain"])),

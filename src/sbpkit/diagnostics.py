@@ -21,7 +21,7 @@ import numpy as np
 
 from .operators import _study_scope
 from .solver import BlockState, ProblemSpec, _block_count
-from .spaces import FunctionSpace
+from .spaces import FunctionSpace, _real
 
 __all__ = [
     "DiagnosticsRecord",
@@ -131,6 +131,7 @@ def burgers_reference(
     any point fails, this raises ``ValueError`` and returns no partial
     result.
     """
+    t = _real(t, "t")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
         out = np.asarray(u0(xs), dtype=float)
@@ -208,12 +209,17 @@ def reference_solution(
     """Closed-form (or characteristic) solution of a model problem at time t.
 
     Returns None for configurations without a usable reference
-    (Burgers with inflow boundary data).  For ``t != 0`` periodic Burgers
-    data must take one value at both domain ends, or this raises
-    ``ValueError``: the jump where the domain wraps is a shock from t = 0.
+    (Burgers with inflow boundary data); at t = 0 a periodic one is ``u0``
+    itself.  Otherwise periodic Burgers data must take one value at both
+    domain ends, or this raises ``ValueError``: the jump where the domain
+    wraps is a shock from t = 0.
     """
+    t = _real(t, "t")
     u0 = spec.initial_condition
     dom = spec.domain
+    if spec.inflow is None and t == 0.0:
+        # a wrap would read u0(left) at x = right, where the data may differ
+        return lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
     if spec.kind == "advection":
         a = spec.wave_speed
         c = spec.source_coefficient
@@ -246,15 +252,14 @@ def reference_solution(
 
     if spec.inflow is not None:
         return None
-    if t != 0.0:
-        ul, ur = np.asarray(u0(np.array([dom.left, dom.right])), dtype=float)
-        if abs(ul - ur) > _PERIODIC_TOL * max(1.0, abs(ul), abs(ur)):
-            raise ValueError(
-                "periodic Burgers data must take one value at both ends of "
-                f"[{dom.left:.6g}, {dom.right:.6g}], got u0={ul:.6g} and "
-                f"u0={ur:.6g}; the jump where the domain wraps is a shock "
-                "from t=0, so no smooth reference exists"
-            )
+    ul, ur = np.asarray(u0(np.array([dom.left, dom.right])), dtype=float)
+    if abs(ul - ur) > _PERIODIC_TOL * max(1.0, abs(ul), abs(ur)):
+        raise ValueError(
+            "periodic Burgers data must take one value at both ends of "
+            f"[{dom.left:.6g}, {dom.right:.6g}], got u0={ul:.6g} and "
+            f"u0={ur:.6g}; the jump where the domain wraps is a shock "
+            "from t=0, so no smooth reference exists"
+        )
 
     def u0_periodic(xi):
         return u0(_wrap(np.asarray(xi, dtype=float), dom))
@@ -314,7 +319,7 @@ def convergence_table(
         if n in counts:
             raise ValueError(f"block count {b} appears more than once in the ladder")
         counts.append(n)
-    ref = reference_solution(spec, t_final)
+    ref = reference_solution(spec, _real(t_final, "t_final"))
     if ref is None:
         raise ValueError(f"no reference solution for problem kind {spec.kind!r}")
     spaces = [_reference_space(space) for space in space_specs]

@@ -318,7 +318,7 @@ def affine_block_operator(op: FsbpOperator, interval: Interval) -> FsbpOperator:
         space=affine_map(op.space, interval),
         nodes=nodes,
         p=op.p * s,
-        Q=op.Q.copy(),
+        Q=op.Q,
         D=op.D / s,
     )
 

@@ -51,7 +51,8 @@ __all__ = [
 #: |residual| <= EXACTNESS_RTOL * max(1, |moment|)
 EXACTNESS_RTOL = 1e-10
 
-# relative cutoff for the SVD row-space truncation in least_squares_rule
+# relative cutoff for the SVD row-space truncation in _corrected, the weight
+# correction of every least-squares rule
 _SVD_RTOL = 1e-12
 
 

@@ -19,7 +19,6 @@ Runge-Kutta scheme.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +31,7 @@ from .spaces import (
     Interval,
     _all_finite,
     _amax,
+    _real,
     _whole_count,
     make_space,
 )
@@ -73,9 +73,9 @@ class ProblemSpec:
     Burgers has no source and its wave speed is ``u``, so it refuses a
     nonzero ``source_coefficient`` and a ``wave_speed`` other than 1.0.
     ``sigma`` of ``None`` is stored as the default penalty strength (1
-    for advection, 2 for Burgers) and a given one as a float, so
-    ``spec.sigma`` is always the number the penalty uses.  The numbers
-    must be finite, not booleans.
+    for advection, 2 for Burgers), so ``spec.sigma`` is always the
+    number the penalty uses.  The three numbers must be real, finite and
+    not booleans, and are stored as floats.
 
     A given ``sigma`` must make the inflow penalty dissipative:
     ``sigma > 1/2`` for advection, whose boundary energy rate
@@ -112,21 +112,14 @@ class ProblemSpec:
             raise ValueError(
                 f"inflow must be None (periodic) or callable, got {self.inflow!r}"
             )
-        for name in ("wave_speed", "source_coefficient", "sigma"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {value}")
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         burgers = self.kind == "burgers"
         if self.sigma is None:
             object.__setattr__(self, "sigma", 2.0 if burgers else 1.0)
+        for name in ("wave_speed", "source_coefficient", "sigma"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.sigma >= 1.0 if burgers else self.sigma > 0.5):
             bound = "be at least 1" if burgers else "exceed 1/2"
-            raise ValueError(
-                f"sigma must {bound} for {self.kind!r}, got {self.sigma}"
-            )
-        object.__setattr__(self, "sigma", float(self.sigma))
+            raise ValueError(f"sigma must {bound} for {self.kind!r}, got {self.sigma}")
         if burgers:
             if self.source_coefficient != 0.0:
                 raise ValueError(
@@ -190,10 +183,7 @@ class BlockState:
             )
         if not np.isfinite(edges).all():
             raise ValueError(f"block edges must be finite, got {edges}")
-        if isinstance(self.t, (bool, np.bool_)):
-            raise ValueError(f"t must be a number, got {self.t}")
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
+        object.__setattr__(self, "t", _real(self.t, "t"))
         s = (edges[1:] - edges[:-1]) / iv.width
         if not s.min() > 0.0:
             raise ValueError("block edges must be strictly increasing")
@@ -358,8 +348,8 @@ def ssprk33_step(
     Stages evaluate the right-hand side at times t, t + dt and t + dt/2;
     every stage is checked for finite values, and a failure names the
     first block that went non-finite and the time of the stage that
-    produced it.  A non-finite ``dt`` raises ``ValueError`` before any
-    stage.
+    produced it.  A ``dt`` that is not a real, finite number (or is a
+    boolean) raises ``ValueError`` before any stage.
 
     The grid is validated once, when ``state`` is built: the stage states
     and the returned state share its operator, edges and width ratios and
@@ -374,10 +364,7 @@ def ssprk33_step(
     side's own output is never written to: it may be a state's read-only
     values.
     """
-    if isinstance(dt, (bool, np.bool_)):
-        raise ValueError(f"dt must be a number, got {dt}")
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    dt = _real(dt, "dt")
     t, u0 = state.t, state.u
     t_end, t_mid = t + dt, t + 0.5 * dt
 
@@ -455,14 +442,11 @@ def run(
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
-    for name, value in (("cfl", cfl), ("t_final", t_final)):
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, got {value}")
+    cfl, t_final = _real(cfl, "cfl"), _real(t_final, "t_final")
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    if not (np.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
-    t_final = float(t_final)
+    if not t_final >= 0.0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
     n_blocks = _block_count(n_blocks)
 
     ref_op = find_operator(_reference_space(space), n_nodes)

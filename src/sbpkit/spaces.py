@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -95,6 +96,21 @@ def _whole_count(value, what: str = "node count") -> int:
     return n
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, if a real, finite number and not a boolean."""
+    if type(value) is float and math.isfinite(value):  # the usual case
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value}")
+    try:  # text, None and complex raise TypeError, a huge int OverflowError
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}") from exc
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Nonempty closed interval ``[left, right]`` of finite width.
@@ -115,7 +131,8 @@ class Interval:
                 "interval endpoints must be real numbers, "
                 f"got left={self.left!r}, right={self.right!r}"
             )
-        if not (np.isfinite(self.left) and np.isfinite(self.right)):
+        # compared exactly, so an int too large for a float fails too
+        if not all(abs(v) <= sys.float_info.max for v in (self.left, self.right)):
             raise ValueError("interval endpoints must be finite")
         if not self.left < self.right:
             raise ValueError(

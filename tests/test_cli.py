@@ -763,6 +763,21 @@ def test_run_without_a_reference_writes_nan_errors(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("problem", ["advection", "burgers"])
+def test_zero_step_run_matches_its_reference_exactly(tmp_path, capsys, problem):
+    # the data is not periodic on [0, 0.3]: a wrapped reference would read
+    # u0(0) at x = 0.3, where a run that takes no step holds u0(0.3)
+    rc = main(["run", "--problem", problem, "--space", "poly:d=2", "--blocks", "2",
+               "--domain", "0", "0.3", "--tfinal", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out == "steps 0  t 0  err_P 0.000000e+00\n"
+    _, summary = _read_csv(tmp_path / "summary.csv")
+    assert [float(v) for v in summary[0][:4]] == [0.0, 0.0, 0.0, 0.0]
+    _, solution = _read_csv(tmp_path / "solution.csv")
+    assert max(float(row[0]) for row in solution) == 0.3
+    assert all(row[1] == row[2] and float(row[3]) == 0.0 for row in solution)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_periodic_keeps_the_problems_default_domain(tmp_path, monkeypatch, source):
     specs = []

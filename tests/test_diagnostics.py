@@ -23,7 +23,7 @@ from sbpkit.diagnostics import (
     reference_solution,
 )
 from sbpkit.operators import find_operator
-from sbpkit.solver import BlockState, Interval, ProblemSpec, run
+from sbpkit.solver import BlockState, Interval, ProblemSpec, run, ssprk33_step
 from sbpkit.spaces import make_space
 
 UNIT = Interval(0.0, 1.0)
@@ -33,6 +33,100 @@ def _state_with(space_text: str, u) -> BlockState:
     op = find_operator(make_space(space_text, UNIT))
     u = np.asarray(u, dtype=float)[None, :]
     return BlockState(u=u, operator=op, edges=(0.0, 1.0), t=0.0)
+
+
+#: values that are no real, finite number, or are booleans
+_NOT_NUMBERS = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "text": "1",
+    "none": None,
+    "complex": 1j,
+    "nan": math.nan,
+    "inf": math.inf,
+    "huge": 10**400,
+}
+
+
+def _sine_advection(**numbers) -> ProblemSpec:
+    return ProblemSpec(
+        kind="advection", domain=UNIT, initial_condition=np.sin, **numbers
+    )
+
+
+def _study(**numbers):
+    return convergence_table(_sine_advection(), ["trig:d=1"], [2], **numbers)
+
+
+#: each number parameter: its name and a call that passes it the value v,
+#: given a one-block state st
+_NUMBER_CALLS = {
+    "ProblemSpec-wave_speed": (
+        "wave_speed",
+        lambda st, v: _sine_advection(wave_speed=v),
+    ),
+    "ProblemSpec-source_coefficient": (
+        "source_coefficient",
+        lambda st, v: _sine_advection(source_coefficient=v),
+    ),
+    "ProblemSpec-sigma": ("sigma", lambda st, v: _sine_advection(sigma=v)),
+    "BlockState-t": (
+        "t",
+        lambda st, v: BlockState(u=st.u, operator=st.operator, edges=st.edges, t=v),
+    ),
+    "ssprk33_step-dt": ("dt", lambda st, v: ssprk33_step(lambda s, t: -s.u, st, v)),
+    "run-cfl": ("cfl", lambda st, v: run(_sine_advection(), "trig:d=1", cfl=v)),
+    "run-t_final": (
+        "t_final",
+        lambda st, v: run(_sine_advection(), "trig:d=1", t_final=v),
+    ),
+    "convergence_table-cfl": ("cfl", lambda st, v: _study(cfl=v)),
+    "convergence_table-t_final": ("t_final", lambda st, v: _study(t_final=v)),
+    "reference_solution-t": (
+        "t",
+        lambda st, v: reference_solution(
+            ProblemSpec(kind="burgers", domain=UNIT, initial_condition=_bumpy), v
+        ),
+    ),
+    "burgers_reference-t": ("t", lambda st, v: burgers_reference(_bumpy, 0.5, v)),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{call}-{value_id}")
+        for call in _NUMBER_CALLS
+        for value_id, value in _NOT_NUMBERS.items()
+        # sigma=None stands for the kind's default strength
+        if not (call == "ProblemSpec-sigma" and value is None)
+    ],
+)
+def test_number_parameters_refuse_values_by_name(monkeypatch, call, value):
+    state = _state_with("poly:d=1", [1.0, 1.0])
+    name, fn = _NUMBER_CALLS[call]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a refused number must stop the call before a search")
+
+    monkeypatch.setattr(sbpkit.solver, "find_operator", no_search)
+    with pytest.raises(ValueError) as exc:
+        fn(state, value)
+    assert re.match(
+        rf"{name} must be (a number|finite|a finite real number), got ", str(exc.value)
+    )
+
+
+def test_number_parameters_are_stored_as_floats():
+    spec = _sine_advection(
+        wave_speed=2, source_coefficient=np.float32(0.5), sigma=np.int64(1)
+    )
+    for value in (spec.wave_speed, spec.source_coefficient, spec.sigma):
+        assert type(value) is float
+    assert (spec.wave_speed, spec.source_coefficient, spec.sigma) == (2.0, 0.5, 1.0)
+    st = _state_with("poly:d=1", [1.0, 1.0])
+    later = BlockState(u=st.u, operator=st.operator, edges=st.edges, t=np.float64(0.25))
+    assert type(later.t) is float and later.t == 0.25
 
 
 def test_mass_and_energy_hand_sums():
@@ -435,7 +529,11 @@ def test_reference_solution_is_bit_identical_to_the_former_closures(case, at_zer
         (np.linspace(left, right, 41), rng.uniform(left, right, 64))
     )
     got = reference_solution(spec, t)(x)
-    want = _former_reference_solution(spec, t)(x)
+    if at_zero and inflow is None:
+        # the former closures wrapped x = right onto the left end at t = 0
+        want = np.asarray(spec.initial_condition(x), dtype=float)
+    else:
+        want = _former_reference_solution(spec, t)(x)
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 

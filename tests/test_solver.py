@@ -178,6 +178,7 @@ def test_block_state_validates_its_grid():
         BlockState(u=u, operator=op, edges=(0.0, 0.5, 0.5), t=0.0)
     state = BlockState(u=u, operator=op, edges=(0.0, 0.25, 1.0), t=0.0)
     np.testing.assert_array_equal(state.s, [0.25, 0.75])
+    assert state.total_nodes == state.n_blocks * op.n_nodes == 2 * op.n_nodes
     for nodes, mapped in zip(state.nodes, state.operators):
         np.testing.assert_array_equal(nodes, mapped.nodes)
 

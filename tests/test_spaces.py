@@ -37,6 +37,10 @@ def test_interval_rejects_empty_and_non_finite():
         Interval(2.0, -1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
+    # an int too large for a float is no finite end either
+    for left, right in ((0, 10**400), (-(10**400), 0)):
+        with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
+            Interval(left, right)
     iv = Interval(-2.0, 3.0)
     assert iv.width == 5.0
     assert iv.contains([-2.0, 0.0, 3.0])
