@@ -21,7 +21,7 @@ import numpy as np
 
 from .operators import _study_scope
 from .solver import BlockState, ProblemSpec, _block_count
-from .spaces import FunctionSpace, _real
+from .spaces import FunctionSpace, _real, _reals
 
 __all__ = [
     "DiagnosticsRecord",
@@ -132,7 +132,7 @@ def burgers_reference(
     result.
     """
     t = _real(t, "t")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(_reals(x, "x"))
     if t == 0.0:
         out = np.asarray(u0(xs), dtype=float)
         return out if np.ndim(x) else float(out[0])
@@ -272,12 +272,15 @@ def error_report(
 ) -> ErrorReport:
     """Error norms of a state against a reference function of x.
 
-    The reference is evaluated once on the flattened block nodes.
+    The reference is evaluated once on the flattened block nodes.  Its
+    values must be real; where they or the errors are not finite, or the
+    squared errors overflow, the norms are inf or NaN.
     """
     nodes = state.nodes
-    ref = np.asarray(reference(nodes.ravel()), dtype=float)
+    ref = _reals(reference(nodes.ravel()), "reference values")
     e = state.u - ref.reshape(nodes.shape)
-    sq = e * e
+    with np.errstate(over="ignore"):
+        sq = e * e
     return ErrorReport(
         err_p=math.sqrt(float(state.s @ (sq @ state.operator.p))),
         err_2=math.sqrt(float(np.sum(sq)) / e.size),

@@ -43,6 +43,8 @@ from .spaces import (
     _amax,
     _amin,
     _on_grid,
+    _real,
+    _reals,
     affine_map,
     make_space,
 )
@@ -102,7 +104,7 @@ class FsbpOperator:
 
     def __post_init__(self) -> None:
         for name in ("nodes", "p", "Q", "D"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _reals(getattr(self, name), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.nodes.size
@@ -413,20 +415,10 @@ def _load_and_check(path) -> tuple[FsbpOperator, SbpReport, ExactnessReport]:
             raise ValueError(f"space must be text, got {kind!r}")
         if not (isinstance(domain, list) and len(domain) == 2):
             raise ValueError("domain must be [left, right]")
-        numeric = required[1:]
-        try:
-            if any(_holds_text_or_bool(data[key]) for key in numeric):
-                raise ValueError("got text or a boolean")
-            left, right = float(domain[0]), float(domain[1])
-            nodes, weights, Q, D = (
-                np.asarray(data[key], dtype=float) for key in numeric[1:]
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"domain and arrays must hold numbers ({exc})") from exc
-        # asarray turns a null entry (None) into nan without complaint
+        nodes, weights, Q, D = (_reals(data[key], key) for key in required[2:])
         if not all(np.all(np.isfinite(a)) for a in (nodes, weights, Q, D)):
             raise ValueError("arrays must hold finite numbers")
-        space = make_space(kind, Interval(left, right))
+        space = make_space(kind, Interval(*(_real(v, "domain") for v in domain)))
         op = FsbpOperator(space=space, nodes=nodes, p=weights, Q=Q, D=D)
         # both checks share the space's one evaluation on the grid
         report = verify_sbp(op)
@@ -435,9 +427,3 @@ def _load_and_check(path) -> tuple[FsbpOperator, SbpReport, ExactnessReport]:
         raise ValueError(f"operator file {path}: {exc}") from exc
     return op, report, exact
 
-
-def _holds_text_or_bool(value) -> bool:
-    # float() and asarray take "1" and True as numbers
-    if isinstance(value, list):
-        return any(_holds_text_or_bool(item) for item in value)
-    return isinstance(value, (str, bool))

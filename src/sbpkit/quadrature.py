@@ -32,6 +32,7 @@ from .spaces import (
     _amax,
     _amin,
     _on_grid,
+    _reals,
     _whole_count,
 )
 
@@ -68,8 +69,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = _reals(self.nodes, "nodes")
+        weights = _reals(self.weights, "weights")
         if nodes.ndim != 1 or weights.shape != nodes.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size < 2:
@@ -118,7 +119,7 @@ def _equispaced(interval: Interval, n: int) -> np.ndarray:
     the right end set exactly.  Below two nodes, or when the step
     underflows to zero, numpy's function itself runs.
     """
-    left, right = float(interval.left), float(interval.right)
+    left, right = interval.left, interval.right
     step = (right - left) / (n - 1) if n >= 2 else 0.0
     if step == 0.0:
         return np.linspace(left, right, n)

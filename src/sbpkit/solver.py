@@ -19,6 +19,7 @@ Runge-Kutta scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,7 @@ from .spaces import (
     _all_finite,
     _amax,
     _real,
+    _reals,
     _whole_count,
     make_space,
 )
@@ -53,13 +55,6 @@ PROBLEM_KINDS = ("advection", "burgers")
 
 class InstabilityError(RuntimeError):
     """The time integration produced non-finite values."""
-
-
-def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as floats, refusing complex values the cast would truncate."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{what} must be real, got complex values")
-    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,13 @@ class BlockState:
 
     def __post_init__(self) -> None:
         iv = self.operator.space.interval
-        edges = np.array(self.edges, dtype=float)
+        edges = np.array(_reals(self.edges, "edges"))  # a copy, as it is frozen
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError(
                 "edges must be a 1-D sequence of at least 2 block edges, "
                 f"got shape {edges.shape}"
             )
-        u = _real_array(self.u, "block state values")
+        u = _reals(self.u, "u")
         if u.shape != (edges.size - 1, self.operator.n_nodes):
             raise ValueError(
                 f"values of shape {u.shape} do not match {edges.size - 1} "
@@ -255,7 +250,7 @@ class BlockState:
         arrays and never builds these.
         """
         return tuple(
-            affine_block_operator(self.operator, Interval(float(a), float(b)))
+            affine_block_operator(self.operator, Interval(a, b))
             for a, b in zip(self.edges[:-1], self.edges[1:])
         )
 
@@ -403,6 +398,11 @@ def _require_finite(what: str, v: np.ndarray, name: str, at: np.ndarray) -> None
         raise ValueError(f"{what} must be finite, got {v[i]} at {name}={at[i]:.6g}")
 
 
+def _finite_record(record) -> bool:
+    """Whether a diagnostics record's mass and energy are both finite."""
+    return math.isfinite(record.mass) and math.isfinite(record.energy)
+
+
 def _block_count(value) -> int:
     """``value`` as a block count: a whole number of at least 1."""
     n = _whole_count(value, "block count")
@@ -456,7 +456,7 @@ def run(
         u=np.zeros((n_blocks, ref_op.n_nodes)), operator=ref_op, edges=edges, t=0.0
     )
     nodes = state.nodes
-    u = _real_array(spec.initial_condition(nodes.ravel()), "initial condition values")
+    u = _reals(spec.initial_condition(nodes.ravel()), "initial condition values")
     if u.shape != (nodes.size,):
         raise ValueError("initial condition must return one value per node")
     _require_finite("initial condition", u, "x", nodes.ravel())
@@ -476,14 +476,20 @@ def run(
     rhs_fn = lambda st, t: rhs(st, t, spec)
     spacing = float(np.min(np.diff(nodes, axis=1)))
 
-    history = [DiagnosticsRecord(0.0, mass(state), energy(state))]
     steps = 0
     end = t_final - 1e-12 * max(1.0, t_final)
     # the advection wave speed is constant, so its step is too
     fixed_dt = None if spec.kind == "burgers" else cfl * spacing / spec.wave_speed
-    # a blow-up overflows on its way to inf or nan; every stage is checked
-    # for finite values, so it raises InstabilityError, not a numpy warning
+    # a blow-up overflows on its way to inf or nan; every stage and every
+    # recorded mass and energy is checked for finite values, so it raises
+    # InstabilityError (ValueError at t = 0), not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        history = [DiagnosticsRecord(0.0, mass(state), energy(state))]
+        if not _finite_record(history[0]):
+            raise ValueError(
+                "initial condition values give a non-finite mass or energy: "
+                f"mass {history[0].mass}, energy {history[0].energy}"
+            )
         while state.t < end:
             dt = fixed_dt
             if dt is None:  # Burgers: the wave speed is max|u|, at least 1
@@ -496,4 +502,8 @@ def run(
                 state = state._on_same_grid(state.u, t_final)
             steps += 1
             history.append(DiagnosticsRecord(state.t, mass(state), energy(state)))
+            if not _finite_record(history[-1]):
+                raise InstabilityError(
+                    f"non-finite mass or energy near t={state.t:.6g}"
+                )
     return RunResult(state=state, history=tuple(history), steps=steps)

@@ -25,8 +25,6 @@ used by the quadrature and operator builders.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -103,6 +101,8 @@ def _real(value, name: str) -> float:
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, got {value}")
     try:  # text, None and complex raise TypeError, a huge int OverflowError
+        if isinstance(value, np.complexfloating):  # which casts with a warning
+            raise TypeError
         finite = math.isfinite(value)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name} must be a finite real number, got {value!r}") from exc
@@ -111,39 +111,62 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+#: what an array of a dtype kind that is not real holds, for the refusal
+_KINDS = {"b": "booleans", "c": "complex values", "O": "None or objects", "U": "text"}
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, if it holds real numbers only.
+
+    Text, booleans (also in a list, where numpy takes True for 1.0),
+    ``None``, complex values and ragged lists raise ``ValueError`` naming
+    ``name``; shape and finiteness are the caller's to check.
+    """
+    if type(values) is np.ndarray and values.dtype == float:  # the usual case
+        return values
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nested list
+        raise ValueError(f"{name} must hold real numbers, got a ragged list") from None
+    kind = "b" if _holds_bool(values) else arr.dtype.kind
+    if kind not in "iuf":
+        got = _KINDS.get(kind, f"{arr.dtype} values")
+        raise ValueError(f"{name} must hold real numbers, got {got}")
+    return arr.astype(float, copy=False)
+
+
+def _holds_bool(values) -> bool:
+    # a boolean anywhere in a (nested) list or tuple
+    if isinstance(values, (list, tuple)):
+        return any(_holds_bool(v) for v in values)
+    return isinstance(values, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Nonempty closed interval ``[left, right]`` of finite width.
 
-    The ends must be real numbers, and not booleans.
+    Its ends must be finite real numbers, not booleans, and are stored as floats.
     """
 
     left: float
     right: float
 
     def __post_init__(self) -> None:
-        # a bool is a numbers.Real, but True is no interval end
-        if not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool)
-            for v in (self.left, self.right)
-        ):
+        left = _real(self.left, "interval left end")
+        right = _real(self.right, "interval right end")
+        if not left < right:
             raise ValueError(
-                "interval endpoints must be real numbers, "
-                f"got left={self.left!r}, right={self.right!r}"
-            )
-        # compared exactly, so an int too large for a float fails too
-        if not all(abs(v) <= sys.float_info.max for v in (self.left, self.right)):
-            raise ValueError("interval endpoints must be finite")
-        if not self.left < self.right:
-            raise ValueError(
-                f"empty interval: left={self.left!r} is not below right={self.right!r}"
+                f"empty interval: left={left!r} is not below right={right!r}"
             )
         # in Python floats, so that an overflow gives inf and no numpy warning
-        if not math.isfinite(float(self.right) - float(self.left)):
+        if not math.isfinite(right - left):
             raise ValueError(
-                f"interval width overflows: right={self.right!r} minus "
-                f"left={self.left!r} is not a finite number"
+                f"interval width overflows: right={right!r} minus "
+                f"left={left!r} is not a finite number"
             )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def width(self) -> float:
@@ -154,7 +177,7 @@ class Interval:
 
         A NaN or infinite point is refused; an empty array is accepted.
         """
-        x = np.asarray(x, dtype=float)
+        x = _reals(x, "x")
         slack = 1e-12 * self.width
         # the min and max of an array holding NaN are NaN, which fails both
         # comparisons, so non-finite points need no separate check
@@ -236,11 +259,11 @@ class FunctionSpace:
                     f"interval ends, expected (2, dim)"
                 )
             object.__setattr__(self, "dim", shape[1])
-            _require_finite(self, "values", ends, V_ends)
+            V_ends = _require_finite(self, "values", ends, V_ends)
             _check_derivatives(self)
             grid = np.linspace(iv.left, iv.right, max(257, 4 * self.dim + 1))
             V = self.values(grid)
-        _require_finite(self, "values", grid, V)
+        V = _require_finite(self, "values", grid, V)
         rank = _numerical_rank(V)
         if rank != self.dim:
             raise ValueError(
@@ -260,8 +283,9 @@ class FunctionSpace:
         object.__setattr__(self, "moments", moments)
 
 
-def _require_finite(space: FunctionSpace, what: str, x: np.ndarray, M) -> None:
-    # M holds the space's ``what`` (values or derivatives) at the points x
+def _require_finite(space: FunctionSpace, what: str, x: np.ndarray, M) -> np.ndarray:
+    # M as floats, if it holds the space's finite ``what`` at the points x
+    M = _reals(M, f"space {space.kind!r}: {what}")
     finite = np.isfinite(M)
     if not finite.all():
         i, k = np.unravel_index(np.argmin(finite), finite.shape)
@@ -269,6 +293,7 @@ def _require_finite(space: FunctionSpace, what: str, x: np.ndarray, M) -> None:
             f"space {space.kind!r}: {what} of column {k} are not finite "
             f"near x={x[i]:.6g}"
         )
+    return M
 
 
 def _check_derivatives(space: FunctionSpace) -> None:
@@ -284,12 +309,11 @@ def _check_derivatives(space: FunctionSpace) -> None:
             f"space {space.kind!r}: derivatives gave shape {np.shape(exact)} "
             f"for {x.size} points, values have {space.dim} columns"
         )
-    _require_finite(space, "derivatives", x, exact)
+    exact = _require_finite(space, "derivatives", x, exact)
     # divide by the step actually taken: x +- h rounds when |x| >> width
     xp, xm = x + h, x - h
     x_pm = np.concatenate([xp, xm])
-    V_pm = space.values(x_pm)
-    _require_finite(space, "values", x_pm, V_pm)
+    V_pm = _require_finite(space, "values", x_pm, space.values(x_pm))
     plus, minus = np.split(V_pm, 2)
     approx = (plus - minus) / (xp - xm)[:, None]
     excess = np.abs(approx - exact) - _FD_RTOL * (1.0 + np.abs(exact))
@@ -318,7 +342,7 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
     a, b = interval.left, interval.right
     # in Python floats, so that an overflow gives inf and no numpy warning;
     # 2*x and a + b are both at most twice the larger end in size
-    if not math.isfinite(2.0 * max(abs(float(a)), abs(float(b)))):
+    if not math.isfinite(2.0 * max(abs(a), abs(b))):
         raise ValueError(
             f"polynomial space: the map of [{a!r}, {b!r}] onto [-1, 1] "
             f"overflows, since twice an end is not a finite number"
@@ -412,7 +436,7 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
             f"exponential-space degree must be <= 17, got {degree}: from degree "
             f"18 on, the power-form Legendre columns lose digits to cancellation"
         )
-    if not math.isfinite(float(interval.left) + float(interval.right)):
+    if not math.isfinite(interval.left + interval.right):
         raise ValueError(
             f"exponential space: the midpoint of [{interval.left!r}, "
             f"{interval.right!r}] overflows, since left + right is not a "
@@ -497,12 +521,7 @@ def rbf_cubic_space(
     includes both interval endpoints; they may come in any order and are
     sorted here, so ``[1, 0, 0.5]`` builds ``rbf-cubic:centers=0,0.5,1``.
     """
-    try:
-        c = np.asarray(list(centers), dtype=float)
-    except ValueError as exc:  # a ragged nested list, or a center that is text
-        raise ValueError(
-            f"radial centers must be a flat list of numbers: {exc}"
-        ) from None
+    c = _reals(centers, "radial centers")
     if c.ndim != 1:
         raise ValueError(
             f"radial centers must be a flat list of numbers, got shape {c.shape}"
@@ -524,7 +543,7 @@ def rbf_cubic_space(
 
     # the kernel |x - c|**3 reaches the cube of the spread of centers and
     # points; cubed in Python floats, so that an overflow gives inf
-    spread = max(float(c[-1]) - float(c[0]), float(interval.width))
+    spread = max(float(c[-1]) - float(c[0]), interval.width)
     if not math.isfinite(spread * spread * spread):
         raise ValueError(
             f"radial centers spread over {spread!r}, whose cube in the kernel "
@@ -631,7 +650,7 @@ def affine_map(space: FunctionSpace, interval: Interval) -> FunctionSpace:
 
 
 def _validated_grid(space: FunctionSpace, grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
+    g = _reals(grid, "grid")
     if g.ndim == 0:  # a single point, as np.atleast_1d would reshape it
         g = g.reshape(1)
     if g.ndim != 1:

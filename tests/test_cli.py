@@ -238,8 +238,7 @@ def test_verify_refuses_text_for_numbers(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out)]) == 1
     err = capsys.readouterr().err
-    message = f"error: operator file {out}: domain and arrays must hold numbers"
-    assert err.startswith(message)
+    assert err == f"error: operator file {out}: nodes must hold real numbers, got text\n"
 
 
 def test_run_writes_expected_csv_columns(tmp_path):
@@ -577,6 +576,19 @@ def test_convergence_blow_up_exits_unstable_without_a_warning(tmp_path, capsys):
     assert "RuntimeWarning" not in err
 
 
+def test_run_whose_energy_overflows_exits_unstable(tmp_path, capsys):
+    # at sigma = 10 the values stay finite while their squares overflow;
+    # the inf energy is an instability, not a warning and an exit 0
+    rc = main(["run", "--problem", "advection", "--space", "trig:d=4",
+               "--blocks", "10", "--tfinal", "0.5", "--cfl", "0.5",
+               "--sigma", "10", "--out", str(tmp_path)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "unstable: non-finite mass or energy near t=0.422222\n"
+    assert captured.out == ""
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_convergence_rejects_a_repeated_block_count(tmp_path, capsys):
     rc = main(["convergence", "--problem", "burgers", "--space", "poly:d=2",
                "--blocks", "10", "10", "--out", str(tmp_path)])
@@ -647,11 +659,11 @@ def test_malformed_grid_names_the_file(tmp_path, capsys, move, message, route):
         ),
         (
             lambda d: {**d, "weights": ["0.1", *d["weights"][1:]]},
-            "domain and arrays must hold numbers (got text or a boolean)",
+            "weights must hold real numbers, got text",
         ),
         (
             lambda d: {**d, "Q": [[None, *d["Q"][0][1:]], *d["Q"][1:]]},
-            "arrays must hold finite numbers",
+            "Q must hold real numbers, got None or objects",
         ),
         (lambda d: {**d, "nodes": [d["nodes"]]}, "inconsistent operator array shapes"),
         (lambda d: {**d, "Q": d["Q"][:-1]}, "inconsistent operator array shapes"),

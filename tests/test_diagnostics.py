@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +24,16 @@ from sbpkit.diagnostics import (
     mass,
     reference_solution,
 )
-from sbpkit.operators import find_operator
+from sbpkit.operators import find_operator, read_operator, write_operator
+from sbpkit.quadrature import QuadratureRule
 from sbpkit.solver import BlockState, Interval, ProblemSpec, run, ssprk33_step
-from sbpkit.spaces import make_space
+from sbpkit.spaces import (
+    FunctionSpace,
+    make_space,
+    rbf_cubic_space,
+    vandermonde,
+    vandermonde_derivative,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -42,6 +51,7 @@ _NOT_NUMBERS = {
     "text": "1",
     "none": None,
     "complex": 1j,
+    "numpy-complex": np.complex128(1 + 2j),
     "nan": math.nan,
     "inf": math.inf,
     "huge": 10**400,
@@ -127,6 +137,150 @@ def test_number_parameters_are_stored_as_floats():
     st = _state_with("poly:d=1", [1.0, 1.0])
     later = BlockState(u=st.u, operator=st.operator, edges=st.edges, t=np.float64(0.25))
     assert type(later.t) is float and later.t == 0.25
+
+
+def _first_leaf_set(a: np.ndarray, leaf) -> list:
+    # a as nested lists, with its first entry replaced by leaf
+    items = a.tolist()
+    inner = items
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = leaf
+    return items
+
+
+#: each way an array argument can hold something that is no real number:
+#: a function that spoils a valid float array, and the refusal's "got" text
+_NOT_REALS = {
+    "text": (lambda a: a.astype(str).tolist(), "text"),
+    "bool-in-list": (lambda a: _first_leaf_set(a, True), "booleans"),
+    "numpy-bool": (lambda a: np.ones(a.shape, dtype=bool), "booleans"),
+    "none": (lambda a: _first_leaf_set(a, None), "None or objects"),
+    "complex": (lambda a: a + 1j, "complex values"),
+}
+
+def _user_space(values, derivatives) -> FunctionSpace:
+    return FunctionSpace(UNIT, values, derivatives, kind="user")
+
+
+#: each array argument: the name its refusal gives, and a call that passes
+#: it bad(valid value), given a one-block poly:d=1 state st
+_ARRAY_CALLS = {
+    "QuadratureRule-nodes": (
+        "nodes",
+        lambda st, bad: QuadratureRule(bad(np.array([0.0, 0.5, 1.0])), [0.25] * 3),
+    ),
+    "QuadratureRule-weights": (
+        "weights",
+        lambda st, bad: QuadratureRule([0.0, 0.5, 1.0], bad(np.full(3, 0.25))),
+    ),
+    **{
+        f"FsbpOperator-{name}": (
+            name,
+            lambda st, bad, name=name: replace(
+                st.operator, **{name: bad(getattr(st.operator, name))}
+            ),
+        )
+        for name in ("nodes", "p", "Q", "D")
+    },
+    "BlockState-u": (
+        "u",
+        lambda st, bad: BlockState(
+            u=bad(st.u), operator=st.operator, edges=st.edges, t=0.0
+        ),
+    ),
+    "BlockState-edges": (
+        "edges",
+        lambda st, bad: BlockState(
+            u=st.u, operator=st.operator, edges=bad(st.edges), t=0.0
+        ),
+    ),
+    "run-initial_condition": (
+        "initial condition values",
+        lambda st, bad: run(
+            ProblemSpec(
+                kind="advection",
+                domain=UNIT,
+                initial_condition=lambda x: bad(np.sin(x)),
+            ),
+            "trig:d=1",
+        ),
+    ),
+    "rbf_cubic_space-centers": (
+        "radial centers",
+        lambda st, bad: rbf_cubic_space(bad(np.array([0.0, 0.5, 1.0])), UNIT),
+    ),
+    "vandermonde-grid": (
+        "grid",
+        lambda st, bad: vandermonde(st.operator.space, bad(np.array([0.0, 0.5]))),
+    ),
+    "vandermonde_derivative-grid": (
+        "grid",
+        lambda st, bad: vandermonde_derivative(
+            st.operator.space, bad(np.array([0.0, 0.5]))
+        ),
+    ),
+    "Interval.contains-x": ("x", lambda st, bad: UNIT.contains(bad(np.zeros(2)))),
+    "FunctionSpace-values": (
+        "space 'user': values",
+        lambda st, bad: _user_space(
+            lambda x: bad(np.ones((len(x), 1))), lambda x: np.zeros((len(x), 1))
+        ),
+    ),
+    "FunctionSpace-derivatives": (
+        "space 'user': derivatives",
+        lambda st, bad: _user_space(
+            lambda x: np.ones((len(x), 1)), lambda x: bad(np.zeros((len(x), 1)))
+        ),
+    ),
+    "burgers_reference-x": (
+        "x",
+        lambda st, bad: burgers_reference(_bumpy, bad(np.array([0.25, 0.5])), 0.01),
+    ),
+    "error_report-reference": (
+        "reference values",
+        lambda st, bad: error_report(st, lambda x: bad(np.zeros_like(x))),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{call}-{value}")
+        for call in _ARRAY_CALLS
+        for value in _NOT_REALS
+    ],
+)
+def test_array_arguments_refuse_values_by_name(call, value):
+    state = _state_with("poly:d=1", [1.0, 1.0])
+    name, fn = _ARRAY_CALLS[call]
+    bad, got = _NOT_REALS[value]
+    with pytest.raises(ValueError) as exc:
+        fn(state, bad)
+    assert str(exc.value) == f"{name} must hold real numbers, got {got}"
+
+
+@pytest.mark.parametrize("key", ["nodes", "weights", "Q", "D"])
+@pytest.mark.parametrize(
+    # JSON has no complex numbers
+    "value",
+    [value for value in _NOT_REALS if value != "complex"],
+)
+def test_operator_file_arrays_refuse_values_by_name(tmp_path, key, value):
+    state = _state_with("poly:d=1", [1.0, 1.0])
+    path = tmp_path / "op.json"
+    write_operator(state.operator, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    bad, got = _NOT_REALS[value]
+    spoiled = bad(np.array(data[key]))
+    data[key] = spoiled.tolist() if isinstance(spoiled, np.ndarray) else spoiled
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_operator(path)
+    assert str(exc.value) == (
+        f"operator file {path}: {key} must hold real numbers, got {got}"
+    )
 
 
 def test_mass_and_energy_hand_sums():

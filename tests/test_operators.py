@@ -355,6 +355,10 @@ def test_read_rejects_malformed_files(tmp_path):
             read_operator(bad)
 
 
+#: what each array of test_read_refuses_text_and_booleans_for_numbers holds
+_GOT = {"nodes": "text", "weights": "text", "Q": "text", "D": "booleans"}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -379,8 +383,12 @@ def test_read_refuses_text_and_booleans_for_numbers(tmp_path, key, value):
     path.write_text(json.dumps(fields), encoding="utf-8")
     assert read_operator(path).n_nodes == 2
     path.write_text(json.dumps({**fields, key: value}), encoding="utf-8")
-    message = f"operator file {path}: domain and arrays must hold numbers"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    if key == "domain":
+        refusal = "domain must be a number, got False"
+    else:
+        refusal = f"{key} must hold real numbers, got {_GOT[key]}"
+    message = f"operator file {path}: {refusal}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_operator(path)
 
 

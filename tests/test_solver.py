@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sbpkit.cli
 import sbpkit.operators
 import sbpkit.solver
 import sbpkit.spaces
@@ -546,6 +547,32 @@ def test_stage_check_messages_are_unchanged(bad):
         match=r"^non-finite solution values in block 2 \(and 1 more\) near t=0\.5$",
     ):
         sbpkit.solver._check_finite(u, 0.5)
+
+
+def test_run_whose_energy_overflows_is_unstable():
+    # with sigma = 10 the values grow to about 1e170 and stay finite, but
+    # their squares overflow: the recorded energy is inf, which is an
+    # instability, and no numpy warning escapes (warnings are errors here)
+    spec = ProblemSpec(
+        kind="advection", domain=UNIT, initial_condition=sbpkit.cli._oscillatory,
+        sigma=10.0,
+    )
+    with pytest.raises(
+        InstabilityError, match=r"^non-finite mass or energy near t=0\.422222$"
+    ):
+        run(spec, "trig:d=4", n_blocks=10, t_final=0.5, cfl=0.5)
+
+
+def test_run_refuses_initial_values_whose_energy_overflows():
+    spec = ProblemSpec(
+        kind="advection", domain=UNIT, initial_condition=lambda x: 0 * x + 1e200
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"^initial condition values give a non-finite mass or energy: "
+        r"mass [0-9.e+]+, energy inf$",
+    ):
+        run(spec, "trig:d=1", t_final=0.1)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (3, 0)])
