@@ -307,11 +307,7 @@ def _cmd_run(args) -> int:
     wallclock = time.perf_counter() - start
 
     nodes = result.state.nodes.ravel()
-    uref = (
-        np.asarray(ref(nodes), dtype=float)
-        if ref is not None
-        else np.full(nodes.size, np.nan)
-    )
+    uref = ref(nodes) if ref is not None else np.full(nodes.size, np.nan)
     # reuse the reference values already evaluated on these nodes; NaN
     # values (no reference) give NaN norms
     err = error_report(result.state, lambda _nodes: uref)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .operators import _study_scope
 from .solver import BlockState, ProblemSpec, _block_count
-from .spaces import FunctionSpace, _real, _reals
+from .spaces import FunctionSpace, _real, _reals, _samples
 
 __all__ = [
     "DiagnosticsRecord",
@@ -134,8 +134,8 @@ def burgers_reference(
     t = _real(t, "t")
     xs = np.atleast_1d(_reals(x, "x"))
     if t == 0.0:
-        out = np.asarray(u0(xs), dtype=float)
-        return out if np.ndim(x) else float(out[0])
+        out = _samples(u0(xs), "u0 values", ("x", xs), xs.shape)
+        return out if np.ndim(x) else out.item()
     shape = xs.shape
     xs, back = np.unique(xs, return_inverse=True)
 
@@ -199,8 +199,8 @@ def burgers_reference(
         xi, f = cand, fc
     else:
         raise ValueError("characteristic solve did not reach the residual target")
-    out = np.asarray(u0(feet), dtype=float)[back].reshape(shape)
-    return out if np.ndim(x) else float(out[0])
+    out = _samples(u0(feet), "u0 values", ("x", feet), feet.shape)[back].reshape(shape)
+    return out if np.ndim(x) else out.item()
 
 
 def reference_solution(
@@ -217,9 +217,10 @@ def reference_solution(
     t = _real(t, "t")
     u0 = spec.initial_condition
     dom = spec.domain
+    initial = lambda x: _samples(u0(x), "initial condition values", ("x", x), x.shape)
     if spec.inflow is None and t == 0.0:
         # a wrap would read u0(left) at x = right, where the data may differ
-        return lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
+        return lambda x: initial(np.asarray(x, dtype=float))
     if spec.kind == "advection":
         a = spec.wave_speed
         c = spec.source_coefficient
@@ -228,7 +229,7 @@ def reference_solution(
 
             def periodic(x):
                 xi = _wrap(np.asarray(x, dtype=float) - a * t, dom)
-                return growth * np.asarray(u0(xi), dtype=float)
+                return growth * initial(xi)
 
             return periodic
 
@@ -238,13 +239,13 @@ def reference_solution(
             inside = xi >= dom.left
             vals = np.empty_like(x)
             if np.any(inside):
-                vals[inside] = growth * np.asarray(u0(xi[inside]), dtype=float)
+                vals[inside] = growth * initial(xi[inside])
             if np.any(~inside):
                 # characteristic entered through the left boundary
                 entry_delay = (x[~inside] - dom.left) / a
-                g = np.array(
-                    [float(spec.inflow(t - d)) for d in entry_delay]
-                )
+                ts = t - entry_delay
+                g = [spec.inflow(s) for s in ts]
+                g = _samples(g, "inflow values", ("t", ts), ts.shape)
                 vals[~inside] = np.exp(c * entry_delay) * g
             return vals
 
@@ -252,7 +253,7 @@ def reference_solution(
 
     if spec.inflow is not None:
         return None
-    ul, ur = np.asarray(u0(np.array([dom.left, dom.right])), dtype=float)
+    ul, ur = initial(np.array([dom.left, dom.right]))
     if abs(ul - ur) > _PERIODIC_TOL * max(1.0, abs(ul), abs(ur)):
         raise ValueError(
             "periodic Burgers data must take one value at both ends of "
@@ -273,11 +274,13 @@ def error_report(
     """Error norms of a state against a reference function of x.
 
     The reference is evaluated once on the flattened block nodes.  Its
-    values must be real; where they or the errors are not finite, or the
-    squared errors overflow, the norms are inf or NaN.
+    values must be real, one per node; where they or the errors are not
+    finite, or the squared errors overflow, the norms are inf or NaN.
     """
     nodes = state.nodes
     ref = _reals(reference(nodes.ravel()), "reference values")
+    if ref.size != nodes.size:
+        raise ValueError(f"reference values gave {ref.size} for {nodes.size} nodes")
     e = state.u - ref.reshape(nodes.shape)
     with np.errstate(over="ignore"):
         sq = e * e
@@ -344,7 +347,7 @@ def convergence_table(
     nodes = [state.nodes.ravel() for level in states for state in level]
     if not nodes:
         return []
-    values = np.asarray(ref(np.concatenate(nodes)), dtype=float)
+    values = ref(np.concatenate(nodes))
     per_level = iter(np.split(values, np.cumsum([x.size for x in nodes[:-1]])))
     rows: list[ConvergenceRow] = []
     for entry, space, level in zip(space_specs, spaces, states):

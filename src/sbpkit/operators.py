@@ -40,6 +40,7 @@ from .spaces import (
     RANK_RTOL,
     FunctionSpace,
     Interval,
+    _all_finite,
     _amax,
     _amin,
     _on_grid,
@@ -415,9 +416,10 @@ def _load_and_check(path) -> tuple[FsbpOperator, SbpReport, ExactnessReport]:
             raise ValueError(f"space must be text, got {kind!r}")
         if not (isinstance(domain, list) and len(domain) == 2):
             raise ValueError("domain must be [left, right]")
-        nodes, weights, Q, D = (_reals(data[key], key) for key in required[2:])
-        if not all(np.all(np.isfinite(a)) for a in (nodes, weights, Q, D)):
-            raise ValueError("arrays must hold finite numbers")
+        nodes, weights, Q, D = arrays = [_reals(data[key], key) for key in required[2:]]
+        for key, a in zip(required[2:], arrays):
+            if not _all_finite(a):
+                raise ValueError(f"{key} must hold finite numbers")
         space = make_space(kind, Interval(*(_real(v, "domain") for v in domain)))
         op = FsbpOperator(space=space, nodes=nodes, p=weights, Q=Q, D=D)
         # both checks share the space's one evaluation on the grid

@@ -34,6 +34,7 @@ from .spaces import (
     _amax,
     _real,
     _reals,
+    _samples,
     _whole_count,
     make_space,
 )
@@ -61,9 +62,10 @@ class InstabilityError(RuntimeError):
 class ProblemSpec:
     """Model problem: equation kind, domain, data and penalty strength.
 
-    ``initial_condition`` maps node arrays to values.  ``inflow`` of
-    ``None`` makes the problem periodic; otherwise it supplies the weak
-    boundary data g(t) at the left end; both must be callable.  Advection
+    ``initial_condition`` maps an array of points to one real, finite value
+    each; a callable ``inflow`` maps a time to one real, finite number, the
+    weak boundary data g(t) at the left end (``None``: periodic).  ``run``
+    and the references refuse other output by name.  Advection
     adds the source ``c u`` for a nonzero ``c = source_coefficient``.
     Burgers has no source and its wave speed is ``u``, so it refuses a
     nonzero ``source_coefficient`` and a ``wave_speed`` other than 1.0.
@@ -390,14 +392,6 @@ class RunResult:
     steps: int
 
 
-def _require_finite(what: str, v: np.ndarray, name: str, at: np.ndarray) -> None:
-    """Refuse non-finite values ``v``, naming the first one and its ``name=at``."""
-    bad = ~np.isfinite(v)
-    if bad.any():
-        i = bad.argmax()
-        raise ValueError(f"{what} must be finite, got {v[i]} at {name}={at[i]:.6g}")
-
-
 def _finite_record(record) -> bool:
     """Whether a diagnostics record's mass and energy are both finite."""
     return math.isfinite(record.mass) and math.isfinite(record.energy)
@@ -435,10 +429,9 @@ def run(
     The step size is ``cfl`` times the smallest node spacing over the
     largest wave speed, refreshed every step for Burgers, and the final
     step is shortened to land on ``t_final`` exactly.  Mass and energy
-    are recorded after every step.  The initial values must be finite,
-    and the inflow, if any, is sampled at 65 times of ``[0, t_final]``
-    before the first step and must be finite there (both nonnegative for
-    Burgers).
+    are recorded after every step.  The inflow, if any, is sampled at 65
+    times of ``[0, t_final]`` before the first step; it and the initial
+    values follow :class:`ProblemSpec`'s rule (nonnegative for Burgers).
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
@@ -456,17 +449,17 @@ def run(
         u=np.zeros((n_blocks, ref_op.n_nodes)), operator=ref_op, edges=edges, t=0.0
     )
     nodes = state.nodes
-    u = _reals(spec.initial_condition(nodes.ravel()), "initial condition values")
-    if u.shape != (nodes.size,):
-        raise ValueError("initial condition must return one value per node")
-    _require_finite("initial condition", u, "x", nodes.ravel())
+    x = nodes.ravel()
+    u = spec.initial_condition(x)
+    u = _samples(u, "initial condition values", ("x", x), x.shape)
 
-    if spec.kind == "burgers" and float(np.min(u)) < -1e-12:
+    if spec.kind == "burgers" and u.min() < -1e-12:
         raise ValueError("Burgers runs require nonnegative initial data")
     if spec.inflow is not None:
         ts = np.linspace(0.0, t_final, 65)
-        g = np.array([float(spec.inflow(t)) for t in ts])
-        _require_finite("inflow", g, "t", ts)
+        # a list, so that a boolean among the samples is refused as one
+        g = [spec.inflow(t) for t in ts]
+        g = _samples(g, "inflow values", ("t", ts), ts.shape)
         if spec.kind == "burgers" and g.min() < -1e-12:
             raise ValueError("Burgers runs require nonnegative inflow data")
 

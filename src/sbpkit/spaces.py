@@ -142,6 +142,30 @@ def _holds_bool(values) -> bool:
     return isinstance(values, (bool, np.bool_))
 
 
+def _samples(values, name: str, at: tuple[str, np.ndarray], shape: tuple) -> np.ndarray:
+    """A callable's output ``values`` as floats, if real, of ``shape`` and finite.
+
+    ``at`` is the name and array of the points the values were taken at, one
+    value or row each; a text entry of ``shape`` is any length from 1, shown
+    by that text.  A refusal is a ``ValueError`` naming ``name``, and for a
+    non-finite entry its point and, in a matrix of values, its column.
+    """
+    arr = _reals(values, name)
+    label, points = at
+    if arr.ndim != len(shape) or any(
+        m < 1 if isinstance(n, str) else m != n for n, m in zip(shape, arr.shape)
+    ):
+        want = str(shape).replace("'", "")
+        raise ValueError(f"{name} gave shape {arr.shape}, expected {want}")
+    if not _all_finite(arr):
+        i, k = divmod(int(np.argmin(np.isfinite(arr))), arr.size // points.size)
+        column = f" of column {k}" if arr.ndim > points.ndim else ""
+        raise ValueError(
+            f"{name}{column} are not finite near {label}={points.flat[i]:.6g}"
+        )
+    return arr
+
+
 @dataclass(frozen=True)
 class Interval:
     """Nonempty closed interval ``[left, right]`` of finite width.
@@ -194,11 +218,12 @@ class FunctionSpace:
     """A function space on an interval, given by two matrix-valued callables.
 
     ``values(x)`` and ``derivatives(x)`` map a 1-D array of points to
-    ``(len(x), dim)`` arrays of basis values and analytic derivatives;
-    ``dim`` is read off ``values`` at the interval ends.  Construction
-    raises ``ValueError`` on a shape mismatch, on values or derivatives
-    that are not finite at its samples, on derivatives that disagree with
-    central differences, or on numerically dependent columns.
+    ``(len(x), dim)`` arrays of real, finite basis values and analytic
+    derivatives; ``dim`` is read off ``values`` at the interval ends.
+    Construction raises ``ValueError`` naming the callable on other output
+    at any sample (a non-finite value also by its column and point), on
+    derivatives that disagree with central differences, or on
+    numerically dependent columns.
 
     ``kind`` is a label: the textual form understood by :func:`make_space`
     for the built-in families, a ``mapped(...)`` tag for affinely mapped
@@ -249,21 +274,14 @@ class FunctionSpace:
         # overflow or a pole shows up as a non-finite sample, which is
         # refused by name and place
         iv = self.interval
+        values = f"space {self.kind!r}: values"
         with np.errstate(all="ignore"):
             ends = np.array([iv.left, iv.right], dtype=float)
-            V_ends = self.values(ends)
-            shape = np.shape(V_ends)
-            if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
-                raise ValueError(
-                    f"space {self.kind!r}: values gave shape {shape} at the two "
-                    f"interval ends, expected (2, dim)"
-                )
-            object.__setattr__(self, "dim", shape[1])
-            V_ends = _require_finite(self, "values", ends, V_ends)
+            V_ends = _samples(self.values(ends), values, ("x", ends), (2, "dim"))
+            object.__setattr__(self, "dim", V_ends.shape[1])
             _check_derivatives(self)
             grid = np.linspace(iv.left, iv.right, max(257, 4 * self.dim + 1))
-            V = self.values(grid)
-        V = _require_finite(self, "values", grid, V)
+            V = _samples(self.values(grid), values, ("x", grid), (grid.size, self.dim))
         rank = _numerical_rank(V)
         if rank != self.dim:
             raise ValueError(
@@ -283,19 +301,6 @@ class FunctionSpace:
         object.__setattr__(self, "moments", moments)
 
 
-def _require_finite(space: FunctionSpace, what: str, x: np.ndarray, M) -> np.ndarray:
-    # M as floats, if it holds the space's finite ``what`` at the points x
-    M = _reals(M, f"space {space.kind!r}: {what}")
-    finite = np.isfinite(M)
-    if not finite.all():
-        i, k = np.unravel_index(np.argmin(finite), finite.shape)
-        raise ValueError(
-            f"space {space.kind!r}: {what} of column {k} are not finite "
-            f"near x={x[i]:.6g}"
-        )
-    return M
-
-
 def _check_derivatives(space: FunctionSpace) -> None:
     # Exactness of the whole construction leans on the analytic derivatives,
     # so every column is cross-checked against central differences.
@@ -303,17 +308,16 @@ def _check_derivatives(space: FunctionSpace) -> None:
     h = _FD_STEP_FACTOR * iv.width
     margin = 0.02 * iv.width
     x = np.linspace(iv.left + margin, iv.right - margin, _FD_SAMPLES)
-    exact = space.derivatives(x)
-    if np.shape(exact) != (x.size, space.dim):
-        raise ValueError(
-            f"space {space.kind!r}: derivatives gave shape {np.shape(exact)} "
-            f"for {x.size} points, values have {space.dim} columns"
-        )
-    exact = _require_finite(space, "derivatives", x, exact)
+    name = f"space {space.kind!r}: "
+    exact = _samples(
+        space.derivatives(x), name + "derivatives", ("x", x), (x.size, space.dim)
+    )
     # divide by the step actually taken: x +- h rounds when |x| >> width
     xp, xm = x + h, x - h
     x_pm = np.concatenate([xp, xm])
-    V_pm = _require_finite(space, "values", x_pm, space.values(x_pm))
+    V_pm = _samples(
+        space.values(x_pm), name + "values", ("x", x_pm), (x_pm.size, space.dim)
+    )
     plus, minus = np.split(V_pm, 2)
     approx = (plus - minus) / (xp - xm)[:, None]
     excess = np.abs(approx - exact) - _FD_RTOL * (1.0 + np.abs(exact))

@@ -163,6 +163,25 @@ def _user_space(values, derivatives) -> FunctionSpace:
     return FunctionSpace(UNIT, values, derivatives, kind="user")
 
 
+def _spoiled_reference(bad, t, x, **spec):
+    # the reference at t of advection (or of spec's kind) with u0 = sin
+    # spoiled by bad, at the points x
+    spec = {"kind": "advection", "domain": UNIT, **spec}
+    spec["initial_condition"] = lambda x: bad(np.sin(x))
+    return reference_solution(ProblemSpec(**spec), t)(np.array(x))
+
+
+def _burgers_last_call_spoiled(bad, x, t):
+    # burgers_reference with u0 = _bumpy, whose last call (the values at the
+    # feet) returns bad(values); every call before it solves as usual
+    calls = []
+    burgers_reference(lambda xi: calls.append(None) or _bumpy(xi), x, t)
+    left = iter(range(len(calls) - 1, -1, -1))
+    return burgers_reference(
+        lambda xi: bad(_bumpy(xi)) if next(left) == 0 else _bumpy(xi), x, t
+    )
+
+
 #: each array argument: the name its refusal gives, and a call that passes
 #: it bad(valid value), given a one-block poly:d=1 state st
 _ARRAY_CALLS = {
@@ -241,6 +260,34 @@ _ARRAY_CALLS = {
         "reference values",
         lambda st, bad: error_report(st, lambda x: bad(np.zeros_like(x))),
     ),
+    "reference_solution-t0-u0": (
+        "initial condition values",
+        lambda st, bad: _spoiled_reference(bad, 0.0, [0.25, 0.5]),
+    ),
+    "reference_solution-periodic-u0": (
+        "initial condition values",
+        lambda st, bad: _spoiled_reference(bad, 0.25, [0.25, 0.5]),
+    ),
+    "reference_solution-inflow-u0": (
+        "initial condition values",
+        lambda st, bad: _spoiled_reference(
+            bad, 0.25, [0.5, 0.75], inflow=lambda t: 1.0
+        ),
+    ),
+    "reference_solution-burgers-u0": (
+        "initial condition values",
+        lambda st, bad: _spoiled_reference(bad, 0.01, [0.25, 0.5], kind="burgers"),
+    ),
+    "burgers_reference-t0-u0": (
+        "u0 values",
+        lambda st, bad: burgers_reference(
+            lambda x: bad(_bumpy(x)), np.array([0.25, 0.5]), 0.0
+        ),
+    ),
+    "burgers_reference-u0": (
+        "u0 values",
+        lambda st, bad: _burgers_last_call_spoiled(bad, np.array([0.25, 0.5]), 0.01),
+    ),
 }
 
 
@@ -281,6 +328,67 @@ def test_operator_file_arrays_refuse_values_by_name(tmp_path, key, value):
     assert str(exc.value) == (
         f"operator file {path}: {key} must hold real numbers, got {got}"
     )
+
+
+@pytest.mark.parametrize("key", ["nodes", "weights", "Q", "D"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_operator_file_names_the_array_that_is_not_finite(tmp_path, key, value):
+    state = _state_with("poly:d=1", [1.0, 1.0])
+    path = tmp_path / "op.json"
+    write_operator(state.operator, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data[key] = _first_leaf_set(np.array(data[key]), value)
+    # written as NaN, Infinity or -Infinity, which json reads back
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_operator(path)
+    assert str(exc.value) == f"operator file {path}: {key} must hold finite numbers"
+
+
+#: each way an inflow can return no finite real number: the value, and the
+#: refusal's text after "inflow values " in run and in the inflow reference,
+#: which samples the inflow at t = 0.5 - 0.1 and 0.5 - 0.2
+_BAD_INFLOWS = {
+    "text": ("0.5", "must hold real numbers, got text", None),
+    "bool": (True, "must hold real numbers, got booleans", None),
+    "none": (None, "must hold real numbers, got None or objects", None),
+    "complex": (0.5 + 1j, "must hold real numbers, got complex values", None),
+    "2-vector": (
+        np.array([0.5, 0.5]),
+        "gave shape (65, 2), expected (65,)",
+        "gave shape (2, 2), expected (2,)",
+    ),
+    "nan": (math.nan, "are not finite near t=0", "are not finite near t=0.4"),
+}
+
+
+@pytest.mark.parametrize("where", ["run", "reference"])
+@pytest.mark.parametrize("inflow", list(_BAD_INFLOWS))
+def test_inflow_values_are_refused_by_name(where, inflow):
+    value, in_run, in_reference = _BAD_INFLOWS[inflow]
+    spec = _sine_advection(inflow=lambda t: value)
+    with pytest.raises(ValueError) as exc:
+        if where == "run":
+            run(spec, "trig:d=1", t_final=0.5)
+        else:
+            reference_solution(spec, 0.5)(np.array([0.1, 0.2]))
+    text = in_run if where == "run" or in_reference is None else in_reference
+    assert str(exc.value) == f"inflow values {text}"
+
+
+def test_reference_refuses_an_initial_condition_that_returns_a_scalar():
+    spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=lambda x: 0.5)
+    message = r"^initial condition values gave shape \(\), expected \(2,\)$"
+    with pytest.raises(ValueError, match=message):
+        reference_solution(spec, 0.25)(np.array([0.25, 0.5]))
+
+
+def test_error_report_refuses_a_reference_of_the_wrong_size():
+    state = _state_with("poly:d=1", [1.0, 1.0])
+    size = state.total_nodes
+    with pytest.raises(ValueError) as exc:
+        error_report(state, lambda x: np.zeros(size + 1))
+    assert str(exc.value) == f"reference values gave {size + 1} for {size} nodes"
 
 
 def test_mass_and_energy_hand_sums():

@@ -822,12 +822,45 @@ def test_user_space_yields_a_verified_operator():
     )
 
 
-def test_user_space_shape_mismatch_raises():
+@pytest.mark.parametrize(
+    "values, derivatives, message",
+    [
+        (
+            _sine_values,
+            lambda x: _sine_derivatives(x)[:, :2],
+            r"^space 'user': derivatives gave shape \(100, 2\), expected \(100, 3\)$",
+        ),
+        (
+            np.sin,
+            np.cos,
+            r"^space 'user': values gave shape \(2,\), expected \(2, dim\)$",
+        ),
+        (
+            lambda x: np.ones((len(x), 0)),
+            lambda x: np.ones((len(x), 0)),
+            r"^space 'user': values gave shape \(2, 0\), expected \(2, dim\)$",
+        ),
+        # right at the ends and the derivative points, wrong at the +-h points
+        (
+            lambda x: np.ones((2, 1)),
+            lambda x: np.zeros((len(x), 1)),
+            r"^space 'user': values gave shape \(2, 1\), expected \(200, 1\)$",
+        ),
+        (
+            lambda x: [[1.0], [1.0, 2.0]],
+            lambda x: np.zeros((len(x), 1)),
+            r"^space 'user': values must hold real numbers, got a ragged list$",
+        ),
+    ],
+    ids=["derivatives-columns", "flat", "no-columns", "ignores-len-x", "ragged"],
+)
+def test_user_space_shape_mismatch_raises(values, derivatives, message):
+    with pytest.raises(ValueError, match=message):
+        FunctionSpace(Interval(0.0, 1.0), values, derivatives, "user")
+
+
+def test_user_space_reads_dim_off_its_callables():
     iv = Interval(0.0, 1.0)
-    with pytest.raises(ValueError, match="derivatives gave shape"):
-        FunctionSpace(iv, _sine_values, lambda x: _sine_derivatives(x)[:, :2], "bad")
-    with pytest.raises(ValueError, match="values gave shape"):
-        FunctionSpace(iv, lambda x: np.sin(x), lambda x: np.cos(x), "flat")
     # dim and contains_constants are read off the callables, never set
     with pytest.raises(TypeError):
         FunctionSpace(iv, _sine_values, _sine_derivatives, "span", dim=3)
