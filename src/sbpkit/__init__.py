@@ -40,7 +40,6 @@ from .operators import (
     FsbpOperator,
     OperatorError,
     SbpReport,
-    affine_block_operator,
     build_operator,
     find_operator,
     read_operator,

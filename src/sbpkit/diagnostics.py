@@ -144,7 +144,7 @@ def burgers_reference(
 
     # expand each bracket around x until the root is enclosed; fmax, like
     # Python's max, falls back to 1 where u0(x) is NaN
-    r = np.fmax(1.0, abs(t) * (1.0 + np.abs(u0(xs))))
+    r = np.fmax(1.0, abs(t) * (1.0 + np.abs(_reals(u0(xs), "u0 values"))))
     open_ = np.arange(xs.size)
     for _ in range(60):
         xo, ro = xs[open_], r[open_]
@@ -220,7 +220,7 @@ def reference_solution(
     initial = lambda x: _samples(u0(x), "initial condition values", ("x", x), x.shape)
     if spec.inflow is None and t == 0.0:
         # a wrap would read u0(left) at x = right, where the data may differ
-        return lambda x: initial(np.asarray(x, dtype=float))
+        return lambda x: initial(_reals(x, "x"))
     if spec.kind == "advection":
         a = spec.wave_speed
         c = spec.source_coefficient
@@ -228,13 +228,13 @@ def reference_solution(
         if spec.inflow is None:
 
             def periodic(x):
-                xi = _wrap(np.asarray(x, dtype=float) - a * t, dom)
+                xi = _wrap(_reals(x, "x") - a * t, dom)
                 return growth * initial(xi)
 
             return periodic
 
         def inflow(x):
-            x = np.asarray(x, dtype=float)
+            x = _reals(x, "x")
             xi = x - a * t
             inside = xi >= dom.left
             vals = np.empty_like(x)
@@ -263,7 +263,8 @@ def reference_solution(
         )
 
     def u0_periodic(xi):
-        return u0(_wrap(np.asarray(xi, dtype=float), dom))
+        # xi is always an array of burgers_reference's, judged there as x
+        return u0(_wrap(xi, dom))
 
     return lambda x: burgers_reference(u0_periodic, x, t)
 

@@ -43,10 +43,10 @@ from .spaces import (
     _all_finite,
     _amax,
     _amin,
+    _nodes,
     _on_grid,
     _real,
     _reals,
-    affine_map,
     make_space,
 )
 
@@ -57,7 +57,6 @@ __all__ = [
     "build_operator",
     "find_operator",
     "verify_sbp",
-    "affine_block_operator",
     "write_operator",
     "read_operator",
     "TOL_EXACTNESS",
@@ -93,7 +92,8 @@ class OperatorError(RuntimeError):
 class FsbpOperator:
     """Derivative operator bound to its space, grid and norm weights.
 
-    ``p`` holds the diagonal of the norm matrix P.  All arrays are frozen
+    ``nodes`` is a grid (1-D, finite, strictly increasing, at least 2 values)
+    and ``p`` the diagonal of the norm matrix P.  All arrays are frozen
     after construction and may be shared freely.
     """
 
@@ -104,13 +104,13 @@ class FsbpOperator:
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("nodes", "p", "Q", "D"):
+        object.__setattr__(self, "nodes", _nodes(self.nodes, "nodes"))
+        for name in ("p", "Q", "D"):
             arr = _reals(getattr(self, name), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.nodes.size
-        shapes = (self.nodes.ndim, self.p.shape, self.Q.shape, self.D.shape)
-        if shapes != (1, (n,), (n, n), (n, n)):
+        if (self.p.shape, self.Q.shape, self.D.shape) != ((n,), (n, n), (n, n)):
             raise ValueError("inconsistent operator array shapes")
 
     @property
@@ -304,28 +304,6 @@ def verify_sbp(op: FsbpOperator) -> SbpReport:
     )
 
 
-def affine_block_operator(op: FsbpOperator, interval: Interval) -> FsbpOperator:
-    """Transplant an operator onto another interval.
-
-    Nodes map affinely, the norm weights scale with the width ratio, Q is
-    invariant and D picks up the inverse scale.  The attached space is
-    pulled back through the same chart, so exactness is preserved in the
-    mapped sense.
-    """
-    src = op.space.interval
-    s = interval.width / src.width
-    nodes = interval.left + (op.nodes - src.left) * s
-    nodes[0] = interval.left
-    nodes[-1] = interval.right
-    return FsbpOperator(
-        space=affine_map(op.space, interval),
-        nodes=nodes,
-        p=op.p * s,
-        Q=op.Q,
-        D=op.D / s,
-    )
-
-
 # ---------------------------------------------------------------------------
 # operator files
 
@@ -417,7 +395,7 @@ def _load_and_check(path) -> tuple[FsbpOperator, SbpReport, ExactnessReport]:
         if not (isinstance(domain, list) and len(domain) == 2):
             raise ValueError("domain must be [left, right]")
         nodes, weights, Q, D = arrays = [_reals(data[key], key) for key in required[2:]]
-        for key, a in zip(required[2:], arrays):
+        for key, a in zip(required[3:], arrays[1:]):  # FsbpOperator judges nodes
             if not _all_finite(a):
                 raise ValueError(f"{key} must hold finite numbers")
         space = make_space(kind, Interval(*(_real(v, "domain") for v in domain)))

@@ -30,7 +30,7 @@ from .spaces import (
     Interval,
     _all_finite,
     _amax,
-    _amin,
+    _nodes,
     _on_grid,
     _reals,
     _whole_count,
@@ -69,18 +69,12 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = _reals(self.nodes, "nodes")
+        nodes = _nodes(self.nodes, "nodes")
         weights = _reals(self.weights, "weights")
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size < 2:
-            raise ValueError("a rule needs at least two nodes")
-        if not (_all_finite(nodes) and _all_finite(weights)):
-            raise ValueError("nodes and weights must be finite")
-        # the differences np.diff(nodes) takes
-        if _amin(nodes[1:] - nodes[:-1]) <= 0.0:
-            raise ValueError("nodes must be strictly increasing")
-        nodes.setflags(write=False)
+        if weights.shape != nodes.shape:
+            raise ValueError(f"weights have shape {weights.shape}, nodes {nodes.shape}")
+        if not _all_finite(weights):
+            raise ValueError("weights must be finite")
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

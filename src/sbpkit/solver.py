@@ -25,17 +25,20 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import FsbpOperator, affine_block_operator, find_operator
+from .operators import FsbpOperator, find_operator
 from .spaces import (
     UNIT_INTERVAL,
     FunctionSpace,
     Interval,
     _all_finite,
     _amax,
+    _amin,
+    _nodes,
     _real,
     _reals,
     _samples,
     _whole_count,
+    affine_map,
     make_space,
 )
 
@@ -166,30 +169,28 @@ class BlockState:
 
     def __post_init__(self) -> None:
         iv = self.operator.space.interval
-        edges = np.array(_reals(self.edges, "edges"))  # a copy, as it is frozen
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError(
-                "edges must be a 1-D sequence of at least 2 block edges, "
-                f"got shape {edges.shape}"
-            )
+        # judged on a copy, as the judged grid is frozen
+        edges = _nodes(np.array(_reals(self.edges, "edges")), "edges")
         u = _reals(self.u, "u")
         if u.shape != (edges.size - 1, self.operator.n_nodes):
             raise ValueError(
                 f"values of shape {u.shape} do not match {edges.size - 1} "
                 f"blocks of {self.operator.n_nodes} nodes"
             )
-        if not np.isfinite(edges).all():
-            raise ValueError(f"block edges must be finite, got {edges}")
         object.__setattr__(self, "t", _real(self.t, "t"))
         s = (edges[1:] - edges[:-1]) / iv.width
-        if not s.min() > 0.0:
-            raise ValueError("block edges must be strictly increasing")
+        if not _amin(s) > 0.0:  # the edges increase, so a ratio underflowed
+            i = int(np.argmin(s))
+            raise ValueError(
+                f"block {i} on {edges[i:i + 2].tolist()} is too narrow: its width "
+                f"ratio to the operator's interval of width {iv.width!r} is {s[i]}"
+            )
         n_blocks, n = u.shape
         ms_div = -np.repeat(s, n).reshape(n_blocks, n)
         m3s_div = 3.0 * ms_div
         s_p0 = s * self.operator.p[0]
         left_last = np.roll(np.arange(n_blocks), 1) * n + (n - 1)
-        for arr in (u, edges, s, ms_div, m3s_div, s_p0, left_last):
+        for arr in (u, s, ms_div, m3s_div, s_p0, left_last):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "edges", edges)
@@ -248,12 +249,16 @@ class BlockState:
     def operators(self) -> tuple[FsbpOperator, ...]:
         """The mapped operator of each block, built on demand.
 
-        A view for inspection only; the solver works on the stacked
-        arrays and never builds these.
+        Block ``i`` has ``nodes[i]``, ``s_i P``, the shared ``Q``, ``D / s_i``
+        and the reference space mapped onto it.  For inspection only; the
+        solver works on the stacked arrays and never builds these.
         """
+        ref = self.operator
         return tuple(
-            affine_block_operator(self.operator, Interval(a, b))
-            for a, b in zip(self.edges[:-1], self.edges[1:])
+            FsbpOperator(
+                affine_map(ref.space, Interval(a, b)), x, ref.p * s, ref.Q, ref.D / s
+            )
+            for a, b, x, s in zip(self.edges[:-1], self.edges[1:], self.nodes, self.s)
         )
 
 

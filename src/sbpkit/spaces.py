@@ -142,6 +142,25 @@ def _holds_bool(values) -> bool:
     return isinstance(values, (bool, np.bool_))
 
 
+def _nodes(values, name: str) -> np.ndarray:
+    """``values`` as a float64 grid, frozen in place (pass a copy to keep one).
+
+    A grid is 1-D with at least 2 values, finite and strictly increasing;
+    anything else raises ``ValueError`` naming ``name``.
+    """
+    arr = _reals(values, name)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(
+            f"{name} must be a 1-D array of at least 2 values, got shape {arr.shape}"
+        )
+    if not _all_finite(arr):
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    if not _amin(arr[1:] - arr[:-1]) > 0.0:  # the differences np.diff takes
+        raise ValueError(f"{name} must be strictly increasing")
+    arr.setflags(write=False)
+    return arr
+
+
 def _samples(values, name: str, at: tuple[str, np.ndarray], shape: tuple) -> np.ndarray:
     """A callable's output ``values`` as floats, if real, of ``shape`` and finite.
 
@@ -526,19 +545,8 @@ def rbf_cubic_space(
     sorted here, so ``[1, 0, 0.5]`` builds ``rbf-cubic:centers=0,0.5,1``.
     """
     c = _reals(centers, "radial centers")
-    if c.ndim != 1:
-        raise ValueError(
-            f"radial centers must be a flat list of numbers, got shape {c.shape}"
-        )
-    if not _all_finite(c):
-        raise ValueError(
-            f"radial centers must be finite, got {c[~np.isfinite(c)][0]}"
-        )
-    c = np.sort(c)
-    if c.size < 2:
-        raise ValueError("need at least two radial centers")
-    if np.min(np.diff(c)) <= 0.0:
-        raise ValueError("radial centers must be distinct")
+    # sorted, so that a repeated center is the one way to fail the order
+    c = _nodes(np.sort(c) if c.ndim else c, "radial centers")
     slack = 1e-12 * interval.width
     if not interval.contains(c):
         raise ValueError("radial centers must lie inside the interval")

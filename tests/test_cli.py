@@ -620,9 +620,10 @@ def test_verify_malformed_file_is_usage_error(tmp_path, capsys, text):
     "move, message",
     [
         (lambda x: [x[1], x[0], *x[2:]], "nodes must be strictly increasing"),
+        (lambda x: x[::-1], "nodes must be strictly increasing"),
         (lambda x: [*x[:-1], 1.5], "grid node outside interval [0.0, 1.0]"),
     ],
-    ids=["nodes-out-of-order", "node-off-the-domain"],
+    ids=["nodes-out-of-order", "nodes-reversed", "node-off-the-domain"],
 )
 def test_malformed_grid_names_the_file(tmp_path, capsys, move, message, route):
     out = tmp_path / "op.json"
@@ -665,7 +666,10 @@ def test_malformed_grid_names_the_file(tmp_path, capsys, move, message, route):
             lambda d: {**d, "Q": [[None, *d["Q"][0][1:]], *d["Q"][1:]]},
             "Q must hold real numbers, got None or objects",
         ),
-        (lambda d: {**d, "nodes": [d["nodes"]]}, "inconsistent operator array shapes"),
+        (
+            lambda d: {**d, "nodes": [d["nodes"]]},
+            "nodes must be a 1-D array of at least 2 values, got shape (1, 5)",
+        ),
         (lambda d: {**d, "Q": d["Q"][:-1]}, "inconsistent operator array shapes"),
         (
             lambda d: {**d, "nodes": [d["nodes"][1], d["nodes"][0], *d["nodes"][2:]]},

@@ -288,6 +288,27 @@ _ARRAY_CALLS = {
         "u0 values",
         lambda st, bad: _burgers_last_call_spoiled(bad, np.array([0.25, 0.5]), 0.01),
     ),
+    # every call spoiled, so the first one, which sizes the brackets, fails
+    "burgers_reference-bracket-u0": (
+        "u0 values",
+        lambda st, bad: burgers_reference(
+            lambda x: bad(_bumpy(x)), np.array([0.25, 0.5]), 0.01
+        ),
+    ),
+    # the points a closure of reference_solution is given
+    **{
+        f"reference_solution-{closure}-x": (
+            "x",
+            lambda st, bad, t=t, spec=spec: reference_solution(
+                ProblemSpec("advection", UNIT, np.sin, **spec), t
+            )(bad(np.array([0.1, 0.9]))),
+        )
+        for closure, t, spec in [
+            ("t0", 0.0, {}),
+            ("periodic", 0.25, {}),
+            ("inflow", 0.25, {"inflow": lambda t: 1.0}),
+        ]
+    },
 }
 
 
@@ -306,6 +327,14 @@ def test_array_arguments_refuse_values_by_name(call, value):
     with pytest.raises(ValueError) as exc:
         fn(state, bad)
     assert str(exc.value) == f"{name} must hold real numbers, got {got}"
+
+
+def test_burgers_reference_refuses_text_values_in_its_bracket():
+    # the first call of u0 sizes each point's bracket before any guard
+    text_u0 = lambda x: np.full(np.shape(x), "0.5")
+    with pytest.raises(ValueError) as exc:
+        burgers_reference(text_u0, np.array([0.1]), 0.01)
+    assert str(exc.value) == "u0 values must hold real numbers, got text"
 
 
 @pytest.mark.parametrize("key", ["nodes", "weights", "Q", "D"])
@@ -342,7 +371,11 @@ def test_operator_file_names_the_array_that_is_not_finite(tmp_path, key, value):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         read_operator(path)
-    assert str(exc.value) == f"operator file {path}: {key} must hold finite numbers"
+    # the nodes are the operator's to judge, as a grid
+    reason = "must hold finite numbers"
+    if key == "nodes":
+        reason = f"must be finite, got {value}"
+    assert str(exc.value) == f"operator file {path}: {key} {reason}"
 
 
 #: each way an inflow can return no finite real number: the value, and the

@@ -1,9 +1,10 @@
-"""Operator construction, verification, transplantation and file round trips."""
+"""Operator construction, verification, block mapping and file round trips."""
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import sys
 import threading
@@ -21,7 +22,6 @@ from sbpkit.operators import (
     TOL_COHERENCE,
     FsbpOperator,
     OperatorError,
-    affine_block_operator,
     build_operator,
     find_operator,
     read_operator,
@@ -39,6 +39,7 @@ from sbpkit.quadrature import (
     trapezoid_rule,
     verify_exactness,
 )
+from sbpkit.solver import BlockState
 from sbpkit.spaces import (
     RANK_RTOL,
     FunctionSpace,
@@ -187,20 +188,26 @@ def test_d_linear_example():
     np.testing.assert_allclose(op.D @ [2.0, 3.0], [1.0, 1.0], atol=1e-12)
 
 
-def test_affine_block_operator_scaling():
+def _block_operator(op: FsbpOperator, left: float, right: float) -> FsbpOperator:
+    """The operator of the one block of a state on ``[left, right]``."""
+    u = np.zeros((1, op.n_nodes))
+    return BlockState(u=u, operator=op, edges=(left, right), t=0.0).operators[0]
+
+
+def test_block_operator_scaling():
     space = polynomial_space(1, UNIT)
     op = build_operator(space, find_positive_rule(space))
-    half = affine_block_operator(op, Interval(0.0, 0.5))
+    half = _block_operator(op, 0.0, 0.5)
     np.testing.assert_allclose(half.nodes, [0.0, 0.5])
     np.testing.assert_allclose(half.p, [0.25, 0.25])
     np.testing.assert_allclose(half.Q, op.Q)
     np.testing.assert_allclose(half.D, 2.0 * op.D)
 
 
-def test_affine_block_operator_stays_verified():
+def test_block_operator_stays_verified():
     space = trigonometric_space(1, UNIT)
     op = build_operator(space, trapezoid_rule(4, UNIT))
-    mapped = affine_block_operator(op, Interval(2.0, 2.5))
+    mapped = _block_operator(op, 2.0, 2.5)
     report = verify_sbp(mapped)
     assert report.passed
     # the transplanted operator differentiates the mapped basis exactly;
@@ -210,6 +217,28 @@ def test_affine_block_operator_stays_verified():
     np.testing.assert_allclose(
         mapped.D @ u, w * np.cos(w * (mapped.nodes - 2.0)), atol=1e-7
     )
+
+
+def test_block_operators_are_the_affine_transplant_bit_for_bit():
+    # the transplant formula a block operator was once built with, on a
+    # reference interval whose left end is not 0 and ten unequal blocks
+    op = find_operator(polynomial_space(4, Interval(-1.0, 1.0)))
+    rng = np.random.default_rng(38)
+    edges = np.concatenate([[0.3], 0.3 + np.cumsum(rng.uniform(0.05, 1.0, 10))])
+    state = BlockState(u=np.zeros((10, op.n_nodes)), operator=op, edges=edges, t=0.0)
+    src = op.space.interval
+    assert len(state.operators) == 10
+    for a, b, block in zip(edges[:-1], edges[1:], state.operators):
+        iv = Interval(float(a), float(b))
+        s = iv.width / src.width
+        nodes = iv.left + (op.nodes - src.left) * s
+        nodes[0] = iv.left
+        nodes[-1] = iv.right
+        assert block.nodes.tobytes() == nodes.tobytes()
+        assert block.p.tobytes() == (op.p * s).tobytes()
+        assert block.D.tobytes() == (op.D / s).tobytes()
+        assert block.Q is op.Q
+        assert block.space.interval == iv and block.space.rule == op.space.rule
 
 
 def test_construction_is_deterministic():
@@ -395,7 +424,7 @@ def test_read_refuses_text_and_booleans_for_numbers(tmp_path, key, value):
 def test_write_refuses_mapped_operators(tmp_path):
     space = polynomial_space(1, UNIT)
     op = build_operator(space, find_positive_rule(space))
-    mapped = affine_block_operator(op, Interval(0.0, 0.5))
+    mapped = _block_operator(op, 0.0, 0.5)
     with pytest.raises(ValueError):
         write_operator(mapped, tmp_path / "mapped.json")
 
@@ -1058,20 +1087,45 @@ def test_exp_degree_nine_exhausts_the_ladder_with_its_reason():
     assert find_operator(space, 36).n_nodes == 36
 
 
+_SHAPES = "inconsistent operator array shapes"
+
+
 @pytest.mark.parametrize(
-    "field, reshape",
+    "field, reshape, message",
     [
-        ("p", lambda a: a[:-1]),
-        ("Q", lambda a: a[:-1]),
-        ("D", lambda a: a[:-1]),
+        ("p", lambda a: a[:-1], _SHAPES),
+        ("Q", lambda a: a[:-1], _SHAPES),
+        ("D", lambda a: a[:-1], _SHAPES),
         # one row of nodes has the right size, but is no grid
-        ("nodes", lambda a: a[None, :]),
+        (
+            "nodes",
+            lambda a: a[None, :],
+            "nodes must be a 1-D array of at least 2 values, got shape (1, 3)",
+        ),
     ],
     ids=["p", "Q", "D", "nodes-2d"],
 )
-def test_operator_refuses_inconsistent_array_shapes(field, reshape):
+def test_operator_refuses_inconsistent_array_shapes(field, reshape, message):
     op = find_operator(polynomial_space(2, UNIT))
     arrays = {"nodes": op.nodes, "p": op.p, "Q": op.Q, "D": op.D}
     arrays[field] = reshape(arrays[field])
-    with pytest.raises(ValueError, match="^inconsistent operator array shapes$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FsbpOperator(space=op.space, **arrays)
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ([0.0, math.nan, 1.0], "nodes must be finite, got nan"),
+        ([1.0, 0.5, 0.0], "nodes must be strictly increasing"),
+        ([0.0, 0.5, 0.5], "nodes must be strictly increasing"),
+        ([0.5], "nodes must be a 1-D array of at least 2 values, got shape (1,)"),
+    ],
+    ids=["nan", "reversed", "duplicate", "single"],
+)
+def test_operator_refuses_nodes_that_are_no_grid(nodes, message):
+    # the other arrays are those of a valid 3-node operator, cut to size
+    op = find_operator(polynomial_space(2, UNIT))
+    n = len(nodes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FsbpOperator(op.space, nodes, op.p[:n], op.Q[:n, :n], op.D[:n, :n])

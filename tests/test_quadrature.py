@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,25 +47,26 @@ def test_rule_validation():
 
 
 _NAN, _INF = float("nan"), float("inf")
+_TOO_FEW = "nodes must be a 1-D array of at least 2 values, got shape "
 
 
 @pytest.mark.parametrize(
     "nodes, weights, message",
     [
-        ([], [], "a rule needs at least two nodes"),
-        ([0.0], [1.0], "a rule needs at least two nodes"),
-        ([0.0, _NAN], [1.0, 1.0], "nodes and weights must be finite"),
-        ([0.0, _INF], [1.0, 1.0], "nodes and weights must be finite"),
-        ([-_INF, 0.0], [1.0, 1.0], "nodes and weights must be finite"),
-        ([0.0, 1.0], [_NAN, 1.0], "nodes and weights must be finite"),
-        ([0.0, 1.0], [1.0, -_INF], "nodes and weights must be finite"),
+        ([], [], f"{_TOO_FEW}(0,)"),
+        ([0.0], [1.0], f"{_TOO_FEW}(1,)"),
+        ([0.0, _NAN], [1.0, 1.0], "nodes must be finite, got nan"),
+        ([0.0, _INF], [1.0, 1.0], "nodes must be finite, got inf"),
+        ([-_INF, 0.0], [1.0, 1.0], "nodes must be finite, got -inf"),
+        ([0.0, 1.0], [_NAN, 1.0], "weights must be finite"),
+        ([0.0, 1.0], [1.0, -_INF], "weights must be finite"),
         ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], "nodes must be strictly increasing"),
         ([1.0, 0.0], [1.0, 1.0], "nodes must be strictly increasing"),
-        ([0.0, 1.0], [1.0, 1.0, 1.0], "nodes and weights must be 1-d arrays"),
+        ([0.0, 1.0], [1.0, 1.0, 1.0], "weights have shape (3,), nodes (2,)"),
     ],
 )
 def test_rule_refusals_keep_their_messages(nodes, weights, message):
-    with pytest.raises(ValueError, match="^" + message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         QuadratureRule(np.array(nodes), np.array(weights))
 
 
@@ -91,7 +93,7 @@ def test_equispaced_nodes_are_linspace_on_fixed_intervals(iv, n):
 
 
 def test_least_squares_rule_on_one_node_keeps_its_value_error():
-    with pytest.raises(ValueError, match="^a rule needs at least two nodes$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(_TOO_FEW + '(1,)')}$"):
         least_squares_rule(polynomial_space(0, UNIT), 1)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import sbpkit
 from sbpkit.operators import OperatorError, find_operator
 from sbpkit.spaces import Interval, make_space
 
@@ -50,3 +51,12 @@ def test_readme_known_limits_quote_the_search():
         with pytest.raises(OperatorError) as exc:
             find_operator(make_space(space, interval))
         assert str(exc.value) == message
+
+
+def test_readme_call_bullets_name_public_attributes():
+    # a bullet opening with a call form documents a name of the package,
+    # so a deleted public name cannot stay in the README
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(r"^\* `(\w+)\(", text, flags=re.MULTILINE)
+    assert len(names) >= 5
+    assert [name for name in names if not hasattr(sbpkit, name)] == []

@@ -15,7 +15,7 @@ import sbpkit.operators
 import sbpkit.solver
 import sbpkit.spaces
 from sbpkit.cli import _bumpy
-from sbpkit.operators import affine_block_operator, find_operator
+from sbpkit.operators import find_operator
 from sbpkit.solver import (
     PROBLEM_KINDS,
     BlockState,
@@ -189,8 +189,21 @@ def test_block_state_validates_its_grid():
 def test_block_state_refuses_non_finite_edges(edges):
     op = find_operator(make_space("trig:d=1", UNIT))
     u = np.zeros((len(edges) - 1, op.n_nodes))
-    with pytest.raises(ValueError, match="^block edges must be finite, got "):
+    bad = next(e for e in edges if not math.isfinite(e))
+    with pytest.raises(ValueError, match=f"^edges must be finite, got {bad}$"):
         BlockState(u=u, operator=op, edges=edges, t=0.0)
+
+
+def test_block_state_names_a_block_whose_width_ratio_underflows():
+    # the edges increase, but 5e-324 over a width of 2 rounds to 0
+    op = find_operator(make_space("poly:d=2", Interval(0.0, 2.0)))
+    u = np.zeros((2, op.n_nodes))
+    want = (
+        "block 0 on [0.0, 5e-324] is too narrow: its width ratio to the "
+        "operator's interval of width 2.0 is 0.0"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        BlockState(u=u, operator=op, edges=(0.0, 5e-324, 1.0), t=0.0)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +214,7 @@ def test_block_state_refuses_non_finite_edges(edges):
 def test_block_state_refuses_malformed_edges_by_name(edges, n_blocks, shape):
     op = find_operator(make_space("trig:d=1", UNIT))
     u = np.zeros((n_blocks, op.n_nodes))
-    want = f"edges must be a 1-D sequence of at least 2 block edges, got shape {shape}"
+    want = f"edges must be a 1-D array of at least 2 values, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         BlockState(u=u, operator=op, edges=edges, t=0.0)
 
@@ -394,10 +407,8 @@ def test_multi_block_mass_rates_telescope():
     rng = np.random.default_rng(56)
     ref = find_operator(make_space("trig:d=1", UNIT))
     edges = np.linspace(0.0, 1.0, 4)
-    ops = tuple(
-        affine_block_operator(ref, Interval(float(a), float(b)))
-        for a, b in zip(edges[:-1], edges[1:])
-    )
+    zeros = np.zeros((3, ref.n_nodes))
+    ops = BlockState(u=zeros, operator=ref, edges=edges, t=0.0).operators
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
     for _ in range(20):
         blocks = rng.normal(size=(len(ops), ref.n_nodes))
@@ -411,7 +422,7 @@ def test_multi_block_mass_rates_telescope():
 def _per_block_rhs(state: BlockState, t: float, spec: ProblemSpec) -> list:
     """The right-hand side as a loop over mapped block operators.
 
-    Each block applies its own ``affine_block_operator`` copy and takes
+    Each block applies its own operator of ``state.operators`` and takes
     its boundary datum from the left neighbour, the inflow data or, without
     inflow data, the last block.
     """
@@ -853,9 +864,7 @@ def test_run_builds_no_per_block_operators(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-block operator built on the hot path")
 
-    for module in (sbpkit.solver, sbpkit.operators):
-        monkeypatch.setattr(module, "affine_block_operator", forbidden)
-    for module in (sbpkit.spaces, sbpkit.operators):
+    for module in (sbpkit.spaces, sbpkit.solver):
         monkeypatch.setattr(module, "affine_map", forbidden)
     ic = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
     for kind in ("advection", "burgers"):

@@ -193,8 +193,8 @@ def test_constructor_rejects_bad_parameters():
 def test_rbf_centers_are_sorted_and_must_be_flat():
     iv = Interval(0.0, 1.0)
     assert rbf_cubic_space([1.0, 0.0, 0.5], iv).kind == "rbf-cubic:centers=0,0.5,1"
-    flat = "radial centers must be a flat list of numbers"
-    with pytest.raises(ValueError, match=flat + ", got shape \\(2, 2\\)"):
+    flat = "radial centers must be a 1-D array of at least 2 values"
+    with pytest.raises(ValueError, match=f"^{flat}, got shape \\(2, 2\\)$"):
         rbf_cubic_space([[0.0, 1.0], [0.5, 1.0]], iv)
     ragged = "^radial centers must hold real numbers, got a ragged list$"
     with pytest.raises(ValueError, match=ragged):
@@ -223,8 +223,17 @@ def test_rbf_refuses_centers_too_close_to_solve_for():
             lambda: make_space("rbf-cubic:centers=0,a,1"),
             "malformed center list '0,a,1'",
         ),
+        # sorted first, so a repeated center is what breaks the order
+        (
+            lambda: rbf_cubic_space([1.0, 0.5, 0.0, 0.5]),
+            "radial centers must be strictly increasing",
+        ),
+        (
+            lambda: rbf_cubic_space([0.0]),
+            "radial centers must be a 1-D array of at least 2 values, got shape (1,)",
+        ),
     ],
-    ids=["outside", "parameter", "center-text"],
+    ids=["outside", "parameter", "center-text", "repeated", "single"],
 )
 def test_rbf_refusals_name_their_reason(build, message):
     with pytest.raises(ValueError) as exc:
