@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import _study_scope
-from .solver import BlockState, ProblemSpec, _block_count
-from .spaces import FunctionSpace, _real, _reals, _samples
+from .solver import BlockState, ProblemSpec
+from .spaces import FunctionSpace, _count, _real, _reals, _samples
 
 __all__ = [
     "DiagnosticsRecord",
@@ -315,14 +315,14 @@ def convergence_table(
     entry of ``space_specs`` using the norm-weighted error and the
     block-count ratio.  A problem without a reference solution (or with
     periodic Burgers data that is not periodic on its domain), a ladder
-    whose block counts are not distinct whole numbers of at least 1, and
-    a space that does not construct are rejected before any run.
+    whose block counts are not distinct whole numbers from 1 to 2**53,
+    and a space that does not construct are rejected before any run.
     """
     from .solver import _reference_space, run
 
     counts: list[int] = []
-    for b in block_counts:
-        n = _block_count(b)
+    for i, b in enumerate(block_counts):
+        n = _count(b, f"block_counts[{i}]", 1)
         if n in counts:
             raise ValueError(f"block count {b} appears more than once in the ladder")
         counts.append(n)

@@ -204,8 +204,9 @@ def find_operator(space: FunctionSpace, n_nodes: int | None = None) -> FsbpOpera
     with :func:`verify_sbp`; the first rung to pass all three wins.  A rule
     can sit just inside the quadrature residual gate while its operator
     misses a verification tolerance, so a failed rung moves the search on.
-    A pinned ``n_nodes`` is a one-rung ladder whose failure propagates; an
-    exhausted ladder raises :class:`OperatorError` with the last reason.
+    A pinned ``n_nodes`` (a whole number from 2 to 2**53) is a one-rung
+    ladder whose failure propagates; an exhausted ladder raises
+    :class:`OperatorError` with the last reason.
     Each rejected rung is logged at DEBUG on the ``sbpkit`` logger.
 
     The search evaluates the space once per grid: the rule check, the

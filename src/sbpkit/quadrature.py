@@ -30,10 +30,10 @@ from .spaces import (
     Interval,
     _all_finite,
     _amax,
+    _count,
     _nodes,
     _on_grid,
     _reals,
-    _whole_count,
 )
 
 __all__ = [
@@ -125,13 +125,11 @@ def _equispaced(interval: Interval, n: int) -> np.ndarray:
 
 
 def trapezoid_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
-    """Composite trapezoid rule on ``n_nodes`` equidistant nodes.
+    """Composite trapezoid rule on ``n_nodes`` (whole, 2 to 2**53) equidistant nodes.
 
     The nodes are ``np.linspace(interval.left, interval.right, n_nodes)``.
     """
-    n = _whole_count(n_nodes)
-    if n < 2:
-        raise ValueError(f"trapezoid rule needs at least 2 nodes, got {n}")
+    n = _count(n_nodes, "trapezoid rule n_nodes", 2)
     nodes = _equispaced(interval, n)
     h = interval.width / (n - 1)
     weights = np.empty(n)
@@ -162,7 +160,7 @@ def _reference_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
-    """Gauss-Lobatto rule with ``n_nodes`` nodes, endpoints included.
+    """Gauss-Lobatto rule with ``n_nodes`` (whole, 2 to 2**53) nodes, ends included.
 
     Interior nodes are the roots of the derivative of the Legendre
     polynomial of degree ``n_nodes - 1``, computed as the eigenvalues of
@@ -172,9 +170,7 @@ def gauss_lobatto_rule(n_nodes: int, interval: Interval) -> QuadratureRule:
     per node count per process, read-only, and mapped affinely onto
     ``interval`` on every call.
     """
-    n = _whole_count(n_nodes)
-    if n < 2:
-        raise ValueError(f"Gauss-Lobatto rule needs at least 2 nodes, got {n}")
+    n = _count(n_nodes, "Gauss-Lobatto rule n_nodes", 2)
     shifted, ref_weights = _reference_lobatto(n)
     half = 0.5 * interval.width
     nodes = interval.left + half * shifted
@@ -210,14 +206,10 @@ def least_squares_rule(space: FunctionSpace, n_nodes: int) -> QuadratureRule:
     the minimum-norm correction that makes them reproduce the pair
     moments, as far as the pair rows on those nodes allow.  The rule is
     returned as built, exact or not and positive or not:
-    :func:`verify_exactness` judges it.  Raises ``ValueError`` when
-    ``n_nodes`` is not a whole number or is below ``dim``.
+    :func:`verify_exactness` judges it.  ``n_nodes`` must be a whole
+    number from ``dim`` to 2**53, or ``ValueError`` names it.
     """
-    n = _whole_count(n_nodes)
-    if n < space.dim:
-        raise ValueError(
-            f"need at least dim={space.dim} nodes for space {space.kind!r}, got {n}"
-        )
+    n = _count(n_nodes, f"n_nodes for {space.kind!r} of dim {space.dim}", space.dim)
     iv = space.interval
     w = np.empty(n)
     w.fill(iv.width / n)
@@ -250,9 +242,7 @@ def verify_exactness(rule: QuadratureRule, space: FunctionSpace) -> ExactnessRep
 def _ladder(space: FunctionSpace, n_nodes: int | None) -> range:
     """Node counts to search: the pinned ``n_nodes``, or 25 from the start."""
     if n_nodes is not None:
-        n = _whole_count(n_nodes)
-        if n < 2:
-            raise ValueError(f"node ladder must start at 2 or above, got {n}")
+        n = _count(n_nodes, "n_nodes", 2)
         return range(n, n + 1)
     # Gauss-Lobatto with dim nodes already integrates the product span
     start = max(space.dim, 2) if space.rule == "gauss-lobatto" else space.dim + 1
@@ -278,7 +268,8 @@ def find_positive_rule(
 
     Both the ladder and the candidates follow ``space.rule``.  The ladder
     runs over 25 node counts from ``dim`` for ``"gauss-lobatto"`` and from
-    ``dim + 1`` otherwise; a given ``n_nodes`` pins it to that one count.
+    ``dim + 1`` otherwise; a given ``n_nodes`` (a whole number from 2 to
+    2**53) pins it to that one count.
     For each node count, the closed-form rule the space names comes first
     (trapezoid or Gauss-Lobatto), then the equispaced least-squares rule,
     then, for ``"lobatto-least-squares"``, the least-squares weights on

@@ -32,12 +32,11 @@ from .spaces import (
     Interval,
     _all_finite,
     _amax,
-    _amin,
+    _count,
     _nodes,
     _real,
     _reals,
     _samples,
-    _whole_count,
     affine_map,
     make_space,
 )
@@ -178,12 +177,16 @@ class BlockState:
                 f"blocks of {self.operator.n_nodes} nodes"
             )
         object.__setattr__(self, "t", _real(self.t, "t"))
-        s = (edges[1:] - edges[:-1]) / iv.width
-        if not _amin(s) > 0.0:  # the edges increase, so a ratio underflowed
-            i = int(np.argmin(s))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            s = (edges[1:] - edges[:-1]) / iv.width
+            fits = (s > 0.0) & np.isfinite(3.0 * s)  # 3 s: the Burgers divisor
+        if np.count_nonzero(fits) != s.size:
+            i = int(np.argmin(fits))
+            why = "narrow" if s[i] == 0.0 else "wide"  # the edges increase
             raise ValueError(
-                f"block {i} on {edges[i:i + 2].tolist()} is too narrow: its width "
+                f"block {i} on {edges[i:i + 2].tolist()} is too {why}: its width "
                 f"ratio to the operator's interval of width {iv.width!r} is {s[i]}"
+                + ("" if why == "narrow" else ", above a third of the largest float")
             )
         n_blocks, n = u.shape
         ms_div = -np.repeat(s, n).reshape(n_blocks, n)
@@ -402,14 +405,6 @@ def _finite_record(record) -> bool:
     return math.isfinite(record.mass) and math.isfinite(record.energy)
 
 
-def _block_count(value) -> int:
-    """``value`` as a block count: a whole number of at least 1."""
-    n = _whole_count(value, "block count")
-    if n < 1:
-        raise ValueError(f"need at least one block, got {n}")
-    return n
-
-
 def _reference_space(space: str | FunctionSpace) -> FunctionSpace:
     """``space`` itself, or the space its textual form names on [0, 1]."""
     if isinstance(space, FunctionSpace):
@@ -437,6 +432,7 @@ def run(
     are recorded after every step.  The inflow, if any, is sampled at 65
     times of ``[0, t_final]`` before the first step; it and the initial
     values follow :class:`ProblemSpec`'s rule (nonnegative for Burgers).
+    Counts are whole numbers up to 2**53: ``n_blocks`` from 1, ``n_nodes`` from 2.
     """
     from .diagnostics import DiagnosticsRecord, energy, mass
 
@@ -445,7 +441,7 @@ def run(
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not t_final >= 0.0:
         raise ValueError(f"t_final must be nonnegative, got {t_final}")
-    n_blocks = _block_count(n_blocks)
+    n_blocks = _count(n_blocks, "n_blocks", 1)
 
     ref_op = find_operator(_reference_space(space), n_nodes)
 

@@ -82,22 +82,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.count_nonzero(np.isfinite(a)) == a.size)
 
 
-def _whole_count(value, what: str = "node count") -> int:
-    # a count as an int; int() alone would truncate 7.5 to 7, take True
-    # for 1, and its errors for inf and nan would not name the count
-    try:
-        n = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (OverflowError, ValueError):
-        n = None
-    if n is None or n != value:
-        raise ValueError(f"{what} must be a whole number, got {value}")
-    return n
-
-
 def _real(value, name: str) -> float:
     """``value`` as a float, if a real, finite number and not a boolean."""
     if type(value) is float and math.isfinite(value):  # the usual case
         return value
+    if isinstance(value, np.ndarray):  # refused whatever numpy's cast would do
+        if value.ndim:
+            raise ValueError(f"{name} must be a number, got a {value.ndim}-D array")
+        value = value[()]  # a 0-d array as its scalar: np.array(True) is a boolean
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, got {value}")
     try:  # text, None and complex raise TypeError, a huge int OverflowError
@@ -109,6 +101,16 @@ def _real(value, name: str) -> float:
     if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
     return float(value)
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int, if :func:`_real` takes it, whole from ``least`` to 2**53."""
+    if type(value) is int and least <= value <= 2**53:  # the usual case
+        return value
+    n = int(number := _real(value, name))
+    if n == number and n == value and least <= n <= 2**53:  # whole, unrounded, in range
+        return n
+    raise ValueError(f"{name} must be a whole number from {least} to 2**53, got {value}")
 
 
 #: what an array of a dtype kind that is not real holds, for the refusal
@@ -155,7 +157,7 @@ def _nodes(values, name: str) -> np.ndarray:
         )
     if not _all_finite(arr):
         raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
-    if not _amin(arr[1:] - arr[:-1]) > 0.0:  # the differences np.diff takes
+    if np.count_nonzero(arr[1:] <= arr[:-1]):  # compared, so no spread overflows
         raise ValueError(f"{name} must be strictly increasing")
     arr.setflags(write=False)
     return arr
@@ -349,7 +351,7 @@ def _check_derivatives(space: FunctionSpace) -> None:
 
 
 def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
-    """Polynomials of degree at most ``degree``.
+    """Polynomials of degree at most ``degree``, a whole number from 0 to 2**53.
 
     The basis is Legendre polynomials composed with the affine map onto
     ``[-1, 1]``.  This keeps Vandermonde matrices well conditioned up to
@@ -359,9 +361,7 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
     matrix), which takes the same floating-point steps as evaluating each
     column on its own.
     """
-    degree = _whole_count(degree, "polynomial degree")
-    if degree < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {degree}")
+    degree = _count(degree, "polynomial degree", 0)
     a, b = interval.left, interval.right
     # in Python floats, so that an overflow gives inf and no numpy warning;
     # 2*x and a + b are both at most twice the larger end in size
@@ -389,15 +389,13 @@ def polynomial_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functio
 
 
 def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
-    """Constants plus sin/cos pairs up to frequency ``degree``.
+    """Constants plus sin/cos pairs up to frequency ``degree`` (whole, 1 to 2**53).
 
     The base angular frequency is ``2*pi / width``, which makes the whole
     basis periodic over the interval.  Dimension is ``2*degree + 1``; the
     columns are ``1, sin1, cos1, sin2, cos2, ...``.
     """
-    degree = _whole_count(degree, "trigonometric degree")
-    if degree < 1:
-        raise ValueError(f"trigonometric degree must be >= 1, got {degree}")
+    degree = _count(degree, "trigonometric degree", 1)
     w = (2.0 * np.pi / interval.width) * np.arange(1, degree + 1)
 
     def values(x):
@@ -420,7 +418,7 @@ def trigonometric_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Func
 
 
 def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> FunctionSpace:
-    """The span of ``1, x, ..., x**(degree-1)`` and ``exp(x)``.
+    """The span of ``1, x, ..., x**(degree-1)`` and ``exp(x)``, whole ``degree`` >= 1.
 
     Dimension is ``degree + 1``.  With ``c`` the midpoint, ``h`` the half
     width, ``t = x - c`` and ``s = t/h``, the columns are the Legendre
@@ -451,9 +449,7 @@ def exponential_space(degree: int, interval: Interval = UNIT_INTERVAL) -> Functi
     sums of terms far larger than their values, so those columns lose
     digits to cancellation (2.4e-11 at degree 18 on ``[-1, 1]``).
     """
-    degree = _whole_count(degree, "exponential-space degree")
-    if degree < 1:
-        raise ValueError(f"exponential-space degree must be >= 1, got {degree}")
+    degree = _count(degree, "exponential-space degree", 1)
     if degree >= 18:
         raise ValueError(
             f"exponential-space degree must be <= 17, got {degree}: from degree "

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sbpkit.operators
+import sbpkit.quadrature
 import sbpkit.solver
 from sbpkit.cli import _bumpy
 from sbpkit.diagnostics import (
@@ -25,12 +26,21 @@ from sbpkit.diagnostics import (
     reference_solution,
 )
 from sbpkit.operators import find_operator, read_operator, write_operator
-from sbpkit.quadrature import QuadratureRule
+from sbpkit.quadrature import (
+    QuadratureRule,
+    find_positive_rule,
+    gauss_lobatto_rule,
+    least_squares_rule,
+    trapezoid_rule,
+)
 from sbpkit.solver import BlockState, Interval, ProblemSpec, run, ssprk33_step
 from sbpkit.spaces import (
     FunctionSpace,
+    exponential_space,
     make_space,
+    polynomial_space,
     rbf_cubic_space,
+    trigonometric_space,
     vandermonde,
     vandermonde_derivative,
 )
@@ -55,6 +65,9 @@ _NOT_NUMBERS = {
     "nan": math.nan,
     "inf": math.inf,
     "huge": 10**400,
+    # refused by name, whatever a numpy release makes of its conversion
+    "array": np.array([0.5]),
+    "0-d-bool": np.array(True),
 }
 
 
@@ -125,6 +138,103 @@ def test_number_parameters_refuse_values_by_name(monkeypatch, call, value):
     assert re.match(
         rf"{name} must be (a number|finite|a finite real number), got ", str(exc.value)
     )
+
+
+#: each count parameter: the name its refusal gives, its least value, and a
+#: call that passes it the value v
+_COUNT_CALLS = {
+    "trapezoid_rule-n_nodes": (
+        "trapezoid rule n_nodes",
+        2,
+        lambda v: trapezoid_rule(v, UNIT),
+    ),
+    "gauss_lobatto_rule-n_nodes": (
+        "Gauss-Lobatto rule n_nodes",
+        2,
+        lambda v: gauss_lobatto_rule(v, UNIT),
+    ),
+    "least_squares_rule-n_nodes": (
+        "n_nodes for 'exp:d=2' of dim 3",
+        3,
+        lambda v: least_squares_rule(exponential_space(2, UNIT), v),
+    ),
+    "find_operator-n_nodes": (
+        "n_nodes",
+        2,
+        lambda v: find_operator(make_space("trig:d=1"), v),
+    ),
+    "find_positive_rule-n_nodes": (
+        "n_nodes",
+        2,
+        lambda v: find_positive_rule(make_space("trig:d=1"), v),
+    ),
+    "run-n_nodes": ("n_nodes", 2, lambda v: run(_sine_advection(), "trig:d=1", v)),
+    "run-n_blocks": (
+        "n_blocks",
+        1,
+        lambda v: run(_sine_advection(), "trig:d=1", n_blocks=v),
+    ),
+    "convergence_table-n_nodes": ("n_nodes", 2, lambda v: _study(n_nodes=v)),
+    "convergence_table-block_counts": (
+        "block_counts[1]",
+        1,
+        lambda v: convergence_table(_sine_advection(), ["trig:d=1"], [2, v]),
+    ),
+    "polynomial_space-degree": ("polynomial degree", 0, polynomial_space),
+    "trigonometric_space-degree": ("trigonometric degree", 1, trigonometric_space),
+    "exponential_space-degree": ("exponential-space degree", 1, exponential_space),
+}
+
+_NUMBER = "{name} must be a finite real number, got {value!r}"
+_WHOLE = "{name} must be a whole number from {least} to 2**53, got {value}"
+
+#: values that are no count, and the refusal each gets; "below" stands for
+#: one less than the parameter's least value
+_NOT_COUNTS = {
+    "none": (None, _NUMBER),
+    "text": ("3", _NUMBER),
+    "list": ([3], _NUMBER),
+    "array": (np.array([3]), "{name} must be a number, got a 1-D array"),
+    "complex": (1j, _NUMBER),
+    "fraction": (2.5, _WHOLE),
+    "numpy-fraction": (np.float64(6.7), _WHOLE),
+    "bool": (True, "{name} must be a number, got True"),
+    "numpy-bool": (np.True_, "{name} must be a number, got True"),
+    "nan": (math.nan, "{name} must be finite, got nan"),
+    "inf": (math.inf, "{name} must be finite, got inf"),
+    "huge": (10**400, _NUMBER),
+    # a float holds 2**53 + 1 only as 2**53, so it is refused, not rounded
+    "inexact": (2**53 + 1, _WHOLE),
+    "below": (None, _WHOLE),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value_id",
+    [
+        pytest.param(call, value_id, id=f"{call}-{value_id}")
+        for call in _COUNT_CALLS
+        for value_id in _NOT_COUNTS
+        # a ladder pin of None asks for the whole ladder
+        if not (_COUNT_CALLS[call][0] == "n_nodes" and value_id == "none")
+    ],
+)
+def test_count_parameters_refuse_values_by_name(monkeypatch, call, value_id):
+    name, least, fn = _COUNT_CALLS[call]
+    value, message = _NOT_COUNTS[value_id]
+    if value_id == "below":
+        value = least - 1
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a refused count must stop the call before a search")
+
+    # every search goes through these: the rungs of find_operator (also in
+    # run and convergence_table) and the rule checks of find_positive_rule
+    monkeypatch.setattr(sbpkit.operators, "find_positive_rule", no_search)
+    monkeypatch.setattr(sbpkit.quadrature, "verify_exactness", no_search)
+    want = message.format(name=name, least=least, value=value)
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        fn(value)
 
 
 def test_number_parameters_are_stored_as_floats():
@@ -1031,10 +1141,10 @@ def test_convergence_table_matches_per_level_reports_with_inflow():
     [
         ([10, 10], "block count 10 appears more than once"),
         ([4, 8, 4], "block count 4 appears more than once"),
-        ([0, 2], "need at least one block, got 0"),
-        ([2, 2.5], "block count must be a whole number, got 2.5"),
-        ([True, 2], "block count must be a whole number, got True"),
-        ([2, np.True_], "block count must be a whole number, got True"),
+        ([0, 2], "block_counts[0] must be a whole number from 1 to 2**53, got 0"),
+        ([2, 2.5], "block_counts[1] must be a whole number from 1 to 2**53, got 2.5"),
+        ([True, 2], "block_counts[0] must be a number, got True"),
+        ([2, np.True_], "block_counts[1] must be a number, got True"),
     ],
 )
 def test_convergence_table_rejects_a_bad_ladder_before_running(
@@ -1047,7 +1157,7 @@ def test_convergence_table_rejects_a_bad_ladder_before_running(
         raise AssertionError("run() called for an invalid ladder")
 
     monkeypatch.setattr(sbpkit.solver, "run", forbidden)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         convergence_table(spec, ["poly:d=2"], counts, t_final=0.1)
 
 

@@ -207,6 +207,27 @@ def test_block_state_names_a_block_whose_width_ratio_underflows():
 
 
 @pytest.mark.parametrize(
+    "edges, block, ratio",
+    [
+        ((-1e308, 1e308), "[-1e+308, 1e+308]", "inf"),
+        ((-1e308, 0.0, 1e308), "[-1e+308, 0.0]", "1e+308"),
+    ],
+    ids=["ratio", "triple"],
+)
+def test_block_state_names_a_block_whose_width_ratio_overflows(edges, block, ratio):
+    # the spread of the first edges overflows the ratio itself; on the
+    # second, each ratio is finite but 3 times it (the Burgers divisor) is not
+    op = find_operator(make_space("trig:d=1"))
+    u = np.ones((len(edges) - 1, op.n_nodes))
+    want = (
+        f"block 0 on {block} is too wide: its width ratio to the operator's "
+        f"interval of width 1.0 is {ratio}, above a third of the largest float"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        BlockState(u=u, operator=op, edges=edges, t=0.0)
+
+
+@pytest.mark.parametrize(
     "edges, n_blocks, shape",
     [((0.0,), 0, "(1,)"), ((), 0, "(0,)"), (((0, 1), (1, 2)), 1, "(2, 2)")],
     ids=["one-edge", "empty", "2-D"],
@@ -888,9 +909,14 @@ def test_run_validates_arguments():
 
 def test_run_refuses_a_fractional_block_count():
     spec = ProblemSpec(kind="advection", domain=UNIT, initial_condition=np.sin)
-    for n_blocks in (2.5, math.inf, math.nan, True, np.True_):
-        message = f"block count must be a whole number, got {n_blocks}"
-        with pytest.raises(ValueError, match=message):
+    for n_blocks, message in (
+        (2.5, "n_blocks must be a whole number from 1 to 2**53, got 2.5"),
+        (math.inf, "n_blocks must be finite, got inf"),
+        (math.nan, "n_blocks must be finite, got nan"),
+        (True, "n_blocks must be a number, got True"),
+        (np.True_, "n_blocks must be a number, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(spec, "poly:d=2", n_blocks=n_blocks)
     # numpy integers are counts like ints
     a = run(spec, "trig:d=1", n_blocks=np.int64(3), t_final=0.05)

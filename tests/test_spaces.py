@@ -178,8 +178,12 @@ def test_constructor_rejects_bad_parameters():
         exponential_space(0, iv)
     # a fractional degree is refused, not truncated, and a boolean is no count
     for builder in (polynomial_space, trigonometric_space, exponential_space):
-        for degree in (2.5, True, np.True_):
-            with pytest.raises(ValueError, match="degree must be a whole number"):
+        for degree, message in (
+            (2.5, "degree must be a whole number from [01] to 2\\*\\*53, got 2.5$"),
+            (True, "degree must be a number, got True$"),
+            (np.True_, "degree must be a number, got True$"),
+        ):
+            with pytest.raises(ValueError, match=message):
                 builder(degree, iv)
     with pytest.raises(ValueError):
         rbf_cubic_space([0.0], iv)

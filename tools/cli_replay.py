@@ -1,4 +1,4 @@
-"""Old-vs-new replay of the ``sbpkit`` command line: 7 studies, 11 runs, 4 builds.
+"""Old-vs-new replay of the ``sbpkit`` command line: 7 studies, 12 runs, 5 builds.
 
 Each case is one ``python3 -m sbpkit.cli`` command of ``CASES`` run in a
 fresh process, with its output directory ``<out>/<case>``.  What each
@@ -108,6 +108,10 @@ CASES = (
     # lists both as moved)
     ("blowup", "refusal", "run --problem advection --space trig:d=4 --blocks 10 "
      "--tfinal 0.5 --cfl 0.5 --sigma 10"),
+    # a node count below its minimum of 2, refused by name before any search
+    ("fewnodes", "refusal", "build --space poly:d=2 --nodes 1"),
+    # a block count below its minimum of 1, refused by name before any search
+    ("noblocks", "refusal", "run --problem advection --space poly:d=2 --blocks 0"),
     ("build", "build", f"build --space exp:d=5 --domain 0 {_PI} --nodes 20"),
     # centers written at full precision still include the right end of [0, pi]
     ("rbf", "build", "build --space rbf-cubic:centers=0,1.5707963267948966,"
