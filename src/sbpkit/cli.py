@@ -1,8 +1,9 @@
 """Command-line front end: build, verify, run, convergence.
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 when a
-verification fails, 3 when a time integration blows up.  Flags can be
-preloaded from a JSON config file via --config; explicit flags win.
+verification fails, 3 when a time integration blows up.  An argument
+@FILE reads more arguments from FILE, each line split like a shell command
+line, in its place: `sbpkit run @flags.txt --tfinal 0`; a later flag wins.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -72,156 +73,58 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def convert_arg_line_to_args(self, arg_line):
+        # a line of an argument file reads like a piece of the command line
+        return shlex.split(arg_line)
+
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each command, by name.
+def _build_parser() -> _Parser:
+    """The top-level parser, with the parser of each command.
 
     Built once per process, on first use, and shared by every ``main``
-    call: parsing never changes a parser, and config values go to the
-    namespace, not to the parser's defaults.
+    call: parsing never changes a parser.
     """
-    parser = _Parser(prog="sbpkit", description=__doc__)
+    parser = _Parser(prog="sbpkit", description=__doc__, fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON file with default flag values")
-
-    p_build = sub.add_parser("build", parents=[common],
+    p_build = sub.add_parser("build",
                              help="construct an operator and write it to a file")
-    p_build.add_argument("--space",
+    p_build.add_argument("--space", required=True,
                          help="space such as trig:d=1 or rbf-cubic:centers=0,0.5,1")
-    p_build.add_argument("--domain", nargs=2, type=float, default=None,
+    p_build.add_argument("--domain", nargs=2, type=float, default=(0.0, 1.0),
                          metavar=("XL", "XR"))
-    p_build.add_argument("--nodes", type=int, default=None)
-    p_build.add_argument("--out", type=Path, default=None)
+    p_build.add_argument("--nodes", type=int, required=True)
+    p_build.add_argument("--out", type=Path, required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="check a stored operator file")
+    p_verify = sub.add_parser("verify", help="check a stored operator file")
     p_verify.add_argument("opfile", type=Path)
 
     # flags shared by the two time-integration commands
     problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument("--problem", choices=tuple(_PROBLEM_SETUP))
-    problem.add_argument("--domain", nargs=2, type=float, default=None,
-                         metavar=("XL", "XR"))
-    problem.add_argument("--nodes", type=int, default=None)
-    problem.add_argument("--tfinal", type=float, default=None)
-    problem.add_argument("--cfl", type=float, default=None)
-    problem.add_argument("--sigma", type=float, default=None)
-    problem.add_argument("--periodic", action="store_true", default=None,
+    problem.add_argument("--problem", choices=tuple(_PROBLEM_SETUP), required=True)
+    problem.add_argument("--domain", nargs=2, type=float, metavar=("XL", "XR"))
+    problem.add_argument("--nodes", type=int)
+    problem.add_argument("--tfinal", type=float)
+    problem.add_argument("--cfl", type=float, default=0.5)
+    problem.add_argument("--sigma", type=float)
+    problem.add_argument("--periodic", action="store_true",
                          help="force periodic coupling")
-    problem.add_argument("--inflow", type=float, default=None,
+    problem.add_argument("--inflow", type=float,
                          help="constant inflow value (forces a boundary run)")
-    problem.add_argument("--out", type=Path, default=None)
+    problem.add_argument("--out", type=Path, default=Path("."))
 
-    p_run = sub.add_parser("run", parents=[common, problem],
+    p_run = sub.add_parser("run", parents=[problem],
                            help="integrate a model problem and write CSV output")
-    p_run.add_argument("--space")
-    p_run.add_argument("--blocks", type=int, default=None)
+    p_run.add_argument("--space", required=True)
+    p_run.add_argument("--blocks", type=int, default=1)
 
-    p_conv = sub.add_parser("convergence", parents=[common, problem],
+    p_conv = sub.add_parser("convergence", parents=[problem],
                             help="error table over a ladder of block counts")
-    p_conv.add_argument("--space", action="append",
+    p_conv.add_argument("--space", action="append", required=True,
                         help="repeatable; one table section per space")
-    p_conv.add_argument("--blocks", nargs="+", type=int, default=None)
-    return parser, sub.choices
-
-
-#: values applied after the config merge when neither flags nor the config
-#: file set them; required options have no default and are checked below
-_DEFAULTS = {
-    "build": {"domain": [0.0, 1.0]},
-    "verify": {},
-    "run": {"blocks": 1, "cfl": 0.5, "out": Path(".")},
-    "convergence": {"cfl": 0.5, "out": Path(".")},
-}
-_REQUIRED = {
-    "build": ("space", "nodes", "out"),
-    "verify": (),
-    "run": ("problem", "space"),
-    "convergence": ("problem", "space", "blocks"),
-}
-
-
-def _config_value(action: argparse.Action, value, where: str):
-    """A config value as its flag would parse it, or ``ValueError``.
-
-    An on/off flag takes a JSON boolean.  Every other value item must be
-    a string or a number that the flag's type accepts in its text form;
-    an option of fixed or variable arity takes a list, and a repeatable
-    one a list or a single item.
-    """
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise ValueError(f"{where} takes true or false, got {value!r}")
-        return value
-    repeatable = isinstance(action, argparse._AppendAction)
-    if action.nargs == "+" or isinstance(action.nargs, int):
-        count = "one or more" if action.nargs == "+" else action.nargs
-        if not isinstance(value, list) or not value or (
-            isinstance(action.nargs, int) and len(value) != action.nargs
-        ):
-            raise ValueError(f"{where} takes a list of {count} values, got {value!r}")
-        items = value
-    elif repeatable and isinstance(value, list):
-        items = value
-    else:
-        items = [value]
-
-    convert = action.type or str
-    parsed = []
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
-            raise ValueError(f"{where}: {item!r} is not a string or a number")
-        try:
-            item = convert(str(item))
-        except ValueError:
-            raise ValueError(f"{where}: invalid value {item!r}") from None
-        if action.choices is not None and item not in action.choices:
-            raise ValueError(
-                f"{where} must be one of {tuple(action.choices)}, got {item!r}"
-            )
-        parsed.append(item)
-    return parsed if action.nargs is not None or repeatable else parsed[0]
-
-
-def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
-    """Fill unset flags from the JSON config file, if one was given.
-
-    Every flag parses with a None default, so an explicit command-line
-    value always wins over the file; per-command defaults are applied
-    only after the merge.  Each value is checked against the flag of
-    ``command`` it stands for, and ``null`` leaves the flag unset.
-    """
-    path = getattr(args, "config", None)
-    if path is None:
-        return
-    try:
-        values = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    actions = {a.dest: a for a in command._actions if a.dest != "config"}
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        if attr not in actions or not hasattr(args, attr):
-            raise ValueError(f"config {path}: unknown option {key!r}")
-        if getattr(args, attr) is None and value is not None:
-            where = f"config {path}: option {key!r}"
-            setattr(args, attr, _config_value(actions[attr], value, where))
-
-
-def _finish_args(args: argparse.Namespace) -> None:
-    for key, value in _DEFAULTS[args.command].items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
-    if missing:
-        flags = " ".join("--" + k for k in missing)
-        raise ValueError(f"missing required option(s): {flags}")
+    p_conv.add_argument("--blocks", nargs="+", type=int, required=True)
+    return parser
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -370,11 +273,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _apply_config(args, commands[args.command])
-        _finish_args(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,8 +93,9 @@ class FsbpOperator:
     """Derivative operator bound to its space, grid and norm weights.
 
     ``nodes`` is a grid (1-D, finite, strictly increasing, at least 2 values)
-    and ``p`` the diagonal of the norm matrix P.  All arrays are frozen
-    after construction and may be shared freely.
+    from one end of the space's interval to the other, and ``p`` the
+    diagonal of the norm matrix P.  All arrays are frozen after
+    construction and may be shared freely.
     """
 
     space: FunctionSpace
@@ -105,6 +106,8 @@ class FsbpOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", _nodes(self.nodes, "nodes"))
+        if not (iv := self.space.interval)._ends(self.nodes):
+            raise ValueError(f"nodes must reach both ends of [{iv.left}, {iv.right}]")
         for name in ("p", "Q", "D"):
             arr = _reals(getattr(self, name), name)
             arr.setflags(write=False)

@@ -113,16 +113,19 @@ def _count(value, name: str, least: int) -> int:
     raise ValueError(f"{name} must be a whole number from {least} to 2**53, got {value}")
 
 
-#: what an array of a dtype kind that is not real holds, for the refusal
-_KINDS = {"b": "booleans", "c": "complex values", "O": "None or objects", "U": "text"}
+#: what an array of a dtype kind that is not real holds, for the refusal;
+#: "int" stands for a Python int beyond the float range
+_KINDS = {"b": "booleans", "c": "complex values", "O": "None or objects", "U": "text",
+          "int": "an int too large for a float"}
 
 
 def _reals(values, name: str) -> np.ndarray:
     """``values`` as a float64 array, if it holds real numbers only.
 
     Text, booleans (also in a list, where numpy takes True for 1.0),
-    ``None``, complex values and ragged lists raise ``ValueError`` naming
-    ``name``; shape and finiteness are the caller's to check.
+    ``None``, complex values, ragged lists and ints beyond the float range
+    raise ``ValueError`` naming ``name``; shape and finiteness are the
+    caller's to check.
     """
     if type(values) is np.ndarray and values.dtype == float:  # the usual case
         return values
@@ -131,10 +134,15 @@ def _reals(values, name: str) -> np.ndarray:
     except ValueError:  # a ragged nested list
         raise ValueError(f"{name} must hold real numbers, got a ragged list") from None
     kind = "b" if _holds_bool(values) else arr.dtype.kind
-    if kind not in "iuf":
-        got = _KINDS.get(kind, f"{arr.dtype} values")
-        raise ValueError(f"{name} must hold real numbers, got {got}")
-    return arr.astype(float, copy=False)
+    if kind == "O" and all(type(v) is int for v in arr.flat):
+        kind = "i"  # ints beyond int64 and uint64, which numpy keeps as objects
+    try:
+        if kind in "iuf":
+            return arr.astype(float, copy=False)
+    except OverflowError:  # an int beyond the float range
+        kind = "int"
+    got = _KINDS.get(kind, f"{arr.dtype} values")
+    raise ValueError(f"{name} must hold real numbers, got {got}")
 
 
 def _holds_bool(values) -> bool:
@@ -229,6 +237,12 @@ class Interval:
         return x.size == 0 or bool(
             _amin(x) >= self.left - slack and _amax(x) <= self.right + slack
         )
+
+    def _ends(self, x: np.ndarray) -> bool:
+        """Whether a grid's first and last values are the interval's ends,
+        each within ``1e-12`` times its width."""
+        slack = 1e-12 * self.width
+        return abs(x[0] - self.left) <= slack and abs(x[-1] - self.right) <= slack
 
 
 UNIT_INTERVAL = Interval(0.0, 1.0)
@@ -543,10 +557,9 @@ def rbf_cubic_space(
     c = _reals(centers, "radial centers")
     # sorted, so that a repeated center is the one way to fail the order
     c = _nodes(np.sort(c) if c.ndim else c, "radial centers")
-    slack = 1e-12 * interval.width
     if not interval.contains(c):
         raise ValueError("radial centers must lie inside the interval")
-    if abs(c[0] - interval.left) > slack or abs(c[-1] - interval.right) > slack:
+    if not interval._ends(c):
         raise ValueError("radial centers must include both interval endpoints")
 
     # the kernel |x - c|**3 reaches the cube of the spread of centers and

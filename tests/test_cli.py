@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -71,8 +72,9 @@ def test_build_malformed_space_is_usage_error(tmp_path, capsys):
 
 
 def test_missing_options_are_usage_errors(capsys):
-    rc = main(["build", "--space", "trig:d=1"])
-    assert rc == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--space", "trig:d=1"])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "--nodes" in err and "--out" in err
 
@@ -104,7 +106,7 @@ def test_the_parser_is_built_once_per_process_on_first_use():
     assert out.stdout.strip() == "0"
 
 
-def test_a_config_file_does_not_carry_over_to_the_next_call(tmp_path, monkeypatch):
+def test_an_argument_file_does_not_carry_over_to_the_next_call(tmp_path, monkeypatch):
     seen = []
 
     def record(args):
@@ -112,23 +114,21 @@ def test_a_config_file_does_not_carry_over_to_the_next_call(tmp_path, monkeypatc
         return 0
 
     monkeypatch.setitem(sbpkit.cli._COMMANDS, "run", record)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({"problem": "burgers", "space": "trig:d=1", "tfinal": 0.5,
-                    "cfl": 0.25, "sigma": 3.0, "blocks": 4}),
-        encoding="utf-8",
+    flags = _flags_file(
+        tmp_path, "--problem burgers", "--space trig:d=1", "--tfinal 0.5",
+        "--cfl 0.25", "--sigma 3.0", "--blocks 4",
     )
-    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", flags]) == 0
     assert main(["run", "--problem", "advection", "--space", "poly:d=2"]) == 0
-    with_config, without = seen
-    assert (with_config["tfinal"], with_config["cfl"], with_config["sigma"]) == (
+    with_file, without = seen
+    assert (with_file["tfinal"], with_file["cfl"], with_file["sigma"]) == (
         0.5, 0.25, 3.0
     )
-    assert with_config["blocks"] == 4
+    assert with_file["blocks"] == 4
     assert without == {
-        "command": "run", "config": None, "problem": "advection",
+        "command": "run", "problem": "advection",
         "domain": None, "nodes": None, "tfinal": None, "cfl": 0.5,
-        "sigma": None, "periodic": None, "inflow": None, "out": Path("."),
+        "sigma": None, "periodic": False, "inflow": None, "out": Path("."),
         "space": "poly:d=2", "blocks": 1,
     }
 
@@ -141,7 +141,9 @@ def test_a_usage_error_leaves_the_next_call_as_it_was(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--space", "trig:d=1", "--nodes", "four"])
     assert exc.value.code == 1
-    assert main(["build", "--space", "trig:d=1"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--space", "trig:d=1"])
+    assert exc.value.code == 1
     capsys.readouterr()
     assert main(good) == 0
     assert capsys.readouterr() == expected
@@ -336,114 +338,112 @@ def test_bumpy_matches_the_power_form():
     np.testing.assert_allclose(_bumpy(x), powers, rtol=0.0, atol=1e-15)
 
 
-def test_config_file_supplies_defaults_and_flags_win(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "problem": "advection",
-                "space": "trig:d=1",
-                "tfinal": 0.5,
-                "cfl": 0.25,
-                "out": str(tmp_path / "from_config"),
-            }
-        ),
-        encoding="utf-8",
+def _flags_file(tmp_path, *lines):
+    # an argument file, one piece of the command line per line
+    path = tmp_path / "flags.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return f"@{path}"
+
+
+def test_an_argument_file_supplies_flags_and_a_later_flag_wins(tmp_path):
+    flags = _flags_file(
+        tmp_path, "--problem advection", "--space trig:d=1", "--tfinal 0.5",
+        "--cfl 0.25", f"--out {shlex.quote(str(tmp_path / 'from_file'))}",
     )
-    rc = main(["run", "--config", str(cfg), "--tfinal", "0"])
+    rc = main(["run", flags, "--tfinal", "0"])
     assert rc == 0
-    header, rows = _read_csv(tmp_path / "from_config" / "diagnostics.csv")
-    # the explicit flag overrode tfinal, the file supplied everything else
+    header, rows = _read_csv(tmp_path / "from_file" / "diagnostics.csv")
+    # the later flag overrode tfinal, the file supplied everything else
     assert len(rows) == 1
     assert float(rows[0][0]) == 0.0
 
 
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nodess": 4}), encoding="utf-8")
-    rc = main(
-        ["build", "--config", str(cfg), "--space", "trig:d=1", "--nodes", "4",
-         "--out", str(tmp_path / "op.json")]
-    )
-    assert rc == 1
-    assert "unknown option" in capsys.readouterr().err
+def test_an_argument_file_refuses_an_unknown_flag(tmp_path, capsys):
+    flags = _flags_file(tmp_path, "--nodess 4")
+    with pytest.raises(SystemExit) as exc:
+        main(["build", flags, "--space", "trig:d=1", "--nodes", "4",
+              "--out", str(tmp_path / "op.json")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --nodess 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "command, config, key",
+    "command, line, key",
     [
-        (["convergence", "--space", "trig:d=1"], {"blocks": 10}, "blocks"),
-        (["run", "--space", "trig:d=1"], {"blocks": [10, 20]}, "blocks"),
-        (["run", "--space", "trig:d=1"], {"domain": 1}, "domain"),
-        (["run"], {"space": ["exp:d=2"]}, "space"),
-        (["run", "--space", "trig:d=1"], {"periodic": 1}, "periodic"),
-        (["run", "--space", "trig:d=1"], {"cfl": "fast"}, "cfl"),
+        (["convergence", "--space", "trig:d=1"], "--blocks", "blocks"),
+        (["run", "--space", "trig:d=1"], "--blocks 1.5", "blocks"),
+        (["run", "--space", "trig:d=1"], "--domain 1", "domain"),
+        (["run"], "--space", "space"),
+        (["run", "--space", "trig:d=1"], "--periodic=1", "periodic"),
+        (["run", "--space", "trig:d=1"], "--cfl fast", "cfl"),
     ],
 )
-def test_config_file_rejects_wrong_typed_values(tmp_path, capsys, command, config, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config), encoding="utf-8")
-    rc = main(
-        command
-        + ["--problem", "advection", "--tfinal", "0", "--config", str(cfg),
-           "--out", str(tmp_path / "out")]
-    )
-    assert rc == 1
+def test_an_argument_file_refuses_wrong_typed_values(
+    tmp_path, capsys, command, line, key
+):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--problem", "advection", "--tfinal", "0",
+                        _flags_file(tmp_path, line), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config ") and f"option {key!r}" in err
+    assert f"error: argument --{key}: " in err
     assert "Traceback" not in err
 
 
-def test_config_file_refuses_an_unknown_problem(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": "heat"}), encoding="utf-8")
-    rc = main(["run", "--space", "trig:d=1", "--config", str(cfg)])
-    assert rc == 1
+def test_an_argument_file_refuses_an_unknown_problem(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--space", "trig:d=1", _flags_file(tmp_path, "--problem heat")])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config {cfg}: option 'problem' must be one of ")
+    assert "error: argument --problem: invalid choice: 'heat'" in err
 
 
-def test_config_file_lists_fill_fixed_arity_and_repeatable_options(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"domain": [0, 2]}), encoding="utf-8")
+def test_an_argument_file_fills_fixed_arity_and_repeatable_options(tmp_path):
     rc = main(
         ["run", "--problem", "advection", "--space", "trig:d=1", "--tfinal", "0",
-         "--config", str(cfg), "--out", str(tmp_path / "run")]
+         _flags_file(tmp_path, "--domain 0 2"), "--out", str(tmp_path / "run")]
     )
     assert rc == 0
     _, rows = _read_csv(tmp_path / "run" / "solution.csv")
     assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 2.0
 
-    cfg.write_text(json.dumps({"space": ["trig:d=1", "poly:d=2"]}), encoding="utf-8")
+    flags = _flags_file(tmp_path, "--space trig:d=1", "--space poly:d=2")
     rc = main(
         ["convergence", "--problem", "advection-source", "--blocks", "2", "4",
-         "--tfinal", "0.1", "--config", str(cfg), "--out", str(tmp_path / "conv")]
+         "--tfinal", "0.1", flags, "--out", str(tmp_path / "conv")]
     )
     assert rc == 0
     _, rows = _read_csv(tmp_path / "conv" / "convergence.csv")
     assert [row[0] for row in rows] == ["trig:d=1"] * 2 + ["poly:d=2"] * 2
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (None, "cannot read config"),
-        ("{not json", "cannot read config"),
-        ("[1, 2]", "must hold a JSON object"),
-    ],
-)
-def test_config_file_refuses_unreadable_or_non_object_files(
-    tmp_path, capsys, text, message
-):
-    cfg = tmp_path / "cfg.json"
-    if text is not None:
-        cfg.write_text(text, encoding="utf-8")
+def test_an_argument_file_splits_a_line_like_a_shell(tmp_path):
+    out = tmp_path / "dir with space"
+    flags = _flags_file(tmp_path, f'--out "{out}"')
     rc = main(["run", "--problem", "advection", "--space", "trig:d=1",
-               "--config", str(cfg)])
-    assert rc == 1
+               "--tfinal", "0", flags])
+    assert rc == 0
+    assert (out / "solution.csv").is_file()
+
+
+def test_a_missing_argument_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "advection", "--space", "trig:d=1", f"@{missing}"])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"config {cfg}" in err and message in err
+    assert err.startswith("usage: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+def test_config_is_an_unrecognised_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tfinal": 0}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "advection", "--space", "trig:d=1",
+              "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_convergence_table_output(tmp_path):
@@ -621,7 +621,7 @@ def test_verify_malformed_file_is_usage_error(tmp_path, capsys, text):
     [
         (lambda x: [x[1], x[0], *x[2:]], "nodes must be strictly increasing"),
         (lambda x: x[::-1], "nodes must be strictly increasing"),
-        (lambda x: [*x[:-1], 1.5], "grid node outside interval [0.0, 1.0]"),
+        (lambda x: [*x[:-1], 1.5], "nodes must reach both ends of [0.0, 1.0]"),
     ],
     ids=["nodes-out-of-order", "nodes-reversed", "node-off-the-domain"],
 )
@@ -677,7 +677,7 @@ def test_malformed_grid_names_the_file(tmp_path, capsys, move, message, route):
         ),
         (
             lambda d: {**d, "nodes": [*d["nodes"][:-1], 1.5]},
-            "grid node outside interval [0.0, 1.0]",
+            "nodes must reach both ends of [0.0, 1.0]",
         ),
     ],
     ids=[
@@ -794,7 +794,7 @@ def test_zero_step_run_matches_its_reference_exactly(tmp_path, capsys, problem):
     assert all(row[1] == row[2] and float(row[3]) == 0.0 for row in solution)
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "file"])
 def test_periodic_keeps_the_problems_default_domain(tmp_path, monkeypatch, source):
     specs = []
     solve = sbpkit.cli.run
@@ -804,9 +804,7 @@ def test_periodic_keeps_the_problems_default_domain(tmp_path, monkeypatch, sourc
         return solve(spec, *args, **kwargs)
 
     monkeypatch.setattr(sbpkit.cli, "run", capturing)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"periodic": True}), encoding="utf-8")
-    periodic = ["--periodic"] if source == "flag" else ["--config", str(cfg)]
+    periodic = ["--periodic" if source == "flag" else _flags_file(tmp_path, "--periodic")]
     rc = main(["run", "--problem", "advection-source", "--space", "poly:d=2",
                "--blocks", "2", "--tfinal", "0.25", "--out", str(tmp_path)]
               + periodic)

@@ -29,9 +29,9 @@ def _tree(root: Path, replay, changed: dict[str, bytes | None]) -> Path:
     return root
 
 
-def test_the_table_holds_seven_studies_twelve_runs_and_five_builds(replay):
+def test_the_table_holds_seven_studies_twelve_runs_and_six_builds(replay):
     commands = [options.split()[0] for _, _, options in replay.CASES]
-    assert [commands.count(c) for c in ("convergence", "run", "build")] == [7, 12, 5]
+    assert [commands.count(c) for c in ("convergence", "run", "build")] == [7, 12, 6]
     assert len({case for case, _, _ in replay.CASES}) == len(replay.CASES)
 
 
@@ -40,7 +40,7 @@ def test_identical_trees_move_nothing(tmp_path, replay, capsys):
     b = _tree(tmp_path / "b", replay, {})
     assert replay.main(["--compare", str(a), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "0 of 60 files moved"
+    assert lines[0] == "0 of 62 files moved"
     assert lines[-1].startswith("0 convergence.csv, 0 diagnostics.csv")
 
 
@@ -68,7 +68,7 @@ def test_compare_lists_each_moved_file_and_tallies_them(tmp_path, replay, capsys
         "blowup/stderr.txt",
         "exp8/op.json",
     ]
-    assert lines[-2] == "5 of 60 files moved"
+    assert lines[-2] == "5 of 62 files moved"
     assert lines[-1] == (
         "0 convergence.csv, 0 diagnostics.csv, 0 op.json, 2 solution.csv, "
         "0 status, 1 stderr.txt, 0 summary-no-wallclock.csv, 0 verify-status, "

@@ -1120,8 +1120,10 @@ def test_operator_refuses_inconsistent_array_shapes(field, reshape, message):
         ([1.0, 0.5, 0.0], "nodes must be strictly increasing"),
         ([0.0, 0.5, 0.5], "nodes must be strictly increasing"),
         ([0.5], "nodes must be a 1-D array of at least 2 values, got shape (1,)"),
+        # a grid, but one that stops short of both ends of [0, 1]
+        ([0.25, 0.5, 0.75], "nodes must reach both ends of [0.0, 1.0]"),
     ],
-    ids=["nan", "reversed", "duplicate", "single"],
+    ids=["nan", "reversed", "duplicate", "single", "short"],
 )
 def test_operator_refuses_nodes_that_are_no_grid(nodes, message):
     # the other arrays are those of a valid 3-node operator, cut to size

@@ -48,6 +48,7 @@ def test_rule_validation():
 
 _NAN, _INF = float("nan"), float("inf")
 _TOO_FEW = "nodes must be a 1-D array of at least 2 values, got shape "
+_NOT_REAL = "nodes must hold real numbers, got "
 
 
 @pytest.mark.parametrize(
@@ -63,6 +64,9 @@ _TOO_FEW = "nodes must be a 1-D array of at least 2 values, got shape "
         ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], "nodes must be strictly increasing"),
         ([1.0, 0.0], [1.0, 1.0], "nodes must be strictly increasing"),
         ([0.0, 1.0], [1.0, 1.0, 1.0], "weights have shape (3,), nodes (2,)"),
+        # numpy keeps both as objects; the first is beyond the float range
+        ([0, 10**400], [1.0, 1.0], f"{_NOT_REAL}an int too large for a float"),
+        ([0, None], [1.0, 1.0], f"{_NOT_REAL}None or objects"),
     ],
 )
 def test_rule_refusals_keep_their_messages(nodes, weights, message):
@@ -75,6 +79,13 @@ def test_rule_on_nodes_whose_spread_overflows_constructs_without_a_warning():
     # and a subtraction would warn (an error in this suite)
     rule = QuadratureRule(np.array([-1e308, 1e308]), np.array([1.0, 1.0]))
     assert rule.nodes.tolist() == [-1e308, 1e308]
+
+
+def test_rule_reads_ints_beyond_int64_as_floats():
+    # numpy keeps 2**64 as a Python object; it is a float exactly
+    rule = QuadratureRule([0, 2**64], [1, 1])
+    assert rule.nodes.dtype == float
+    assert rule.nodes.tolist() == [0.0, 1.8446744073709552e19]
 
 
 @settings(max_examples=200, deadline=None)

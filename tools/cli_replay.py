@@ -1,4 +1,4 @@
-"""Old-vs-new replay of the ``sbpkit`` command line: 7 studies, 12 runs, 5 builds.
+"""Old-vs-new replay of the ``sbpkit`` command line: 7 studies, 12 runs, 6 builds.
 
 Each case is one ``python3 -m sbpkit.cli`` command of ``CASES`` run in a
 fresh process, with its output directory ``<out>/<case>``.  What each
@@ -110,6 +110,8 @@ CASES = (
      "--tfinal 0.5 --cfl 0.5 --sigma 10"),
     # a node count below its minimum of 2, refused by name before any search
     ("fewnodes", "refusal", "build --space poly:d=2 --nodes 1"),
+    # no --nodes: pins the usage-error text for a missing required flag
+    ("nonodes", "refusal", "build --space poly:d=2"),
     # a block count below its minimum of 1, refused by name before any search
     ("noblocks", "refusal", "run --problem advection --space poly:d=2 --blocks 0"),
     ("build", "build", f"build --space exp:d=5 --domain 0 {_PI} --nodes 20"),
